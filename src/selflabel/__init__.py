@@ -12,12 +12,11 @@ from .encoder import (
     ClassifierHead,
     EncoderParams,
     TrainConfig,
+    classifier_loss,
     classifier_posteriors,
     contrastive_loss,
-    cross_entropy_loss,
     embed,
     grad_check,
-    smoothed_label_distribution,
     train_classifier,
     train_contrastive,
 )
@@ -43,13 +42,12 @@ from .pipeline import (
     run_round,
     run_stage1,
 )
-from .scoring import Cohort, ScoreSet, Trial, as_norm, cosine_score, fuse_scores
+from .scoring import Cohort, ScoreSet, Trial, as_norm, as_norm_scores, cosine_score, fuse_scores
 from .synthdata import (
     MultiModalCorpus,
-    Sample,
     SynthConfig,
     generate_corpus,
-    make_contrastive_views,
+    perturb_two_views,
     read_corpus,
     write_corpus,
 )

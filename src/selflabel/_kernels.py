@@ -1,49 +1,17 @@
-"""Hot numeric kernels: numba-jitted fast paths with pure-numpy fallbacks.
-
-The backend is fixed once at import time from the ``SELFLABEL_BACKEND``
-environment variable:
-
-* ``numba``  - force the jitted path (ImportError if numba is missing)
-* ``numpy``  - force the pure-numpy fallback
-* unset / ``auto`` - use numba when it is importable, numpy otherwise
-
-Both implementations of every kernel stay importable (``*_numpy`` /
-``*_numba``) so the benchmark script can time them side by side. The two
-backends agree to floating-point roundoff but are not bitwise identical
-(different summation orders); all determinism contracts in this package hold
-within a single backend.
+"""Hot numeric kernels: nearest-centroid assignment, per-row residuals and
+the Hungarian algorithm, in numpy.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _INT_INF = np.iinfo(np.int64).max // 4
 
-_requested = os.environ.get("SELFLABEL_BACKEND", "auto").strip().lower()
-if _requested not in ("", "auto", "numba", "numpy"):
-    raise ValueError(
-        f"SELFLABEL_BACKEND={_requested!r} not recognized (use numba, numpy or auto)"
-    )
-
-if _requested == "numpy":
-    HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise ImportError("SELFLABEL_BACKEND=numba but numba is not installed")
-        HAVE_NUMBA = False
-
 
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation; recorded in benchmark provenance."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +19,7 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def assign_points_numpy(x: np.ndarray, centroids: np.ndarray):
+def assign_points(x: np.ndarray, centroids: np.ndarray):
     """Nearest centroid per row of ``x``.
 
     Returns ``(labels, mind2)`` where ``mind2[i]`` is the squared distance of
@@ -69,7 +37,7 @@ def assign_points_numpy(x: np.ndarray, centroids: np.ndarray):
     return labels, mind2
 
 
-def sq_residuals_numpy(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
+def sq_residuals(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
     """Per-row squared distance to the assigned centroid."""
     diff = x - centroids[labels]
     return (diff * diff).sum(axis=1)
@@ -80,7 +48,7 @@ def sq_residuals_numpy(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray)
 # ---------------------------------------------------------------------------
 
 
-def hungarian_numpy(cost: np.ndarray) -> np.ndarray:
+def hungarian_min_cost(cost: np.ndarray) -> np.ndarray:
     """Solve the square min-cost assignment problem exactly.
 
     ``cost`` must be an int64 matrix. Returns ``row_for_col`` with
@@ -121,96 +89,3 @@ def hungarian_numpy(cost: np.ndarray) -> np.ndarray:
             p[j0] = p[j1]
             j0 = j1
     return p[1:] - 1
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def assign_points_numba(x, centroids):  # pragma: no cover - exercised via dispatch
-        n, d = x.shape
-        k = centroids.shape[0]
-        labels = np.empty(n, dtype=np.int64)
-        mind2 = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            best = 0
-            bestd = np.inf
-            for c in range(k):
-                s = 0.0
-                for j in range(d):
-                    t = x[i, j] - centroids[c, j]
-                    s += t * t
-                if s < bestd:
-                    bestd = s
-                    best = c
-            labels[i] = best
-            mind2[i] = bestd
-        return labels, mind2
-
-    @njit(cache=True, nogil=True)
-    def sq_residuals_numba(x, centroids, labels):  # pragma: no cover
-        n, d = x.shape
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            s = 0.0
-            c = labels[i]
-            for j in range(d):
-                t = x[i, j] - centroids[c, j]
-                s += t * t
-            out[i] = s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def hungarian_numba(cost):  # pragma: no cover
-        n = cost.shape[0]
-        u = np.zeros(n + 1, dtype=np.int64)
-        v = np.zeros(n + 1, dtype=np.int64)
-        p = np.zeros(n + 1, dtype=np.int64)
-        way = np.zeros(n + 1, dtype=np.int64)
-        minv = np.empty(n + 1, dtype=np.int64)
-        used = np.empty(n + 1, dtype=np.bool_)
-        for i in range(1, n + 1):
-            p[0] = i
-            j0 = 0
-            for j in range(n + 1):
-                minv[j] = _INT_INF
-                used[j] = False
-            while True:
-                used[j0] = True
-                i0 = p[j0]
-                delta = _INT_INF
-                j1 = 0
-                for j in range(1, n + 1):
-                    if not used[j]:
-                        cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                        if cur < minv[j]:
-                            minv[j] = cur
-                            way[j] = j0
-                        if minv[j] < delta:
-                            delta = minv[j]
-                            j1 = j
-                for j in range(n + 1):
-                    if used[j]:
-                        u[p[j]] += delta
-                        v[j] -= delta
-                    else:
-                        minv[j] -= delta
-                j0 = j1
-                if p[j0] == 0:
-                    break
-            while j0 != 0:
-                j1 = way[j0]
-                p[j0] = p[j1]
-                j0 = j1
-        return p[1:] - 1
-
-    assign_points = assign_points_numba
-    sq_residuals = sq_residuals_numba
-    hungarian_min_cost = hungarian_numba
-else:
-    assign_points_numba = None
-    sq_residuals_numba = None
-    hungarian_numba = None
-
-    assign_points = assign_points_numpy
-    sq_residuals = sq_residuals_numpy
-    hungarian_min_cost = hungarian_numpy

@@ -17,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, ensemble, pipeline, scoring, synthdata
-from .configio import (
-    build_classifier_settings,
-    build_pipeline_config,
-    build_synth_config,
-    build_train_config,
-    parse_kv_file,
-)
+from .configio import build_pipeline_config, build_synth_config, parse_kv_file
 from .encoder import (
     train_classifier,
     train_contrastive,
@@ -37,6 +31,13 @@ from .scoring import Cohort, as_norm, cosine_score, fuse_scores
 
 def _load_mapping(args) -> dict:
     return parse_kv_file(args.config) if args.config else {}
+
+
+def _stage_settings(args) -> pipeline.PipelineConfig:
+    """The settings ``selflabel pipeline`` would run with under the same
+    config file. A stage command writes single files, so the run directory
+    in them is not used."""
+    return build_pipeline_config(_load_mapping(args), output_dir=".")
 
 
 def _read_corpus_features(corpus_dir, modality):
@@ -65,15 +66,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    mapping = _load_mapping(args)
-    config = build_train_config(
-        mapping, "contrastive",
-        optimizer="adam", learning_rate=0.001, epochs=15, batch_size=256,
-    )
+    settings = _stage_settings(args)
+    config = settings.contrastive
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     corpus, features = _read_corpus_features(args.corpus, args.modality)
-    aug = (corpus.config or build_synth_config(mapping)).augmentation_noise_range
+    aug = (corpus.config or settings.synth).augmentation_noise_range
     params, log = train_contrastive(features, config, aug)
     write_checkpoint(args.out, params)
     if args.log_out:
@@ -120,10 +118,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config, aug_range, aug_prob = build_classifier_settings(
-        _load_mapping(args),
-        optimizer="sgd", learning_rate=0.5, epochs=40, batch_size=128,
-    )
+    settings = _stage_settings(args)
+    config = settings.classifier
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     corpus, features = _read_corpus_features(args.corpus, args.modality)
@@ -132,7 +128,8 @@ def _cmd_train(args) -> int:
         raise ConfigError("label file does not cover the corpus sample ids in order")
     params, head, log = train_classifier(
         features, assignment.labels, assignment.k, config,
-        augmentation_range=aug_range, augmentation_prob=aug_prob,
+        augmentation_range=settings.classifier_augmentation,
+        augmentation_prob=settings.classifier_augmentation_prob,
     )
     write_checkpoint(args.out, params, head)
     if args.log_out:
@@ -244,6 +241,14 @@ def _add_common(sub, config=True, seed=True):
         sub.add_argument("--seed", type=int, default=None, help="seed override")
 
 
+def _add_cluster_flags(sub):
+    defaults = pipeline.ClusterSettings
+    sub.add_argument("--restarts", type=int, default=defaults.restarts)
+    sub.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    sub.add_argument("--workers", type=int, default=defaults.workers)
+    sub.add_argument("--seed", type=int, default=0, help="k-means seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selflabel",
@@ -273,11 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", help="comma list; the elbow picks K")
     p.add_argument("--from-curve", help="run the elbow on a stored WSS curve")
     p.add_argument("--curve-out", help="write the WSS curve here")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
+    _add_cluster_flags(p)
     p.add_argument("--out", required=True, help="assignment TSV path")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("train", help="classifier training on pseudo-labels")
@@ -297,11 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--visual-emb", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
+    _add_cluster_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("score", help="cosine scores for a trial list; optional AS-Norm or fusion")
@@ -324,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fused", help="fused assignment TSV")
     p.add_argument("--trials")
     p.add_argument("--scores")
-    p.add_argument("--p-target", type=float, default=0.05)
-    p.add_argument("--c-miss", type=float, default=1.0)
-    p.add_argument("--c-fa", type=float, default=1.0)
+    p.add_argument("--p-target", type=float, default=DcfParams.p_target)
+    p.add_argument("--c-miss", type=float, default=DcfParams.c_miss)
+    p.add_argument("--c-fa", type=float, default=DcfParams.c_fa)
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_metrics)
 

@@ -7,12 +7,11 @@ values parse to tuples. Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
-from .encoder import TrainConfig
 from .errors import ConfigError
-from .metrics import DcfParams
-from .pipeline import ClusterSettings, EvalSettings, PipelineConfig
+from .pipeline import PipelineConfig
 from .synthdata import SynthConfig
 
 
@@ -71,58 +70,46 @@ def _section(mapping: dict, prefix: str) -> dict:
     return out
 
 
-def _build(cls, kwargs: dict, what: str):
+def _override(base, kwargs: dict, what: str):
+    """``base`` with the given fields replaced; defaults stay with the dataclass."""
     try:
-        return cls(**kwargs)
+        return replace(base, **kwargs)
     except TypeError as exc:
         raise ConfigError(f"invalid {what} settings: {exc}") from exc
 
 
+def _noise_range(kwargs: dict, low_key: str, high_key: str, what: str):
+    """Pop a (low, high) pair of keys; None when neither is set."""
+    low = kwargs.pop(low_key, None)
+    high = kwargs.pop(high_key, None)
+    if (low is None) != (high is None):
+        raise ConfigError(f"set both {what}.{low_key} and {what}.{high_key}")
+    return None if low is None else (float(low), float(high))
+
+
 def build_synth_config(mapping: dict, seed_override: int | None = None) -> SynthConfig:
     kwargs = _section(mapping, "synth")
-    low = kwargs.pop("augmentation_noise_low", None)
-    high = kwargs.pop("augmentation_noise_high", None)
-    if (low is None) != (high is None):
-        raise ConfigError(
-            "set both synth.augmentation_noise_low and synth.augmentation_noise_high"
-        )
-    if low is not None:
-        kwargs["augmentation_noise_range"] = (float(low), float(high))
+    noise = _noise_range(kwargs, "augmentation_noise_low", "augmentation_noise_high", "synth")
+    if noise is not None:
+        kwargs["augmentation_noise_range"] = noise
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    return _build(SynthConfig, kwargs, "synth")
+    return _override(SynthConfig(), kwargs, "synth")
 
 
-def build_train_config(mapping: dict, section: str, **defaults) -> TrainConfig:
-    kwargs = dict(defaults)
-    kwargs.update(_section(mapping, section))
-    return _build(TrainConfig, kwargs, section)
+def _int_tuple(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in (value if isinstance(value, tuple) else (value,)))
 
 
-def build_classifier_settings(mapping: dict, **defaults):
-    """Classifier TrainConfig plus its (range, prob) augmentation settings.
-
-    The ``classifier.aug_*`` keys live beside the optimizer settings in the
-    config file but are not TrainConfig fields.
-    """
-    kwargs = dict(defaults)
-    kwargs.update(_section(mapping, "classifier"))
-    low = kwargs.pop("aug_low", None)
-    high = kwargs.pop("aug_high", None)
-    prob = kwargs.pop("aug_prob", 0.6)
-    if (low is None) != (high is None):
-        raise ConfigError("set both classifier.aug_low and classifier.aug_high")
-    aug_range = (float(low), float(high)) if low is not None else None
-    return _build(TrainConfig, kwargs, "classifier"), aug_range, float(prob)
-
-
+# top-level key -> (PipelineConfig field, conversion); an absent or empty
+# value keeps the field's default
 _TOP_LEVEL_KEYS = {
-    "seed",
-    "rounds",
-    "corpus",
-    "k_grid",
-    "fixed_k",
-    "use_group_consolidation",
+    "seed": ("seed", int),
+    "rounds": ("rounds", int),
+    "corpus": ("corpus_path", Path),
+    "k_grid": ("k_grid", _int_tuple),
+    "fixed_k": ("fixed_k", int),
+    "use_group_consolidation": ("use_group_consolidation", bool),
 }
 _SECTIONS = ("synth", "contrastive", "classifier", "cluster", "eval", "dcf")
 
@@ -132,40 +119,33 @@ def build_pipeline_config(
     output_dir,
     seed_override: int | None = None,
 ) -> PipelineConfig:
+    """A PipelineConfig whose defaults are overridden by the mapping's keys.
+
+    Every default lives in the config dataclasses; this function only
+    converts and places the keys that the mapping sets.
+    """
     for key in mapping:
         head = key.split(".", 1)[0]
         if key not in _TOP_LEVEL_KEYS and head not in _SECTIONS:
             raise ConfigError(f"unknown config key {key!r}")
 
-    seed = seed_override if seed_override is not None else mapping.get("seed", 1234)
-    classifier_cfg, aug_range, aug_prob = build_classifier_settings(
-        mapping, optimizer="sgd", learning_rate=0.5, epochs=40, batch_size=128,
-    )
+    base = PipelineConfig(output_dir=Path(output_dir))
     kwargs = {
-        "output_dir": Path(output_dir),
-        "seed": int(seed),
-        "rounds": int(mapping.get("rounds", 3)),
-        "use_group_consolidation": bool(mapping.get("use_group_consolidation", False)),
-        "synth": build_synth_config(mapping),
-        "contrastive": build_train_config(
-            mapping, "contrastive",
-            optimizer="adam", learning_rate=0.003, epochs=8, batch_size=128,
-        ),
-        "classifier": classifier_cfg,
-        "classifier_augmentation_prob": aug_prob,
-        "cluster": _build(ClusterSettings, _section(mapping, "cluster"), "cluster"),
-        "eval": _build(EvalSettings, _section(mapping, "eval"), "eval"),
-        "dcf": _build(DcfParams, _section(mapping, "dcf"), "dcf"),
+        name: convert(mapping[key])
+        for key, (name, convert) in _TOP_LEVEL_KEYS.items()
+        if mapping.get(key) is not None
     }
+    if seed_override is not None:
+        kwargs["seed"] = int(seed_override)
+    classifier = _section(mapping, "classifier")
+    aug_range = _noise_range(classifier, "aug_low", "aug_high", "classifier")
     if aug_range is not None:
         kwargs["classifier_augmentation"] = aug_range
-    if mapping.get("corpus") is not None:
-        kwargs["corpus_path"] = Path(mapping["corpus"])
-    if "k_grid" in mapping and mapping["k_grid"] is not None:
-        grid = mapping["k_grid"]
-        if not isinstance(grid, tuple):
-            grid = (grid,)
-        kwargs["k_grid"] = tuple(int(k) for k in grid)
-    if mapping.get("fixed_k") is not None:
-        kwargs["fixed_k"] = int(mapping["fixed_k"])
-    return _build(PipelineConfig, kwargs, "pipeline")
+    aug_prob = classifier.pop("aug_prob", None)
+    if aug_prob is not None:
+        kwargs["classifier_augmentation_prob"] = float(aug_prob)
+    kwargs["synth"] = build_synth_config(mapping)
+    kwargs["classifier"] = _override(base.classifier, classifier, "classifier")
+    for name in ("contrastive", "cluster", "eval", "dcf"):
+        kwargs[name] = _override(getattr(base, name), _section(mapping, name), name)
+    return _override(base, kwargs, "pipeline")

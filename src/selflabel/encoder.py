@@ -61,9 +61,6 @@ class EncoderParams:
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(*(a.copy() for a in self.arrays()))
-
 
 @dataclass(frozen=True)
 class ClassifierHead:
@@ -88,9 +85,6 @@ class ClassifierHead:
 
     def arrays(self) -> list[np.ndarray]:
         return [self.w, self.b]
-
-    def copy(self) -> "ClassifierHead":
-        return ClassifierHead(self.w.copy(), self.b.copy())
 
 
 @dataclass(frozen=True)
@@ -262,14 +256,8 @@ def classifier_posteriors(head: ClassifierHead, z: np.ndarray) -> np.ndarray:
         raise NumericError("non-finite embedding")
     single = z.ndim == 1
     logits = np.atleast_2d(z) @ head.w.T + head.b
-    p = _softmax(logits)
+    p = np.exp(_log_softmax(logits))
     return p[0] if single else p
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -277,40 +265,29 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def smoothed_label_distribution(y: int, k: int, epsilon: float) -> np.ndarray:
-    """Target distribution: (1-eps) one-hot at y plus eps/k everywhere."""
-    if not 0 <= y < k:
-        raise ConfigError(f"label {y} out of range [0, {k})")
-    if not 0 <= epsilon < 1:
-        raise ConfigError("epsilon must lie in [0, 1)")
-    q = np.full(k, epsilon / k, dtype=np.float64)
-    q[y] += 1.0 - epsilon
-    return q
+def classifier_loss(logits: np.ndarray, labels: np.ndarray, epsilon: float):
+    """Mean label-smoothed cross entropy over a batch, with its gradient.
 
-
-def _smooth_targets(labels: np.ndarray, k: int, epsilon: float) -> np.ndarray:
-    q = np.full((labels.size, k), epsilon / k, dtype=np.float64)
-    q[np.arange(labels.size), labels] += 1.0 - epsilon
-    return q
-
-
-def cross_entropy_loss(logits: np.ndarray, target: np.ndarray):
-    """Cross entropy between softmax(logits) and a target distribution.
-
-    Works on the logits with a log-sum-exp formulation, so a saturated
-    posterior never produces a NaN. Returns (loss, gradient w.r.t. logits);
-    the gradient is posterior - target.
+    Row i of ``logits`` (shape (B, K)) is scored against the target that puts
+    1 - epsilon on ``labels[i]`` plus epsilon / K on every class. The loss is
+    taken on the logits through a log-sum-exp, so a saturated posterior never
+    produces a NaN. Returns ``(loss, grad)``: the mean loss over the batch
+    and its gradient with respect to ``logits``, (posterior - target) / B.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if logits.shape != target.shape or logits.ndim != 1:
-        raise ConfigError("logits and target must be matching 1-d vectors")
-    if np.any(target < 0) or abs(target.sum() - 1.0) > 1e-9:
-        raise ConfigError("target is not a probability distribution")
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim != 2 or labels.shape != (logits.shape[0],) or labels.size == 0:
+        raise ConfigError("need a nonempty (batch, classes) logit matrix and one label per row")
+    n, k = logits.shape
+    if labels.min() < 0 or labels.max() >= k:
+        raise ConfigError(f"label out of range [0, {k})")
+    if not 0 <= epsilon < 1:
+        raise ConfigError("epsilon must lie in [0, 1)")
+    target = np.full((n, k), epsilon / k, dtype=np.float64)
+    target[np.arange(n), labels] += 1.0 - epsilon
     logp = _log_softmax(logits)
-    loss = float(-(target * logp).sum())
-    grad = np.exp(logp) - target
-    return loss, grad
+    loss = float(-(target * logp).sum() / n)
+    return loss, (np.exp(logp) - target) / n
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +447,9 @@ def train_classifier(
                 xb = xb + mag * rng.standard_normal(xb.shape)
             hidden, z = _forward(params, xb)
             logits = z @ head.w.T + head.b
-            logp = _log_softmax(logits)
-            q = _smooth_targets(yb, num_classes, config.epsilon_smooth)
-            batch_loss = float(-(q * logp).sum() / len(idx))
+            batch_loss, dlogits = classifier_loss(logits, yb, config.epsilon_smooth)
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"classifier loss diverged at epoch {epoch}", epoch)
-            dlogits = (np.exp(logp) - q) / len(idx)
             dhead_w = dlogits.T @ z
             dhead_b = dlogits.sum(axis=0)
             dz = dlogits @ head.w

@@ -9,7 +9,7 @@ all-distinct ties.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,16 +126,12 @@ def vote_breakdown(ref: Assignment, a: Assignment, b: Assignment) -> dict:
     }
 
 
-def consolidate_groups(labels: Assignment, groups: Sequence[str] | Mapping[int, str]) -> Assignment:
+def consolidate_groups(labels: Assignment, groups: Sequence[str]) -> Assignment:
     """Replace every label within a recording group by the group's modal
     label; mode ties break toward the smallest label id."""
-    if isinstance(groups, Mapping):
-        group_list = [groups[i] for i in range(len(labels))]
-    else:
-        group_list = list(groups)
-    if len(group_list) != len(labels):
+    if len(groups) != len(labels):
         raise ConfigError("group map does not cover every sample")
-    codes, inverse = np.unique(np.asarray(group_list), return_inverse=True)
+    codes, inverse = np.unique(np.asarray(groups), return_inverse=True)
     out = labels.labels.copy()
     for g in range(codes.size):
         members = np.nonzero(inverse == g)[0]

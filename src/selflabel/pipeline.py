@@ -20,6 +20,7 @@ import hashlib
 import json
 import logging
 import shutil
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -364,12 +365,27 @@ def _write_metrics(tmp: Path, report: dict) -> None:
     (tmp / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _commit_round(config: PipelineConfig, index: int, tmp: Path) -> RoundArtifacts:
+@contextmanager
+def _staged_round(config: PipelineConfig, index: int):
+    """Yield an empty staging directory for round ``index``.
+
+    When the block completes, the directory is renamed into place as the
+    round directory; when it raises, the directory is removed, so a failed
+    round leaves no partial files behind.
+    """
+    tmp = config.output_dir / f".tmp_round_{index:03d}"
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir()
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     final = _round_dir(config, index)
     if final.exists():
         shutil.rmtree(final)
     tmp.rename(final)
-    return _load_round(config, index)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +402,7 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
         logger.info("round 0 already complete, skipping")
         return _load_round(config, 0)
 
-    tmp = config.output_dir / ".tmp_round_000"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir()
-    try:
+    with _staged_round(config, 0) as tmp:
         aug_range = (corpus.config or config.synth).augmentation_noise_range
         train_cfg = replace(config.contrastive, seed=_derive_seed(config.seed, 0, 1))
         logger.info("round 0: contrastive pretraining (%d epochs)", train_cfg.epochs)
@@ -430,10 +442,7 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
         _score_and_write(tmp, "audio", corpus, z_audio, trials)
         report = compute_round_metrics(tmp, corpus, trials, k, 0)
         _write_metrics(tmp, report)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    art = _commit_round(config, 0, tmp)
+    art = _load_round(config, 0)
     logger.info("round 0 done: %s", _metrics_brief(art.metrics))
     return art
 
@@ -452,11 +461,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
     labels = previous.assignment(label_name)
     k = previous.k
 
-    tmp = config.output_dir / f".tmp_round_{round_index:03d}"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir()
-    try:
+    with _staged_round(config, round_index) as tmp:
         z = {}
         for stream, modality in enumerate(_MODALITIES, start=4):
             train_cfg = replace(
@@ -507,10 +512,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
             _score_and_write(tmp, modality, corpus, z[modality], trials)
         report = compute_round_metrics(tmp, corpus, trials, k, round_index)
         _write_metrics(tmp, report)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    art = _commit_round(config, round_index, tmp)
+    art = _load_round(config, round_index)
     logger.info("round %d done: %s", round_index, _metrics_brief(art.metrics))
     return art
 
@@ -528,10 +530,15 @@ def _metrics_brief(m: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _system_metrics(score_set: ScoreSet, dcf: DcfParams) -> dict:
-    eer_value, _ = eer(score_set)
-    dcf_value, threshold = min_dcf(score_set, dcf)
-    return {"eer": eer_value, "min_dcf": dcf_value, "threshold": threshold}
+def _system_metrics(raw: ScoreSet, normed: ScoreSet, dcf: DcfParams) -> dict:
+    """EER, minDCF and its threshold on raw scores, plus EER and minDCF
+    after AS-Norm."""
+    eer_value, _ = eer(raw)
+    dcf_value, threshold = min_dcf(raw, dcf)
+    out = {"eer": eer_value, "min_dcf": dcf_value, "threshold": threshold}
+    out["eer_norm"], _ = eer(normed)
+    out["min_dcf_norm"], _ = min_dcf(normed, dcf)
+    return out
 
 
 def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: RoundArtifacts) -> dict:
@@ -553,13 +560,10 @@ def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: Rou
             final_dir / f"scores_{modality}_norm.tsv", trials
         )
 
-    out = {}
-    for modality in systems:
-        out[modality] = _system_metrics(raw_sets[modality], config.dcf)
-        normed = _system_metrics(norm_sets[modality], config.dcf)
-        out[modality].update(
-            {"eer_norm": normed["eer"], "min_dcf_norm": normed["min_dcf"]}
-        )
+    out = {
+        modality: _system_metrics(raw_sets[modality], norm_sets[modality], config.dcf)
+        for modality in systems
+    }
     if len(systems) > 1:
         weights = [1.0 / len(systems)] * len(systems)
         fused_raw = fuse_scores([raw_sets[m] for m in systems], weights)
@@ -568,11 +572,7 @@ def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: Rou
         scoring.write_scores(final_dir / "scores_fusion_norm.tsv", fused_norm)
         fused_raw = scoring.read_scores(final_dir / "scores_fusion.tsv", trials)
         fused_norm = scoring.read_scores(final_dir / "scores_fusion_norm.tsv", trials)
-        out["fusion"] = _system_metrics(fused_raw, config.dcf)
-        normed = _system_metrics(fused_norm, config.dcf)
-        out["fusion"].update(
-            {"eer_norm": normed["eer"], "min_dcf_norm": normed["min_dcf"]}
-        )
+        out["fusion"] = _system_metrics(fused_raw, fused_norm, config.dcf)
     return out
 
 

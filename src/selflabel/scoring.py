@@ -100,26 +100,65 @@ def cosine_score(trials: Sequence[Trial], embeddings_by_id: Mapping[str, np.ndar
     return ScoreSet(trials=tuple(trials), scores=scores, normalized=False)
 
 
-def topn_stats(cohort_scores: np.ndarray, top_n: int) -> tuple[float, float]:
-    """Mean and population standard deviation of the top-N largest scores."""
-    scores = np.asarray(cohort_scores, dtype=np.float64)
-    if not 1 <= top_n <= scores.size:
-        raise ConfigError(f"top_n must lie in [1, {scores.size}], got {top_n}")
-    top = np.sort(scores)[-top_n:]
-    mu = float(top.mean())
-    sigma = float(np.sqrt(np.mean((top - mu) ** 2)))
+# Rows sorted at a time for top-N statistics: bounds the sort's temporary
+# (the pipeline's 40k-trial runs score about 6000 samples against the cohort).
+_STATS_ROWS = 512
+
+
+def _topn_stats(cohort_scores: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: mean and population standard deviation of the top-N scores."""
+    mu = np.empty(cohort_scores.shape[0])
+    sigma = np.empty(cohort_scores.shape[0])
+    for start in range(0, cohort_scores.shape[0], _STATS_ROWS):
+        rows = slice(start, start + _STATS_ROWS)
+        top = np.sort(cohort_scores[rows], axis=1)[:, -top_n:]
+        mu[rows] = top.mean(axis=1)
+        sigma[rows] = np.sqrt(np.mean((top - mu[rows, None]) ** 2, axis=1))
     return mu, sigma
 
 
-def asnorm_score(raw: float, enroll_cohort: np.ndarray, test_cohort: np.ndarray, top_n: int) -> float:
-    """Normalize one raw score given both sides' cohort score vectors."""
-    mu_e, sig_e = topn_stats(enroll_cohort, top_n)
-    mu_t, sig_t = topn_stats(test_cohort, top_n)
-    if sig_e == 0:
-        raise NumericError("degenerate cohort: zero top-n variance on enroll side")
-    if sig_t == 0:
-        raise NumericError("degenerate cohort: zero top-n variance on test side")
-    return 0.5 * ((raw - mu_e) / sig_e + (raw - mu_t) / sig_t)
+def as_norm_scores(
+    raw: np.ndarray,
+    cohort_scores: np.ndarray,
+    enroll_idx: np.ndarray,
+    test_idx: np.ndarray,
+    top_n: int,
+) -> np.ndarray:
+    """AS-Norm of raw trial scores from per-sample cohort score rows.
+
+    ``cohort_scores[m]`` holds sample m's scores against every cohort member;
+    trial i normalizes ``raw[i]`` with the top-N statistics of rows
+    ``enroll_idx[i]`` and ``test_idx[i]``. Statistics are computed once per
+    row, never per trial. Raises a degenerate-cohort error naming the first
+    trial and side whose top-N scores have zero spread.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    cohort_scores = np.asarray(cohort_scores, dtype=np.float64)
+    enroll_idx = np.asarray(enroll_idx, dtype=np.int64)
+    test_idx = np.asarray(test_idx, dtype=np.int64)
+    if raw.ndim != 1 or not raw.shape == enroll_idx.shape == test_idx.shape:
+        raise ConfigError("raw scores and both index vectors must be equal-length 1-d arrays")
+    if cohort_scores.ndim != 2:
+        raise ConfigError("cohort scores must be a (samples, cohort) matrix")
+    size = cohort_scores.shape[1]
+    if not 1 <= top_n <= size:
+        raise ConfigError(f"top_n must lie in [1, {size}], got {top_n}")
+    mu, sigma = _topn_stats(cohort_scores, top_n)
+    degenerate = sigma == 0
+    bad = np.nonzero(degenerate[enroll_idx] | degenerate[test_idx])[0]
+    if bad.size:
+        i = int(bad[0])
+        side = "enroll" if degenerate[enroll_idx[i]] else "test"
+        raise NumericError(f"degenerate cohort: zero top-n variance on {side} side of trial {i}")
+    # in place, with at most two trial-length temporaries alive: final
+    # scoring runs close to the pipeline's peak memory
+    out = raw - mu[enroll_idx]
+    out /= sigma[enroll_idx]
+    test_side = raw - mu[test_idx]
+    test_side /= sigma[test_idx]
+    out += test_side
+    out *= 0.5
+    return out
 
 
 def as_norm(
@@ -130,41 +169,27 @@ def as_norm(
 ) -> ScoreSet:
     """Adaptive symmetric score normalization of a raw score set.
 
-    Trial order is preserved. Raises a degenerate-cohort error naming the
-    trial and side whenever a top-N score set has zero spread.
+    Trial order is preserved. Each trial sample's cosine scores against the
+    cohort are computed once and normalized by :func:`as_norm_scores`.
     """
-    if not 1 <= top_n <= cohort.size:
-        raise ConfigError(f"top_n must lie in [1, {cohort.size}], got {top_n}")
     cohort_units = cohort.embeddings / np.linalg.norm(cohort.embeddings, axis=1)[:, None]
     if not np.all(np.isfinite(cohort_units)):
         raise NumericError("zero-norm embedding in cohort")
 
-    stats: dict[str, tuple[float, float]] = {}
-
-    def side_stats(sample_id: str) -> tuple[float, float]:
-        if sample_id not in stats:
-            if sample_id not in embeddings_by_id:
-                raise DataError(f"unknown id in trial list: {sample_id!r}")
-            unit = _unit(np.asarray(embeddings_by_id[sample_id], dtype=np.float64), sample_id)
-            stats[sample_id] = topn_stats(cohort_units @ unit, top_n)
-        return stats[sample_id]
-
-    out = np.empty(len(raw), dtype=np.float64)
-    for i, trial in enumerate(raw.trials):
-        mu_e, sig_e = side_stats(trial.enroll_id)
-        mu_t, sig_t = side_stats(trial.test_id)
-        if sig_e == 0:
-            raise NumericError(
-                f"degenerate cohort: zero top-n variance on enroll side of trial "
-                f"({trial.enroll_id}, {trial.test_id})"
-            )
-        if sig_t == 0:
-            raise NumericError(
-                f"degenerate cohort: zero top-n variance on test side of trial "
-                f"({trial.enroll_id}, {trial.test_id})"
-            )
-        s = raw.scores[i]
-        out[i] = 0.5 * ((s - mu_e) / sig_e + (s - mu_t) / sig_t)
+    rows: dict[str, int] = {}
+    for trial in raw.trials:
+        for sample_id in (trial.enroll_id, trial.test_id):
+            if sample_id not in rows:
+                if sample_id not in embeddings_by_id:
+                    raise DataError(f"unknown id in trial list: {sample_id!r}")
+                rows[sample_id] = len(rows)
+    cohort_scores = np.empty((len(rows), cohort.size), dtype=np.float64)
+    for sample_id, row in rows.items():
+        unit = _unit(np.asarray(embeddings_by_id[sample_id], dtype=np.float64), sample_id)
+        cohort_scores[row] = cohort_units @ unit
+    enroll_idx = np.fromiter((rows[t.enroll_id] for t in raw.trials), np.int64, len(raw))
+    test_idx = np.fromiter((rows[t.test_id] for t in raw.trials), np.int64, len(raw))
+    out = as_norm_scores(raw.scores, cohort_scores, enroll_idx, test_idx, top_n)
     return ScoreSet(trials=raw.trials, scores=out, normalized=True)
 
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -79,17 +78,7 @@ class SynthConfig:
         return self.num_identities * self.groups_per_identity * self.segments_per_group
 
     def to_dict(self) -> dict:
-        return {
-            "num_identities": self.num_identities,
-            "groups_per_identity": self.groups_per_identity,
-            "segments_per_group": self.segments_per_group,
-            "audio_dim": self.audio_dim,
-            "visual_dim": self.visual_dim,
-            "within_identity_spread": self.within_identity_spread,
-            "observation_noise": self.observation_noise,
-            "augmentation_noise_range": list(self.augmentation_noise_range),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
@@ -97,17 +86,6 @@ class SynthConfig:
         if "augmentation_noise_range" in kwargs:
             kwargs["augmentation_noise_range"] = tuple(kwargs["augmentation_noise_range"])
         return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One corpus sample. identity_gt and group_id are evaluation-only."""
-
-    sample_id: str
-    audio: np.ndarray
-    visual: np.ndarray
-    identity_gt: int
-    group_id: str
 
 
 class MultiModalCorpus:
@@ -140,18 +118,6 @@ class MultiModalCorpus:
 
     def __len__(self) -> int:
         return len(self.sample_ids)
-
-    def sample(self, i: int) -> Sample:
-        return Sample(
-            sample_id=self.sample_ids[i],
-            audio=self.audio[i],
-            visual=self.visual[i],
-            identity_gt=int(self.identity_gt[i]),
-            group_id=self.group_ids[i],
-        )
-
-    def __iter__(self) -> Iterator[Sample]:
-        return (self.sample(i) for i in range(len(self)))
 
     def features(self, modality: str) -> np.ndarray:
         """Feature matrix of one modality; carries no ground-truth columns."""
@@ -236,16 +202,6 @@ def perturb_two_views(x: np.ndarray, low: float, high: float, rng) -> tuple[np.n
         mag = rng.uniform(low, high, size=(x.shape[0], 1))
         views.append(x + mag * rng.standard_normal(x.shape))
     return views[0], views[1]
-
-
-def make_contrastive_views(sample: Sample, modality: str, rng, noise_range) -> tuple[np.ndarray, np.ndarray]:
-    """Two stochastic views of one sample's feature vector."""
-    x = sample.audio if modality == "audio" else sample.visual
-    if modality not in ("audio", "visual"):
-        raise ConfigError(f"unknown modality {modality!r}")
-    low, high = noise_range
-    v1, v2 = perturb_two_views(np.asarray(x, dtype=np.float64), low, high, rng)
-    return v1[0], v2[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +294,11 @@ def read_corpus(path) -> MultiModalCorpus:
     audio = read_embeddings(path / "audio.emb")
     visual = read_embeddings(path / "visual.emb")
     n = len(sample_ids)
-    if audio.shape[0] != n:
-        raise DataError(
-            f"row count mismatch: meta.tsv has {n} rows, audio.emb has {audio.shape[0]}"
-        )
-    if visual.shape[0] != n:
-        raise DataError(
-            f"row count mismatch: meta.tsv has {n} rows, visual.emb has {visual.shape[0]}"
-        )
+    for name, matrix in (("audio", audio), ("visual", visual)):
+        if matrix.shape[0] != n:
+            raise DataError(
+                f"row count mismatch: meta.tsv has {n} rows, {name}.emb has {matrix.shape[0]}"
+            )
     config = None
     config_path = path / "config.json"
     if config_path.exists():
@@ -370,14 +323,11 @@ def randomize_ground_truth(corpus: MultiModalCorpus, seed: int) -> MultiModalCor
     new_gt = rng.integers(0, max(2, int(corpus.identity_gt.max()) + 1), size=n)
     perm = rng.permutation(n)
     new_groups = [corpus.group_ids[p] for p in perm]
-    cfg = corpus.config
-    if cfg is not None:
-        cfg = replace(cfg)
     return MultiModalCorpus(
         sample_ids=corpus.sample_ids,
         group_ids=new_groups,
         identity_gt=new_gt,
         audio=corpus.audio,
         visual=corpus.visual,
-        config=cfg,
+        config=corpus.config,
     )

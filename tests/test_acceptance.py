@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from selflabel.clustering import WssCurve, kmeans, select_k_elbow
-from selflabel.encoder import (
-    TrainConfig,
-    contrastive_loss,
-    cross_entropy_loss,
-    grad_check,
-    smoothed_label_distribution,
-)
+from selflabel.encoder import TrainConfig, classifier_loss, contrastive_loss, grad_check
 from selflabel.ensemble import correspond
 from selflabel.errors import NumericError
 from selflabel.metrics import DcfParams, eer, min_dcf, nmi
@@ -32,7 +26,14 @@ from selflabel.pipeline import (
     run_round,
     run_stage1,
 )
-from selflabel.scoring import Cohort, ScoreSet, Trial, as_norm, asnorm_score, cosine_score
+from selflabel.scoring import (
+    Cohort,
+    ScoreSet,
+    Trial,
+    as_norm,
+    as_norm_scores,
+    cosine_score,
+)
 from selflabel.synthdata import (
     SynthConfig,
     generate_corpus,
@@ -243,10 +244,11 @@ class TestCriterion05GradientCorrectness:
             worst = max(worst, grad_check(fc, z.ravel()))
         for _ in range(50):
             k = int(rng.integers(2, 9))
-            target = smoothed_label_distribution(int(rng.integers(k)), k, 0.1)
+            label = np.array([rng.integers(k)])
 
-            def fe(theta, target=target):
-                return cross_entropy_loss(theta, target)
+            def fe(theta, label=label):
+                loss, grad = classifier_loss(theta[None, :], label, 0.1)
+                return loss, grad[0]
 
             worst = max(worst, grad_check(fe, rng.standard_normal(k) * 2.0))
         ok = worst < 1e-4
@@ -324,9 +326,15 @@ class TestCriterion08ElbowDetection:
         assert ok
 
 
+def _asnorm_one(raw, enroll_scores, test_scores, top_n):
+    """One trial through the AS-Norm core: row 0 enroll, row 1 test."""
+    rows = np.stack([enroll_scores, test_scores])
+    return float(as_norm_scores(np.array([raw]), rows, [0], [1], top_n)[0])
+
+
 class TestCriterion09AsNorm:
     def test_worked_example_affine_invariance_and_degenerate_error(self):
-        worked = asnorm_score(0.6, np.array([1.0, 0.0]), np.array([0.5, 0.1]), top_n=2)
+        worked = _asnorm_one(0.6, np.array([1.0, 0.0]), np.array([0.5, 0.1]), top_n=2)
         worked_ok = abs(worked - 0.85) <= 1e-9
 
         rng = np.random.default_rng(8)
@@ -337,8 +345,8 @@ class TestCriterion09AsNorm:
             s = float(rng.standard_normal())
             a = float(rng.uniform(0.1, 5.0))
             b = float(rng.uniform(-3, 3))
-            base = asnorm_score(s, e, t, top_n=12)
-            moved = asnorm_score(a * s + b, a * e + b, a * t + b, top_n=12)
+            base = _asnorm_one(s, e, t, top_n=12)
+            moved = _asnorm_one(a * s + b, a * e + b, a * t + b, top_n=12)
             affine_ok &= abs(moved - base) <= 1e-9
 
         emb = {"e": np.array([1.0, 0.0]), "t": np.array([0.0, 1.0])}

@@ -7,6 +7,7 @@ import pytest
 from selflabel.cli import main
 from selflabel.configio import build_pipeline_config, parse_kv_text
 from selflabel.errors import ConfigError
+from selflabel.pipeline import _derive_seed
 from selflabel.synthdata import read_corpus
 
 TINY_SYNTH = """
@@ -40,6 +41,24 @@ cluster.restarts = 2
 cluster.sweep_restarts = 2
 eval.cohort_size = 8
 eval.top_n = 6
+eval.target_trials = 20
+eval.nontarget_trials = 20
+"""
+
+# Pipeline defaults everywhere the stage commands train: no contrastive.*
+# key but the batch size, no classifier.aug_* key.
+REPRO_SEED = 11
+REPRO_PIPELINE = f"""
+seed = {REPRO_SEED}
+rounds = 1
+fixed_k = 12
+synth.num_identities = 12
+synth.groups_per_identity = 2
+synth.segments_per_group = 5
+contrastive.batch_size = 16
+cluster.restarts = 2
+eval.cohort_size = 10
+eval.top_n = 5
 eval.target_trials = 20
 eval.nontarget_trials = 20
 """
@@ -242,6 +261,41 @@ class TestTrainCommands:
             "--out", str(tmp_path / "x.enc"),
         ])
         assert code == 4
+
+
+class TestStageCommandsReproducePipeline:
+    """Under one config file, the stage commands train with the pipeline's
+    settings, so at the pipeline's derived seeds they write its encoders."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("repro")
+        (root / "repro.cfg").write_text(REPRO_PIPELINE)
+        code = main(["pipeline", "--config", str(root / "repro.cfg"), "--out", str(root / "run")])
+        assert code == 0
+        return root
+
+    def test_pretrain_writes_round0_encoder(self, run, tmp_path):
+        out = tmp_path / "pretrain.enc"
+        code = main([
+            "pretrain", "--config", str(run / "repro.cfg"),
+            "--corpus", str(run / "run" / "corpus"), "--modality", "audio",
+            "--seed", str(_derive_seed(REPRO_SEED, 0, 1)), "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (run / "run" / "round_000" / "encoder_audio.enc").read_bytes()
+
+    def test_train_writes_round1_encoder(self, run, tmp_path):
+        out = tmp_path / "train.enc"
+        code = main([
+            "train", "--config", str(run / "repro.cfg"),
+            "--corpus", str(run / "run" / "corpus"), "--modality", "audio",
+            "--labels", str(run / "run" / "round_000" / "assign_audio.tsv"),
+            "--num-classes", "12",
+            "--seed", str(_derive_seed(REPRO_SEED, 1, 4)), "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (run / "run" / "round_001" / "encoder_audio.enc").read_bytes()
 
 
 class TestFuseCommand:

@@ -10,15 +10,14 @@ from selflabel.encoder import (
     ClassifierHead,
     EncoderParams,
     TrainConfig,
+    classifier_loss,
     classifier_posteriors,
     contrastive_loss,
-    cross_entropy_loss,
     embed,
     grad_check,
     init_encoder,
     pack_params,
     read_checkpoint,
-    smoothed_label_distribution,
     train_classifier,
     train_contrastive,
     unpack_params,
@@ -33,6 +32,16 @@ def softmax_oracle(logits):
     e = [math.exp(v) for v in logits]
     s = sum(e)
     return [v / s for v in e]
+
+
+def smoothed_target(label, k, epsilon):
+    """The target distribution classifier_loss trains one row towards.
+
+    At zero logits the posterior is uniform, so the gradient of a one-row
+    batch, posterior - target, gives the target back.
+    """
+    _, grad = classifier_loss(np.zeros((1, k)), np.array([label]), epsilon)
+    return np.full(k, 1.0 / k) - grad[0]
 
 
 def contrastive_oracle(z, tau, denominator="cross"):
@@ -174,56 +183,68 @@ class TestPosteriorsAndTargets:
             assert np.all(p >= 0)
 
     def test_smoothing_worked_example(self):
-        q = smoothed_label_distribution(3, 10, 0.1)
+        q = smoothed_target(3, 10, 0.1)
         assert q[3] == pytest.approx(0.91)
         others = np.delete(q, 3)
         np.testing.assert_allclose(others, 0.01)
 
     def test_smoothing_zero_epsilon_one_hot(self):
-        q = smoothed_label_distribution(2, 4, 0.0)
-        np.testing.assert_array_equal(q, [0.0, 0.0, 1.0, 0.0])
+        # a posterior saturated on the label is exactly one-hot, so the
+        # gradient vanishes exactly only if the target is exactly one-hot
+        loss, grad = classifier_loss(np.array([[0.0, 0.0, 1000.0, 0.0]]), np.array([2]), 0.0)
+        np.testing.assert_array_equal(grad, np.zeros((1, 4)))
+        assert loss == 0.0
 
     def test_smoothing_binary_case(self):
-        q = smoothed_label_distribution(0, 2, 0.5)
+        q = smoothed_target(0, 2, 0.5)
         np.testing.assert_allclose(q, [0.75, 0.25])
 
     def test_smoothing_label_out_of_range(self):
         with pytest.raises(ConfigError):
-            smoothed_label_distribution(4, 4, 0.1)
+            classifier_loss(np.zeros((1, 4)), np.array([4]), 0.1)
 
 
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        logits = np.array([0.0, 500.0, 0.0])
-        target = np.array([0.0, 1.0, 0.0])
-        loss, _ = cross_entropy_loss(logits, target)
+        logits = np.array([[0.0, 500.0, 0.0]])
+        loss, _ = classifier_loss(logits, np.array([1]), 0.0)
         assert loss == 0.0
 
     def test_uniform_posterior_binary_ln2(self):
-        loss, _ = cross_entropy_loss(np.zeros(2), np.array([1.0, 0.0]))
+        loss, _ = classifier_loss(np.zeros((1, 2)), np.array([0]), 0.0)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gradient_is_posterior_minus_target(self):
         rng = np.random.default_rng(8)
         logits = rng.standard_normal(5)
-        target = smoothed_label_distribution(2, 5, 0.1)
-        _, grad = cross_entropy_loss(logits, target)
+        target = np.full(5, 0.1 / 5)
+        target[2] += 0.9
+        _, grad = classifier_loss(logits[None, :], np.array([2]), 0.1)
         p = softmax_oracle(logits.tolist())
-        np.testing.assert_allclose(grad, np.array(p) - target, atol=1e-12)
+        np.testing.assert_allclose(grad[0], np.array(p) - target, atol=1e-12)
+
+    def test_batch_gradient_is_mean_of_rows(self):
+        rng = np.random.default_rng(10)
+        logits = rng.standard_normal((4, 6)) * 2.0
+        labels = np.array([0, 5, 2, 2])
+        loss, grad = classifier_loss(logits, labels, 0.1)
+        rows = [classifier_loss(logits[i : i + 1], labels[i : i + 1], 0.1) for i in range(4)]
+        assert loss == pytest.approx(np.mean([r[0] for r in rows]), abs=1e-12)
+        np.testing.assert_allclose(grad, np.vstack([r[1] for r in rows]) / 4, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        target = smoothed_label_distribution(1, 5, 0.1)
+        labels = np.array([1, 4, 0])
 
         def f(theta):
-            return cross_entropy_loss(theta, target)
+            loss, grad = classifier_loss(theta.reshape(3, 5), labels, 0.1)
+            return loss, grad.ravel()
 
-        assert grad_check(f, rng.standard_normal(5)) < 1e-4
+        assert grad_check(f, rng.standard_normal(15)) < 1e-4
 
     def test_saturated_posterior_never_nan(self):
-        logits = np.array([-1000.0, 1000.0])
-        target = np.array([1.0, 0.0])
-        loss, grad = cross_entropy_loss(logits, target)
+        logits = np.array([[-1000.0, 1000.0]])
+        loss, grad = classifier_loss(logits, np.array([0]), 0.0)
         assert np.isfinite(loss) and loss > 0
         assert np.all(np.isfinite(grad))
 
@@ -248,13 +269,7 @@ class TestGradCheckHarness:
             hid = np.tanh(x @ params.w1.T + params.b1)
             z = hid @ params.w2.T + params.b2
             logits = z @ head.w.T + head.b
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            q = np.zeros((batch, k))
-            q[np.arange(batch), labels] = 0.9
-            q += 0.1 / k
-            loss = float(-(q * logp).sum() / batch)
-            dlogits = (np.exp(logp) - q) / batch
+            loss, dlogits = classifier_loss(logits, labels, 0.1)
             dhw = dlogits.T @ z
             dhb = dlogits.sum(0)
             dz = dlogits @ head.w
@@ -404,7 +419,7 @@ class TestTrainClassifier:
         x = np.vstack([a, b])
         y = np.repeat([0, 1], 40)
         eps, k = 0.1, 2
-        q = smoothed_label_distribution(0, k, eps)
+        q = np.array([1.0 - eps + eps / k, eps / k])
         floor = float(-(q * np.log(q)).sum())
         assert floor > 0
 
@@ -461,10 +476,11 @@ class TestGradientFuzz:
 
         for _ in range(50):
             k = int(rng.integers(2, 8))
-            target = smoothed_label_distribution(int(rng.integers(k)), k, 0.1)
+            label = np.array([rng.integers(k)])
 
-            def fe(theta, target=target):
-                return cross_entropy_loss(theta, target)
+            def fe(theta, label=label):
+                loss, grad = classifier_loss(theta[None, :], label, 0.1)
+                return loss, grad[0]
 
             assert grad_check(fe, rng.standard_normal(k) * 2.0) < 1e-4
 

@@ -1,4 +1,4 @@
-"""Backend equivalence for the hot kernels."""
+"""The hot kernels against brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -11,54 +11,19 @@ class TestAssignPoints:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((50, 4))
         c = rng.standard_normal((7, 4))
-        labels, mind2 = _kernels.assign_points_numpy(x, c)
+        labels, mind2 = _kernels.assign_points(x, c)
         for i in range(50):
             dists = ((x[i] - c) ** 2).sum(axis=1)
             assert labels[i] == int(np.argmin(dists))
             assert mind2[i] == pytest.approx(dists.min(), rel=1e-10)
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend not active")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((300, 6))
-        c = rng.standard_normal((11, 6))
-        l_np, d_np = _kernels.assign_points_numpy(x, c)
-        l_nb, d_nb = _kernels.assign_points_numba(x, c)
-        np.testing.assert_array_equal(l_np, l_nb)
-        np.testing.assert_allclose(d_np, d_nb, rtol=1e-10, atol=1e-12)
-
-
-class TestSqResiduals:
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend not active")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((200, 5))
-        c = rng.standard_normal((9, 5))
-        labels = rng.integers(0, 9, size=200)
-        r_np = _kernels.sq_residuals_numpy(x, c, labels)
-        r_nb = _kernels.sq_residuals_numba(x, c, labels)
-        np.testing.assert_allclose(r_np, r_nb, rtol=1e-12)
-
 
 class TestHungarian:
     def test_numpy_trivial_cases(self):
-        assert _kernels.hungarian_numpy(np.array([[3]], dtype=np.int64))[0] == 0
+        assert _kernels.hungarian_min_cost(np.array([[3]], dtype=np.int64))[0] == 0
         # min-cost on a diagonal-cheap matrix is the identity
         cost = np.array([[0, 9], [9, 0]], dtype=np.int64)
-        np.testing.assert_array_equal(_kernels.hungarian_numpy(cost), [0, 1])
-
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend not active")
-    def test_backends_agree_on_objective(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(1, 12))
-            cost = rng.integers(-40, 40, size=(n, n)).astype(np.int64)
-            a = _kernels.hungarian_numpy(cost)
-            b = _kernels.hungarian_numba(cost)
-            cost_a = sum(cost[a[j], j] for j in range(n))
-            cost_b = sum(cost[b[j], j] for j in range(n))
-            assert cost_a == cost_b  # optima agree even if tied matchings differ
-            assert sorted(a) == sorted(b) == list(range(n))
+        np.testing.assert_array_equal(_kernels.hungarian_min_cost(cost), [0, 1])
 
     def test_large_instance_objective_vs_greedy_bound(self):
         rng = np.random.default_rng(4)
@@ -76,8 +41,3 @@ class TestHungarian:
                     greedy += int(cost[r, j])
                     break
         assert value <= greedy
-
-
-def test_active_backend_reports_selection():
-    assert _kernels.active_backend() in ("numba", "numpy")
-    assert (_kernels.active_backend() == "numba") == _kernels.HAVE_NUMBA

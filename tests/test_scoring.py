@@ -9,12 +9,11 @@ from selflabel.scoring import (
     ScoreSet,
     Trial,
     as_norm,
-    asnorm_score,
+    as_norm_scores,
     cosine_score,
     fuse_scores,
     read_scores,
     read_trials,
-    topn_stats,
     write_scores,
     write_trials,
 )
@@ -22,6 +21,12 @@ from selflabel.scoring import (
 
 def trial_list(pairs):
     return [Trial(e, t, bool(k)) for e, t, k in pairs]
+
+
+def asnorm_one(raw, enroll_scores, test_scores, top_n):
+    """One trial through the AS-Norm core: row 0 enroll, row 1 test."""
+    rows = np.stack([enroll_scores, test_scores])
+    return float(as_norm_scores(np.array([raw]), rows, [0], [1], top_n)[0])
 
 
 class TestCosineScore:
@@ -61,13 +66,16 @@ class TestAsNorm:
     def test_hand_derived_example(self):
         # enroll top-2 {1.0, 0.0}: mu 0.5 sigma 0.5; test top-2 {0.5, 0.1}:
         # mu 0.3 sigma 0.2; s = 0.6 -> 0.5*(0.2 + 1.5) = 0.85
-        value = asnorm_score(0.6, np.array([1.0, 0.0]), np.array([0.5, 0.1]), top_n=2)
+        value = asnorm_one(0.6, np.array([1.0, 0.0]), np.array([0.5, 0.1]), top_n=2)
         assert value == pytest.approx(0.85, abs=1e-9)
 
     def test_population_std_in_stats(self):
-        mu, sigma = topn_stats(np.array([1.0, 0.0, -0.5]), top_n=2)
-        assert mu == pytest.approx(0.5)
-        assert sigma == pytest.approx(0.5)
+        # top-2 of {1.0, 0.0, -0.5} is {1.0, 0.0}: mu 0.5 and population
+        # sigma 0.5 (the sample sigma would be 0.707). With one row on both
+        # sides a trial normalizes to (s - mu) / sigma.
+        rows = np.array([[1.0, 0.0, -0.5]])
+        normed = as_norm_scores(np.array([0.5, 1.0]), rows, [0, 0], [0, 0], top_n=2)
+        np.testing.assert_allclose(normed, [0.0, 1.0], atol=1e-12)
 
     def test_affine_invariance_at_score_level(self):
         rng = np.random.default_rng(11)
@@ -75,9 +83,9 @@ class TestAsNorm:
             e_scores = rng.standard_normal(30)
             t_scores = rng.standard_normal(30)
             s = float(rng.standard_normal())
-            base = asnorm_score(s, e_scores, t_scores, top_n=10)
+            base = asnorm_one(s, e_scores, t_scores, top_n=10)
             a, b = float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2, 2))
-            shifted = asnorm_score(a * s + b, a * e_scores + b, a * t_scores + b, top_n=10)
+            shifted = asnorm_one(a * s + b, a * e_scores + b, a * t_scores + b, top_n=10)
             assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_rotation_invariance_of_full_pipeline(self):

@@ -8,7 +8,6 @@ from selflabel.synthdata import (
     MultiModalCorpus,
     SynthConfig,
     generate_corpus,
-    make_contrastive_views,
     perturb_two_views,
     randomize_ground_truth,
     read_corpus,
@@ -59,7 +58,7 @@ class TestGenerateCorpus:
         cfg = small_config(num_identities=1, groups_per_identity=1, segments_per_group=1)
         corpus = generate_corpus(cfg)
         assert len(corpus) == 1
-        assert corpus.sample(0).identity_gt == 0
+        assert corpus.identity_gt[0] == 0
 
     def test_sample_count_and_balance(self):
         corpus = generate_corpus(small_config())
@@ -103,26 +102,25 @@ class TestGenerateCorpus:
     def test_group_ids_nest_inside_identities(self):
         corpus = generate_corpus(small_config())
         seen = {}
-        for i in range(len(corpus)):
-            s = corpus.sample(i)
-            seen.setdefault(s.group_id, set()).add(s.identity_gt)
+        for group_id, identity in zip(corpus.group_ids, corpus.identity_gt):
+            seen.setdefault(group_id, set()).add(int(identity))
         assert all(len(v) == 1 for v in seen.values())
 
 
 class TestContrastiveViews:
     def test_zero_noise_returns_clean_vector(self):
         corpus = generate_corpus(small_config())
-        sample = corpus.sample(3)
+        x = corpus.features("audio")[3:4]
         rng = np.random.default_rng(5)
-        v1, v2 = make_contrastive_views(sample, "audio", rng, (0.0, 0.0))
-        np.testing.assert_array_equal(v1, sample.audio.astype(np.float64))
-        np.testing.assert_array_equal(v2, sample.audio.astype(np.float64))
+        v1, v2 = perturb_two_views(x, 0.0, 0.0, rng)
+        np.testing.assert_array_equal(v1, x.astype(np.float64))
+        np.testing.assert_array_equal(v2, x.astype(np.float64))
 
     def test_same_rng_state_reproduces_views(self):
         corpus = generate_corpus(small_config())
-        sample = corpus.sample(0)
-        a = make_contrastive_views(sample, "visual", np.random.default_rng(9), (0.1, 0.4))
-        b = make_contrastive_views(sample, "visual", np.random.default_rng(9), (0.1, 0.4))
+        x = corpus.features("visual")[0:1]
+        a = perturb_two_views(x, 0.1, 0.4, np.random.default_rng(9))
+        b = perturb_two_views(x, 0.1, 0.4, np.random.default_rng(9))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -141,7 +139,7 @@ class TestContrastiveViews:
     def test_unknown_modality_rejected(self):
         corpus = generate_corpus(small_config())
         with pytest.raises(ConfigError):
-            make_contrastive_views(corpus.sample(0), "haptic", np.random.default_rng(0), (0, 1))
+            corpus.features("haptic")
 
 
 class TestCorpusFiles:
