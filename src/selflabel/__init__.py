@@ -7,7 +7,15 @@ minDCF, AS-Norm) on a synthetic paired-modality corpus.
 """
 
 from ._kernels import active_backend
-from .clustering import Assignment, WssCurve, kmeans, select_k_elbow, sweep_k, wss
+from .clustering import (
+    Assignment,
+    ClusterSettings,
+    WssCurve,
+    kmeans,
+    select_k_elbow,
+    sweep_k,
+    wss,
+)
 from .encoder import (
     ClassifierHead,
     EncoderParams,
@@ -34,7 +42,6 @@ from .ensemble import (
 from .errors import ConfigError, DataError, NumericError, SelfLabelError, TrainingError
 from .metrics import DcfParams, eer, min_dcf, nmi
 from .pipeline import (
-    ClusterSettings,
     EvalSettings,
     PipelineConfig,
     RoundArtifacts,

@@ -242,7 +242,7 @@ def _add_common(sub, config=True, seed=True):
 
 
 def _add_cluster_flags(sub):
-    defaults = pipeline.ClusterSettings
+    defaults = clustering.ClusterSettings
     sub.add_argument("--restarts", type=int, default=defaults.restarts)
     sub.add_argument("--max-iters", type=int, default=defaults.max_iters)
     sub.add_argument("--workers", type=int, default=defaults.workers)

@@ -1,5 +1,12 @@
 """k-means with k-means++ seeding, WSS, K sweeps and elbow selection.
 
+``kmeans`` computes the row norms ``x_sq = (x * x).sum(axis=1)`` once and
+reuses them in every seeding step and assignment pass, where squared
+distances are ``x_sq + c.c - 2 x.c`` around one GEMV or GEMM. Seeding snaps
+distances within rounding of 0 to exactly 0 (see ``_kmeanspp_init``), so it
+picks the rows the direct ``((x - c) ** 2).sum()`` form picks; the
+assignment kernel's values are bitwise those of the same expression.
+
 The assignment step runs over fixed-size row chunks. Worker threads only
 parallelize chunk evaluation; partial results are always combined in chunk
 order, so every result is bitwise independent of the worker count.
@@ -20,6 +27,26 @@ from .errors import ConfigError, DataError
 # Fixed chunking (not per-worker splits): the combine order never depends on
 # how many threads ran, which is what makes kmeans() thread-count invariant.
 _CHUNK_ROWS = 2048
+
+
+@dataclass(frozen=True)
+class ClusterSettings:
+    """k-means settings; the library's defaults for ``kmeans``, ``sweep_k``
+    and ``fuse_pseudo_labels``."""
+
+    restarts: int = 10
+    sweep_restarts: int = 4
+    max_iters: int = 100
+    workers: int = 1
+    normalize: bool = False  # length-normalize embeddings before k-means
+
+    def __post_init__(self):
+        if self.restarts < 1 or self.sweep_restarts < 1:
+            raise ConfigError("restart counts must be >= 1")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,12 +109,12 @@ def _chunk_slices(n: int) -> list[slice]:
     return [slice(s, min(s + _CHUNK_ROWS, n)) for s in range(0, n, _CHUNK_ROWS)]
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray, pool) -> np.ndarray:
+def _assign(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, pool) -> np.ndarray:
     slices = _chunk_slices(x.shape[0])
     if pool is None or len(slices) == 1:
-        parts = [assign_points(x[s], centroids) for s in slices]
+        parts = [assign_points(x[s], centroids, x_sq[s]) for s in slices]
     else:
-        parts = list(pool.map(lambda s: assign_points(x[s], centroids), slices))
+        parts = list(pool.map(lambda s: assign_points(x[s], centroids, x_sq[s]), slices))
     return np.concatenate([p[0] for p in parts])
 
 
@@ -112,43 +139,71 @@ def _update_centroids(x: np.ndarray, labels: np.ndarray, k: int, c_old: np.ndarr
     return c
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
+def _kmeanspp_init(x: np.ndarray, k: int, rng, x_sq: np.ndarray) -> np.ndarray:
+    """Row indices of k distinct seeds picked by k-means++ (Arthur &
+    Vassilvitskii, "k-means++: the advantages of careful seeding", SODA 2007).
+
+    Each step's squared distance to the new seed c is one GEMV on the cached
+    row norms, ``x_sq + c.c - 2 x.c``, built in a preallocated buffer. Its
+    rounding error is below ``(d + 2) * eps * (x_sq + c.c)``, so every entry
+    at or below that bound is set to exactly 0: a row equal to a seed weighs
+    0, as it does under the direct ``((x - c) ** 2).sum(axis=1)``, it is never
+    drawn, and data with fewer distinct rows than k still reaches the
+    uniform fallback. The draw is the arithmetic ``rng.choice(n, p=d2 /
+    total)`` performs (cumsum, normalize, one ``random()`` double,
+    right-sided searchsorted) without its validation passes, so it takes
+    the same numbers from the stream. Elsewhere the distances differ from
+    the direct form in the last bits only; a pick could move only if the
+    uniform double fell that close to a cdf step, so the picks, and every
+    output after them, are those of the direct form.
+    """
+    n, d = x.shape
+    picks = np.empty(k, dtype=np.int64)
     chosen = np.zeros(n, dtype=bool)
-    first = int(rng.integers(n))
-    centroids[0] = x[first]
-    chosen[first] = True
-    diff = x - centroids[0]
-    d2 = (diff * diff).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            remaining = np.nonzero(~chosen)[0]
-            idx = int(remaining[rng.integers(remaining.size)]) if remaining.size else int(rng.integers(n))
-        centroids[j] = x[idx]
+    tol = (d + 2) * np.finfo(np.float64).eps
+    d2 = np.full(n, np.inf)
+    dist = np.empty(n)
+    bound = np.empty(n)
+    idx = int(rng.integers(n))
+    for j in range(k):
+        if j:
+            total = d2.sum()
+            if total > 0:
+                np.divide(d2, total, out=dist)
+                cdf = dist.cumsum()
+                cdf /= cdf[-1]
+                idx = int(cdf.searchsorted(rng.random(), side="right"))
+            else:
+                remaining = np.nonzero(~chosen)[0]
+                idx = int(remaining[rng.integers(remaining.size)])
+        picks[j] = idx
         chosen[idx] = True
-        diff = x - centroids[j]
-        np.minimum(d2, (diff * diff).sum(axis=1), out=d2)
-    return centroids
+        np.dot(x, x[idx], out=dist)
+        dist *= -2.0
+        dist += x_sq
+        dist += x_sq[idx]
+        np.add(x_sq, x_sq[idx], out=bound)
+        bound *= tol
+        dist[dist <= bound] = 0.0
+        np.minimum(d2, dist, out=d2)
+    return picks
 
 
-def _lloyd(x, c0, max_iters, pool):
+def _lloyd(x, x_sq, c0, max_iters, pool, return_history):
     k = c0.shape[0]
     c = c0
     labels = None
     history = []
     for _ in range(max_iters):
-        new_labels = _assign(x, c, pool)
+        new_labels = _assign(x, x_sq, c, pool)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
         c = _update_centroids(x, labels, k, c)
-        history.append(float(sq_residuals(x, c, labels).sum()))
+        if return_history:
+            history.append(float(sq_residuals(x, c, labels).sum()))
     else:
-        labels = _assign(x, c, pool)
+        labels = _assign(x, x_sq, c, pool)
     w = float(sq_residuals(x, c, labels).sum())
     return c, labels, w, history
 
@@ -156,10 +211,10 @@ def _lloyd(x, c0, max_iters, pool):
 def kmeans(
     x: np.ndarray,
     k: int,
-    restarts: int = 10,
-    max_iters: int = 100,
+    restarts: int = ClusterSettings.restarts,
+    max_iters: int = ClusterSettings.max_iters,
     seed=0,
-    workers: int = 1,
+    workers: int = ClusterSettings.workers,
     return_history: bool = False,
 ):
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
@@ -186,14 +241,15 @@ def kmeans(
         raise ConfigError("max_iters must be >= 1")
 
     prefix = _seed_list(seed)
+    x_sq = (x * x).sum(axis=1)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         best = None
         histories = []
         for r in range(restarts):
             rng = np.random.default_rng(prefix + [r])
-            c0 = _kmeanspp_init(x, k, rng)
-            c, labels, w, history = _lloyd(x, c0, max_iters, pool)
+            c0 = x[_kmeanspp_init(x, k, rng, x_sq)]
+            c, labels, w, history = _lloyd(x, x_sq, c0, max_iters, pool, return_history)
             histories.append(history)
             if best is None or w < best[2]:
                 best = (c, labels, w)
@@ -226,10 +282,10 @@ def wss(x: np.ndarray, centroids: np.ndarray, assignment: Assignment) -> float:
 def sweep_k(
     x: np.ndarray,
     k_grid: Sequence[int],
-    restarts: int = 10,
+    restarts: int = ClusterSettings.restarts,
     seed=0,
-    max_iters: int = 100,
-    workers: int = 1,
+    max_iters: int = ClusterSettings.max_iters,
+    workers: int = ClusterSettings.workers,
 ) -> WssCurve:
     """Best-of-restarts WSS for each candidate K, in ascending K order."""
     ks = [int(k) for k in k_grid]

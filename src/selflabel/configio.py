@@ -78,13 +78,46 @@ def _override(base, kwargs: dict, what: str):
         raise ConfigError(f"invalid {what} settings: {exc}") from exc
 
 
+def _as_float(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_int(value, key: str) -> int:
+    """An integer value; an integral float such as 3.0 counts, 2.5 does not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _as_bool(value, key: str) -> bool:
+    if isinstance(value, int) and value in (0, 1):  # bool is an int
+        return bool(value)
+    raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+
+
+def _as_path(value, key: str) -> Path:
+    if isinstance(value, tuple):
+        raise ConfigError(f"config key {key!r} must be one path, got {value!r}")
+    return Path(str(value))
+
+
+def _as_int_tuple(value, key: str) -> tuple[int, ...]:
+    return tuple(_as_int(v, key) for v in (value if isinstance(value, tuple) else (value,)))
+
+
 def _noise_range(kwargs: dict, low_key: str, high_key: str, what: str):
     """Pop a (low, high) pair of keys; None when neither is set."""
     low = kwargs.pop(low_key, None)
     high = kwargs.pop(high_key, None)
     if (low is None) != (high is None):
         raise ConfigError(f"set both {what}.{low_key} and {what}.{high_key}")
-    return None if low is None else (float(low), float(high))
+    if low is None:
+        return None
+    return _as_float(low, f"{what}.{low_key}"), _as_float(high, f"{what}.{high_key}")
 
 
 def build_synth_config(mapping: dict, seed_override: int | None = None) -> SynthConfig:
@@ -97,19 +130,15 @@ def build_synth_config(mapping: dict, seed_override: int | None = None) -> Synth
     return _override(SynthConfig(), kwargs, "synth")
 
 
-def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in (value if isinstance(value, tuple) else (value,)))
-
-
 # top-level key -> (PipelineConfig field, conversion); an absent or empty
 # value keeps the field's default
 _TOP_LEVEL_KEYS = {
-    "seed": ("seed", int),
-    "rounds": ("rounds", int),
-    "corpus": ("corpus_path", Path),
-    "k_grid": ("k_grid", _int_tuple),
-    "fixed_k": ("fixed_k", int),
-    "use_group_consolidation": ("use_group_consolidation", bool),
+    "seed": ("seed", _as_int),
+    "rounds": ("rounds", _as_int),
+    "corpus": ("corpus_path", _as_path),
+    "k_grid": ("k_grid", _as_int_tuple),
+    "fixed_k": ("fixed_k", _as_int),
+    "use_group_consolidation": ("use_group_consolidation", _as_bool),
 }
 _SECTIONS = ("synth", "contrastive", "classifier", "cluster", "eval", "dcf")
 
@@ -131,7 +160,7 @@ def build_pipeline_config(
 
     base = PipelineConfig(output_dir=Path(output_dir))
     kwargs = {
-        name: convert(mapping[key])
+        name: convert(mapping[key], key)
         for key, (name, convert) in _TOP_LEVEL_KEYS.items()
         if mapping.get(key) is not None
     }
@@ -143,7 +172,7 @@ def build_pipeline_config(
         kwargs["classifier_augmentation"] = aug_range
     aug_prob = classifier.pop("aug_prob", None)
     if aug_prob is not None:
-        kwargs["classifier_augmentation_prob"] = float(aug_prob)
+        kwargs["classifier_augmentation_prob"] = _as_float(aug_prob, "classifier.aug_prob")
     kwargs["synth"] = build_synth_config(mapping)
     kwargs["classifier"] = _override(base.classifier, classifier, "classifier")
     for name in ("contrastive", "cluster", "eval", "dcf"):

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._kernels import hungarian_min_cost
-from .clustering import Assignment, _seed_list, kmeans
+from .clustering import Assignment, ClusterSettings, _seed_list, kmeans
 from .errors import ConfigError, NumericError
 
 
@@ -144,10 +144,10 @@ def fuse_pseudo_labels(
     za: np.ndarray,
     zv: np.ndarray,
     k: int,
-    restarts: int = 10,
-    max_iters: int = 100,
+    restarts: int = ClusterSettings.restarts,
+    max_iters: int = ClusterSettings.max_iters,
     seed=0,
-    workers: int = 1,
+    workers: int = ClusterSettings.workers,
 ) -> FusedLabels:
     """Cluster both modalities and their joint representation at the same K,
     align audio and visual to the joint reference, and vote.

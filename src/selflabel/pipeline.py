@@ -29,6 +29,7 @@ import numpy as np
 from . import ensemble, scoring, synthdata
 from .clustering import (
     Assignment,
+    ClusterSettings,
     kmeans,
     read_assignment,
     select_k_elbow,
@@ -52,23 +53,6 @@ from .synthdata import MultiModalCorpus, SynthConfig
 logger = logging.getLogger(__name__)
 
 _MODALITIES = ("audio", "visual")
-
-
-@dataclass(frozen=True)
-class ClusterSettings:
-    restarts: int = 10
-    sweep_restarts: int = 4
-    max_iters: int = 100
-    workers: int = 1
-    normalize: bool = False  # length-normalize embeddings before k-means
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.sweep_restarts < 1:
-            raise ConfigError("restart counts must be >= 1")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass(frozen=True)

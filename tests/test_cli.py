@@ -96,6 +96,55 @@ class TestConfigParsing:
         assert config.synth.augmentation_noise_range == (0.4, 0.9)
 
 
+class TestConfigValueErrors:
+    """A value that does not convert is a ConfigError naming its key (exit
+    code 2), never a traceback, and an integer key takes no fraction."""
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("rounds = abc", "rounds"),
+            ("rounds = 2.5", "rounds"),
+            ("fixed_k = 7.9", "fixed_k"),
+            ("k_grid = 100,abc,300", "k_grid"),
+            ("use_group_consolidation = abc", "use_group_consolidation"),
+            ("classifier.aug_prob = abc", "classifier.aug_prob"),
+            ("classifier.aug_low = abc\nclassifier.aug_high = 1.0", "classifier.aug_low"),
+        ],
+    )
+    def test_pipeline_exits_2(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_bad_aug_prob_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("classifier.aug_prob = abc\n")
+        code = main([
+            "train", "--config", str(cfg), "--corpus", str(tmp_path / "corpus"),
+            "--modality", "audio", "--labels", str(tmp_path / "labels.tsv"),
+            "--out", str(tmp_path / "enc"),
+        ])
+        assert code == 2
+        assert "'classifier.aug_prob'" in capsys.readouterr().err
+
+    def test_generate_bad_noise_range_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("synth.augmentation_noise_low = 0.1\nsynth.augmentation_noise_high = x\n")
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "'synth.augmentation_noise_high'" in capsys.readouterr().err
+
+    def test_integral_values_still_convert(self, tmp_path):
+        config = build_pipeline_config(
+            {"rounds": 2.0, "fixed_k": 7, "use_group_consolidation": True}, tmp_path
+        )
+        assert (config.rounds, config.fixed_k, config.use_group_consolidation) == (2, 7, True)
+
+
 class TestGenerate:
     def test_generate_writes_readable_corpus(self, corpus_dir):
         corpus = read_corpus(corpus_dir)

@@ -1,12 +1,17 @@
 """k-means, WSS, K sweeps, and elbow selection."""
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selflabel import clustering
 from selflabel.clustering import (
     Assignment,
+    ClusterSettings,
     WssCurve,
     kmeans,
     read_assignment,
@@ -17,6 +22,7 @@ from selflabel.clustering import (
     write_wss_curve,
     wss,
 )
+from selflabel.ensemble import fuse_pseudo_labels
 from selflabel.errors import ConfigError
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
@@ -116,6 +122,107 @@ class TestKmeansContracts:
         assert a.k == 4
         assert c.shape == (4, 2)
         assert np.all(np.isfinite(c))
+
+
+def _kmeanspp_oracle(x, k, rng):
+    """k-means++ picks by the direct distance form and ``rng.choice``: the
+    earlier seeding code, kept as the reference the GEMV form must match."""
+    n = x.shape[0]
+    idx = int(rng.integers(n))
+    picks = [idx]
+    chosen = np.zeros(n, dtype=bool)
+    chosen[idx] = True
+    diff = x - x[idx]
+    d2 = (diff * diff).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            remaining = np.nonzero(~chosen)[0]
+            idx = int(remaining[rng.integers(remaining.size)])
+        picks.append(idx)
+        chosen[idx] = True
+        diff = x - x[idx]
+        np.minimum(d2, (diff * diff).sum(axis=1), out=d2)
+    return np.asarray(picks)
+
+
+def _seed_picks(x, k, seed):
+    x_sq = (x * x).sum(axis=1)
+    return clustering._kmeanspp_init(x, k, np.random.default_rng([seed]), x_sq)
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_picks_match_direct_form(self, d):
+        x, _ = blobs(100, 20, d, 1.0, seed=d)
+        for seed in range(10):
+            want = _kmeanspp_oracle(x, 100, np.random.default_rng([seed]))
+            np.testing.assert_array_equal(_seed_picks(x, 100, seed), want)
+
+    def test_duplicate_rows_match_and_are_never_repicked(self):
+        # 5 distinct rows x 6 copies and k=8: copies of a seed weigh exactly
+        # 0, and after 5 picks the uniform fallback takes over
+        rng = np.random.default_rng(12)
+        x = np.repeat(rng.standard_normal((5, 16)) * 3.0, 6, axis=0)
+        for seed in range(50):
+            picks = _seed_picks(x, 8, seed)
+            np.testing.assert_array_equal(
+                picks, _kmeanspp_oracle(x, 8, np.random.default_rng([seed]))
+            )
+            assert len(set(picks.tolist())) == 8
+            assert len({x[i].tobytes() for i in picks[:5]}) == 5
+
+    def test_history_is_optional_and_changes_nothing(self):
+        x, _ = blobs(6, 40, 5, 2.5, seed=3)
+        c, a, w = kmeans(x, 6, restarts=3, seed=4)
+        c_h, a_h, w_h, histories = kmeans(x, 6, restarts=3, seed=4, return_history=True)
+        assert c.tobytes() == c_h.tobytes()
+        np.testing.assert_array_equal(a.labels, a_h.labels)
+        assert w == w_h
+        assert len(histories) == 3 and all(histories)
+
+
+@st.composite
+def _matrices_with_duplicates(draw):
+    """A small matrix whose rows are drawn, with repeats, from a few distinct
+    rows, and a k no larger than its row count."""
+    d = draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, 8))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    base = np.asarray(draw(st.lists(values, min_size=distinct * d, max_size=distinct * d)))
+    rows = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=40))
+    x = base.reshape(distinct, d)[rows]
+    k = draw(st.integers(1, len(rows)))
+    return x, k
+
+
+class TestKmeansProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=_matrices_with_duplicates(), seed=st.integers(0, 2**16))
+    def test_labels_wss_and_worker_invariance(self, data, seed):
+        x, k = data
+        c, a, w = kmeans(x, k, restarts=2, max_iters=20, seed=seed)
+        assert a.labels.min() >= 0 and a.labels.max() < k
+        assert w == wss(x, c, a)
+        assert w >= 0.0
+        # chunks of 4 rows, so two workers really split the assignment
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "_CHUNK_ROWS", 4)
+            chunked = kmeans(x, k, restarts=2, max_iters=20, seed=seed, workers=1)
+            pooled = kmeans(x, k, restarts=2, max_iters=20, seed=seed, workers=2)
+        for got in (chunked, pooled):
+            assert got[0].tobytes() == c.tobytes()
+            np.testing.assert_array_equal(got[1].labels, a.labels)
+            assert got[2] == w
+
+
+def test_library_defaults_come_from_cluster_settings():
+    for fn in (kmeans, sweep_k, fuse_pseudo_labels):
+        params = inspect.signature(fn).parameters
+        for name in ("restarts", "max_iters", "workers"):
+            assert params[name].default == getattr(ClusterSettings(), name), (fn, name)
 
 
 class TestWss:
