@@ -7,10 +7,22 @@ metadata, which keeps ground truth structurally out of the training path.
 
 All gradients are hand-derived and checked against central finite
 differences (see :func:`grad_check`).
+
+The training loops keep the parameters and their gradient each in one flat
+float64 vector in :func:`pack_params` order (``w1, b1, w2, b2`` and, for the
+classifier, ``head.w, head.b``); every array is a view into it, the
+optimizer updates the whole vector in one pass, and activations and loss
+work arrays are ``(batch_size, ·)`` buffers allocated once per run. The
+losses :func:`classifier_loss` and :func:`contrastive_loss` validate their
+arguments and call the same cores the loops call. Every random draw and
+every elementwise operation has the operands it had when each step built
+fresh arrays, so the trained weights and logs are bitwise those of that
+formulation (``tests/test_encoder_reference.py`` keeps it as the oracle).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +33,10 @@ from .errors import ConfigError, DataError, NumericError, TrainingError
 from .synthdata import perturb_two_views
 
 _ENC_MAGIC = b"ENC1"
+
+# Per-sample rate at which the supervised stage perturbs its inputs; the
+# pipeline config takes its default from here.
+CLASSIFIER_AUGMENTATION_PROB = 0.6
 
 
 @dataclass(frozen=True)
@@ -154,40 +170,126 @@ def init_head(num_classes: int, embed_dim: int, rng) -> ClassifierHead:
     )
 
 
-def _forward(params: EncoderParams, x2d: np.ndarray):
-    hidden = np.tanh(x2d @ params.w1.T + params.b1)
-    z = hidden @ params.w2.T + params.b2
-    return hidden, z
+def _forward(w1, b1, w2, b2, x2d, hidden, z) -> None:
+    """hidden = tanh(x W1^T + b1), z = hidden W2^T + b2, into the given buffers."""
+    np.matmul(x2d, w1.T, out=hidden)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, w2.T, out=z)
+    z += b2
+
+
+def _require_finite_rows(x: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite values in {what}, first in row {bad[0]}")
 
 
 def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     """Encode one vector or a matrix of row vectors."""
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("encoder input contains non-finite values")
     single = arr.ndim == 1
     x2d = np.atleast_2d(arr)
+    _require_finite_rows(x2d, "encoder input")
     if x2d.shape[1] != params.in_dim:
         raise ConfigError(
             f"input dimension {x2d.shape[1]} does not match encoder ({params.in_dim})"
         )
-    _, z = _forward(params, x2d)
+    n = x2d.shape[0]
+    hidden = np.empty((n, params.hidden_dim))
+    z = np.empty((n, params.embed_dim))
+    _forward(*params.arrays(), x2d, hidden, z)
     return z[0] if single else z
 
 
-def _backward(params: EncoderParams, x2d, hidden, dz) -> EncoderParams:
-    dw2 = dz.T @ hidden
-    db2 = dz.sum(axis=0)
-    dhidden = dz @ params.w2
-    dpre = dhidden * (1.0 - hidden * hidden)
-    dw1 = dpre.T @ x2d
-    db1 = dpre.sum(axis=0)
-    return EncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+def _backward(w2, x2d, hidden, dz, dhidden, grads) -> None:
+    """Encoder gradients for the output sensitivity ``dz``, written into the
+    views ``grads`` = [dw1, db1, dw2, db2]. Overwrites ``hidden`` with
+    1 - hidden^2 and uses ``dhidden`` as scratch."""
+    dw1, db1, dw2, db2 = grads
+    np.matmul(dz.T, hidden, out=dw2)
+    np.sum(dz, axis=0, out=db2)
+    np.matmul(dz, w2, out=dhidden)
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    dhidden *= hidden
+    np.matmul(dhidden.T, x2d, out=dw1)
+    np.sum(dhidden, axis=0, out=db1)
 
 
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
+
+
+class _NtXent:
+    """Contrastive loss over (2M, d) batches of one shape.
+
+    Holds the denominator mask, the positive-pair indices and the work
+    buffers, all built once; see :func:`contrastive_loss` for the formula.
+    """
+
+    def __init__(self, m: int, d: int, tau: float, denominator: str):
+        n2 = 2 * m
+        pair = np.concatenate([np.arange(m) + m, np.arange(m)])
+        if denominator == "cross":
+            sample = np.concatenate([np.arange(m), np.arange(m)])
+            view = np.repeat(np.array([0, 1]), m)
+            mask = (sample[:, None] != sample[None, :]) & (view[:, None] != view[None, :])
+        elif denominator == "simclr":
+            mask = ~np.eye(n2, dtype=bool)
+        else:
+            raise ConfigError(f"unknown denominator variant {denominator!r}")
+        self.tau = tau
+        self._excluded = ~mask
+        self._rows = np.arange(n2)
+        self._pair = pair
+        self._positive = self._rows * n2 + pair  # flat index of each anchor's positive
+        self._norms, self._row_max, self._denom, self._lse, self._s_pos, self._row_coef = (
+            np.empty((6, n2))
+        )
+        self._u = np.empty((n2, d))
+        self._cosines, self._s, self._a, self._g = np.empty((4, n2, n2))
+
+    def __call__(self, z: np.ndarray, grad: np.ndarray) -> float:
+        """Mean per-anchor loss of ``z``; writes d loss / d z into ``grad``."""
+        tau, n2 = self.tau, z.shape[0]
+        norms, u, cosines, s, a_mat, g = (
+            self._norms, self._u, self._cosines, self._s, self._a, self._g
+        )
+        # row norms as np.linalg.norm(z, axis=1) computes them
+        np.multiply(z, z, out=u)
+        np.add.reduce(u, axis=1, out=norms)
+        np.sqrt(norms, out=norms)
+        if np.any(norms == 0):
+            raise NumericError("zero-norm embedding in contrastive batch")
+        np.divide(z, norms[:, None], out=u)
+        np.matmul(u, u.T, out=cosines)
+        np.divide(cosines, tau, out=s)
+        s_pos = s.take(self._positive, out=self._s_pos)
+        np.copyto(s, -np.inf, where=self._excluded)
+        row_max = np.max(s, axis=1, out=self._row_max)
+        np.subtract(s, row_max[:, None], out=a_mat)
+        np.exp(a_mat, out=a_mat)
+        denom = np.sum(a_mat, axis=1, out=self._denom)
+        lse = np.log(denom, out=self._lse)
+        lse += row_max
+        lse -= s_pos
+        loss = float(np.mean(lse))
+
+        # Sensitivities w.r.t. each cosine, then chain rule through the cosine.
+        a_mat /= denom[:, None]
+        a_mat[self._rows, self._pair] -= 1.0
+        a_mat /= tau
+        np.add(a_mat, a_mat.T, out=g)
+        np.multiply(g, cosines, out=a_mat)
+        row_coef = np.sum(a_mat, axis=1, out=self._row_coef)
+        np.matmul(g, u, out=grad)
+        u *= row_coef[:, None]
+        grad -= u
+        grad /= norms[:, None]
+        grad /= n2
+        return loss
 
 
 def contrastive_loss(z: np.ndarray, tau: float, denominator: str = "cross"):
@@ -207,45 +309,13 @@ def contrastive_loss(z: np.ndarray, tau: float, denominator: str = "cross"):
         raise ConfigError("contrastive batch must have shape (2M, d)")
     if not np.all(np.isfinite(z)):
         raise NumericError("contrastive batch contains non-finite values")
-    n2 = z.shape[0]
-    m = n2 // 2
+    m = z.shape[0] // 2
     if m < 2:
         raise ConfigError("contrastive loss needs at least 2 samples (4 rows)")
     if tau <= 0:
         raise ConfigError("temperature must be positive")
-
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0):
-        raise NumericError("zero-norm embedding in contrastive batch")
-    u = z / norms[:, None]
-    cosines = u @ u.T
-    s = cosines / tau
-
-    pair = np.concatenate([np.arange(m) + m, np.arange(m)])
-    if denominator == "cross":
-        sample = np.concatenate([np.arange(m), np.arange(m)])
-        view = np.repeat(np.array([0, 1]), m)
-        mask = (sample[:, None] != sample[None, :]) & (view[:, None] != view[None, :])
-    elif denominator == "simclr":
-        mask = ~np.eye(n2, dtype=bool)
-    else:
-        raise ConfigError(f"unknown denominator variant {denominator!r}")
-
-    s_masked = np.where(mask, s, -np.inf)
-    row_max = s_masked.max(axis=1)
-    expo = np.exp(s_masked - row_max[:, None])
-    denom = expo.sum(axis=1)
-    lse = row_max + np.log(denom)
-    s_pos = s[np.arange(n2), pair]
-    loss = float(np.mean(lse - s_pos))
-
-    # Sensitivities w.r.t. each cosine, then chain rule through the cosine.
-    a_mat = expo / denom[:, None]
-    a_mat[np.arange(n2), pair] -= 1.0
-    a_mat /= tau
-    g = a_mat + a_mat.T
-    row_coef = (g * cosines).sum(axis=1)
-    grad = (g @ u - row_coef[:, None] * u) / norms[:, None] / n2
+    grad = np.empty_like(z)
+    loss = _NtXent(m, z.shape[1], tau, denominator)(z, grad)
     return loss, grad
 
 
@@ -256,13 +326,37 @@ def classifier_posteriors(head: ClassifierHead, z: np.ndarray) -> np.ndarray:
         raise NumericError("non-finite embedding")
     single = z.ndim == 1
     logits = np.atleast_2d(z) @ head.w.T + head.b
-    p = np.exp(_log_softmax(logits))
+    _log_softmax(logits, np.empty((logits.shape[0], 1)), np.empty_like(logits))
+    p = np.exp(logits, out=logits)
     return p[0] if single else p
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _log_softmax(logits: np.ndarray, col: np.ndarray, work: np.ndarray) -> None:
+    """Overwrite each row of ``logits`` with its log-softmax; ``col`` (rows, 1)
+    and ``work`` (the shape of ``logits``) are scratch."""
+    np.max(logits, axis=-1, keepdims=True, out=col)
+    logits -= col
+    np.exp(logits, out=work)
+    np.sum(work, axis=-1, keepdims=True, out=col)
+    np.log(col, out=col)
+    logits -= col
+
+
+def _smoothed_ce(logits, labels, epsilon, target, col, grad) -> float:
+    """Core of :func:`classifier_loss`: the mean loss of ``logits`` against
+    ``labels``, with d loss / d logits written into ``grad``. Leaves the
+    log-posteriors in ``logits``; ``target`` (the shape of ``logits``) and
+    ``col`` (rows, 1) are scratch."""
+    n, k = logits.shape
+    target.fill(epsilon / k)
+    target[np.arange(n), labels] += 1.0 - epsilon
+    _log_softmax(logits, col, grad)
+    np.multiply(target, logits, out=grad)
+    loss = float(-grad.sum() / n)
+    np.exp(logits, out=grad)
+    grad -= target
+    grad /= n
+    return loss
 
 
 def classifier_loss(logits: np.ndarray, labels: np.ndarray, epsilon: float):
@@ -274,7 +368,7 @@ def classifier_loss(logits: np.ndarray, labels: np.ndarray, epsilon: float):
     produces a NaN. Returns ``(loss, grad)``: the mean loss over the batch
     and its gradient with respect to ``logits``, (posterior - target) / B.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.array(logits, dtype=np.float64, order="C")  # the core overwrites it
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],) or labels.size == 0:
         raise ConfigError("need a nonempty (batch, classes) logit matrix and one label per row")
@@ -283,11 +377,119 @@ def classifier_loss(logits: np.ndarray, labels: np.ndarray, epsilon: float):
         raise ConfigError(f"label out of range [0, {k})")
     if not 0 <= epsilon < 1:
         raise ConfigError("epsilon must lie in [0, 1)")
-    target = np.full((n, k), epsilon / k, dtype=np.float64)
-    target[np.arange(n), labels] += 1.0 - epsilon
-    logp = _log_softmax(logits)
-    loss = float(-(target * logp).sum() / n)
-    return loss, (np.exp(logp) - target) / n
+    grad = np.empty_like(logits)
+    loss = _smoothed_ce(logits, labels, epsilon, np.empty_like(logits), np.empty((n, 1)), grad)
+    return loss, grad
+
+
+# ---------------------------------------------------------------------------
+# flat parameter layout and training steps
+# ---------------------------------------------------------------------------
+
+
+def _shapes(in_dim, hidden_dim, embed_dim, num_classes=None) -> list[tuple[int, ...]]:
+    """Array shapes in pack_params order."""
+    shapes = [(hidden_dim, in_dim), (hidden_dim,), (embed_dim, hidden_dim), (embed_dim,)]
+    if num_classes is not None:
+        shapes += [(num_classes, embed_dim), (num_classes,)]
+    return shapes
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """One view of ``flat`` per shape, laid out back to back."""
+    views = []
+    pos = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[pos : pos + size].reshape(shape))
+        pos += size
+    if pos != flat.size:
+        raise ConfigError("parameter vector length does not match shapes")
+    return views
+
+
+class _EncoderStep:
+    """Flat parameter and gradient vectors of one training run, with a view
+    per array and activation buffers for batches of up to ``rows`` rows."""
+
+    def __init__(self, params: EncoderParams, head: ClassifierHead | None, rows: int):
+        k = head.num_classes if head is not None else None
+        self.dims = (params.in_dim, params.hidden_dim, params.embed_dim, k)
+        self.theta = pack_params(params, head)
+        self.grad = np.empty_like(self.theta)
+        self.arrays = _views(self.theta, _shapes(*self.dims))
+        self.grads = _views(self.grad, _shapes(*self.dims))
+        self._hidden = np.empty((rows, params.hidden_dim))
+        self._dhidden = np.empty_like(self._hidden)
+        self._z = np.empty((rows, params.embed_dim))
+        self._dz = np.empty_like(self._z)
+        self._xb = None
+
+    def unpack(self):
+        """The current (EncoderParams, ClassifierHead or None), as views."""
+        return unpack_params(self.theta, *self.dims)
+
+    def _encode(self, xb: np.ndarray) -> np.ndarray:
+        m = xb.shape[0]
+        self._xb = xb
+        _forward(*self.arrays[:4], xb, self._hidden[:m], self._z[:m])
+        return self._z[:m]
+
+    def gradient(self) -> np.ndarray:
+        """Backward pass of the last ``loss`` call from ``dz`` into ``self.grad``."""
+        m = self._xb.shape[0]
+        _backward(
+            self.arrays[2], self._xb, self._hidden[:m], self._dz[:m], self._dhidden[:m],
+            self.grads[:4],
+        )
+        if not np.isfinite(self.grad).all():
+            raise NumericError("non-finite entries in the gradient")
+        return self.grad
+
+
+class _ClassifierStep(_EncoderStep):
+    """Encoder + linear head trained with the label-smoothed loss."""
+
+    def __init__(self, params: EncoderParams, head: ClassifierHead, rows: int, epsilon: float):
+        super().__init__(params, head, rows)
+        self.epsilon = epsilon
+        self._logits = np.empty((rows, head.num_classes))
+        self._dlogits = np.empty_like(self._logits)
+        self._target = np.empty_like(self._logits)
+        self._col = np.empty((rows, 1))
+
+    def loss(self, xb: np.ndarray, yb: np.ndarray) -> tuple[float, int]:
+        """Forward pass: the batch's mean loss and its count of rows whose
+        highest logit is the label."""
+        z = self._encode(xb)
+        m = xb.shape[0]
+        logits = self._logits[:m]
+        np.matmul(z, self.arrays[4].T, out=logits)
+        logits += self.arrays[5]
+        hits = int(np.count_nonzero(np.argmax(logits, axis=1) == yb))
+        loss = _smoothed_ce(
+            logits, yb, self.epsilon, self._target[:m], self._col[:m], self._dlogits[:m]
+        )
+        return loss, hits
+
+    def gradient(self) -> np.ndarray:
+        m = self._xb.shape[0]
+        dlogits, z, dz = self._dlogits[:m], self._z[:m], self._dz[:m]
+        np.matmul(dlogits.T, z, out=self.grads[4])
+        np.sum(dlogits, axis=0, out=self.grads[5])
+        np.matmul(dlogits, self.arrays[4], out=dz)
+        return super().gradient()
+
+
+class _ContrastiveStep(_EncoderStep):
+    """Encoder trained with the two-view contrastive loss on (2M, d) batches."""
+
+    def __init__(self, params: EncoderParams, m: int, tau: float, denominator: str):
+        super().__init__(params, None, 2 * m)
+        self._loss = _NtXent(m, params.embed_dim, tau, denominator)
+
+    def loss(self, batch: np.ndarray) -> float:
+        return self._loss(self._encode(batch), self._dz)
 
 
 # ---------------------------------------------------------------------------
@@ -296,37 +498,49 @@ def classifier_loss(logits: np.ndarray, labels: np.ndarray, epsilon: float):
 
 
 class _Sgd:
-    def __init__(self, arrays):
-        self.arrays = arrays
+    def __init__(self, theta):
+        self.theta = theta
+        self._work = np.empty_like(theta)
 
-    def step(self, grads, lr):
-        for a, g in zip(self.arrays, grads):
-            a -= lr * g
+    def step(self, grad, lr):
+        np.multiply(grad, lr, out=self._work)
+        self.theta -= self._work
 
 
 class _Adam:
-    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.arrays = arrays
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+    def __init__(self, theta, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.theta = theta
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self._work = np.empty_like(theta)
+        self._work2 = np.empty_like(theta)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
-    def step(self, grads, lr):
+    def step(self, grad, lr):
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+        # theta -= lr mhat / (sqrt(vhat) + eps), over the whole vector with
+        # each product and quotient taken in the order written here
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            a -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v, w, w2 = self.m, self.v, self._work, self._work2
+        m *= b1
+        m += np.multiply(grad, 1 - b1, out=w)
+        v *= b2
+        np.multiply(grad, 1 - b2, out=w)
+        w *= grad
+        v += w
+        np.divide(m, 1 - b1**self.t, out=w)  # mhat
+        w *= lr
+        np.divide(v, 1 - b2**self.t, out=w2)  # vhat
+        np.sqrt(w2, out=w2)
+        w2 += self.eps
+        w /= w2
+        self.theta -= w
 
 
-def _make_optimizer(config: TrainConfig, arrays):
-    return _Adam(arrays) if config.optimizer == "adam" else _Sgd(arrays)
+def _make_optimizer(config: TrainConfig, theta):
+    return _Adam(theta) if config.optimizer == "adam" else _Sgd(theta)
 
 
 def _lr_at(config: TrainConfig, epoch: int) -> float:
@@ -362,28 +576,31 @@ def train_contrastive(
     low, high = augmentation_range
     if low < 0 or high < low:
         raise ConfigError("augmentation range must satisfy 0 <= low <= high")
+    _require_finite_rows(x, "features")
 
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim,
                           np.random.default_rng([config.seed, 101]))
     rng = np.random.default_rng([config.seed, 102])
-    opt = _make_optimizer(config, params.arrays())
+    size = config.batch_size
+    step = _ContrastiveStep(params, size, config.temperature, config.denominator)
+    opt = _make_optimizer(config, step.theta)
+    xb = np.empty((size, x.shape[1]))
+    batch = np.empty((2 * size, x.shape[1]))
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         lr = _lr_at(config, epoch)
         losses = []
-        for start in range(0, n - config.batch_size + 1, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            v1, v2 = perturb_two_views(x[idx], low, high, rng)
-            batch = np.vstack([v1, v2])
-            hidden, z = _forward(params, batch)
-            loss, dz = contrastive_loss(z, config.temperature, config.denominator)
+        for start in range(0, n - size + 1, size):
+            np.take(x, order[start : start + size], axis=0, out=xb)
+            perturb_two_views(xb, low, high, rng, out=batch)
+            loss = step.loss(batch)
             if not np.isfinite(loss):
                 raise TrainingError(f"contrastive loss diverged at epoch {epoch}", epoch)
-            grads = _backward(params, batch, hidden, dz)
-            opt.step(grads.arrays(), lr)
+            opt.step(step.gradient(), lr)
             losses.append(loss)
         log.append((epoch, float(np.mean(losses)), float("nan")))
+    params, _ = step.unpack()
     return params, log
 
 
@@ -393,7 +610,7 @@ def train_classifier(
     num_classes: int,
     config: TrainConfig,
     augmentation_range: tuple[float, float] | None = None,
-    augmentation_prob: float = 0.6,
+    augmentation_prob: float = CLASSIFIER_AUGMENTATION_PROB,
 ) -> tuple[EncoderParams, ClassifierHead, list[tuple[int, float, float]]]:
     """Supervised training of encoder + linear head on pseudo-labels.
 
@@ -423,41 +640,43 @@ def train_classifier(
             raise ConfigError("augmentation range must satisfy 0 <= low <= high")
         if not 0 <= augmentation_prob <= 1:
             raise ConfigError("augmentation_prob must lie in [0, 1]")
+    _require_finite_rows(x, "features")
 
     n = x.shape[0]
     init_rng = np.random.default_rng([config.seed, 201])
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
     head = init_head(num_classes, config.embed_dim, init_rng)
     rng = np.random.default_rng([config.seed, 202])
-    arrays = params.arrays() + head.arrays()
-    opt = _make_optimizer(config, arrays)
+    size = config.batch_size
+    step = _ClassifierStep(params, head, size, config.epsilon_smooth)
+    opt = _make_optimizer(config, step.theta)
+    x_buf = np.empty((size, x.shape[1]))
+    noise_buf = np.empty_like(x_buf)
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         lr = _lr_at(config, epoch)
         loss_sum = 0.0
         hits = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = x[idx], labels[idx]
+        for start in range(0, n, size):
+            idx = order[start : start + size]
+            m = len(idx)
+            xb = np.take(x, idx, axis=0, out=x_buf[:m])
             if augmentation_range is not None:
-                low, high = augmentation_range
-                hit = rng.random(len(idx)) < augmentation_prob
-                mag = rng.uniform(low, high, size=(len(idx), 1)) * hit[:, None]
-                xb = xb + mag * rng.standard_normal(xb.shape)
-            hidden, z = _forward(params, xb)
-            logits = z @ head.w.T + head.b
-            batch_loss, dlogits = classifier_loss(logits, yb, config.epsilon_smooth)
+                hit = rng.random(m) < augmentation_prob
+                mag = rng.uniform(low, high, size=(m, 1))
+                mag *= hit[:, None]
+                noise = rng.standard_normal(out=noise_buf[:m])
+                noise *= mag
+                xb += noise
+            batch_loss, batch_hits = step.loss(xb, labels[idx])
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"classifier loss diverged at epoch {epoch}", epoch)
-            dhead_w = dlogits.T @ z
-            dhead_b = dlogits.sum(axis=0)
-            dz = dlogits @ head.w
-            enc_grads = _backward(params, xb, hidden, dz)
-            opt.step(enc_grads.arrays() + [dhead_w, dhead_b], lr)
-            loss_sum += batch_loss * len(idx)
-            hits += int((np.argmax(logits, axis=1) == yb).sum())
+            opt.step(step.gradient(), lr)
+            loss_sum += batch_loss * m
+            hits += batch_hits
         log.append((epoch, loss_sum / n, hits / n))
+    params, head = step.unpack()
     return params, head, log
 
 
@@ -472,17 +691,9 @@ def pack_params(params: EncoderParams, head: ClassifierHead | None = None) -> np
 
 
 def unpack_params(theta, in_dim, hidden_dim, embed_dim, num_classes=None):
-    shapes = [(hidden_dim, in_dim), (hidden_dim,), (embed_dim, hidden_dim), (embed_dim,)]
-    if num_classes is not None:
-        shapes += [(num_classes, embed_dim), (num_classes,)]
-    arrays = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(np.asarray(theta[pos : pos + size]).reshape(shape))
-        pos += size
-    if pos != len(theta):
-        raise ConfigError("parameter vector length does not match shapes")
+    arrays = _views(
+        np.asarray(theta, dtype=np.float64), _shapes(in_dim, hidden_dim, embed_dim, num_classes)
+    )
     params = EncoderParams(*arrays[:4])
     head = ClassifierHead(*arrays[4:]) if num_classes is not None else None
     return params, head
@@ -536,24 +747,14 @@ def read_checkpoint(path) -> tuple[EncoderParams, ClassifierHead | None]:
     if len(blob) < 20 or blob[:4] != _ENC_MAGIC:
         raise DataError(f"malformed header in {path}")
     in_dim, hidden, embd, k = struct.unpack("<IIII", blob[4:20])
-    shapes = [(hidden, in_dim), (hidden,), (embd, hidden), (embd,)]
-    if k:
-        shapes += [(k, embd), (k,)]
-    need = 20 + 4 * sum(int(np.prod(s)) for s in shapes)
+    shapes = _shapes(in_dim, hidden, embd, k or None)
+    need = 20 + 4 * sum(math.prod(s) for s in shapes)
     if len(blob) < need:
         raise DataError(f"truncated payload in {path}")
     if len(blob) > need:
         raise DataError(f"trailing bytes after payload in {path}")
-    arrays = []
-    pos = 20
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(
-            np.frombuffer(blob, dtype="<f4", count=size, offset=pos)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        pos += size * 4
+    theta = np.frombuffer(blob, dtype="<f4", offset=20).astype(np.float64)
+    arrays = _views(theta, shapes)
     params = EncoderParams(*arrays[:4])
     head = ClassifierHead(*arrays[4:]) if k else None
     return params, head

@@ -6,7 +6,10 @@ assignments, scores, metrics). Downstream computations always consume the
 written files, never in-memory intermediates, so re-running metrics on a
 stored round reproduces its report byte for byte, and a resumed run is
 indistinguishable from an uninterrupted one. Round directories are staged in
-a temp directory and renamed into place only when complete.
+a temp directory and renamed into place only when complete; the run-level
+files (``run_config.json``, ``trials.txt``, ``cohort_ids.txt``,
+``report.json``) are staged as a file and renamed the same way, so a crash
+during any of these writes leaves either the whole file or none.
 
 Ground-truth identity labels and recording groups are read exclusively by
 evaluation steps (trial generation, NMI) and by the explicitly flagged
@@ -38,6 +41,7 @@ from .clustering import (
     write_wss_curve,
 )
 from .encoder import (
+    CLASSIFIER_AUGMENTATION_PROB,
     TrainConfig,
     embed,
     train_classifier,
@@ -93,7 +97,7 @@ class PipelineConfig:
     # the supervised stage perturbs inputs harder than the contrastive one
     # (range extended at the noisy end), applied per sample at this rate
     classifier_augmentation: tuple[float, float] = (1.0, 2.4)
-    classifier_augmentation_prob: float = 0.6
+    classifier_augmentation_prob: float = CLASSIFIER_AUGMENTATION_PROB
     cluster: ClusterSettings = field(default_factory=ClusterSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
     dcf: DcfParams = field(default_factory=DcfParams)
@@ -199,6 +203,20 @@ def _load_round(config: PipelineConfig, index: int) -> RoundArtifacts:
 # ---------------------------------------------------------------------------
 
 
+def _write_atomically(path: Path, write) -> None:
+    """Produce ``path`` all at once: ``write(tmp)`` fills a staging file
+    beside it, which is then renamed over ``path``. A write that fails part
+    way leaves no file at ``path``; its staging file is removed here, or by
+    the next ``_prepare_run`` after a hard crash."""
+    tmp = path.with_name(f".tmp_{path.name}")
+    try:
+        write(tmp)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _prepare_run(config: PipelineConfig) -> None:
     """Create the output directory and pin the config fingerprint.
 
@@ -208,7 +226,10 @@ def _prepare_run(config: PipelineConfig) -> None:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob(".tmp_*"):
-        shutil.rmtree(stale, ignore_errors=True)
+        if stale.is_dir():
+            shutil.rmtree(stale, ignore_errors=True)
+        else:
+            stale.unlink(missing_ok=True)
     marker = out / "run_config.json"
     payload = {"fingerprint": config.fingerprint()}
     if marker.exists():
@@ -219,7 +240,7 @@ def _prepare_run(config: PipelineConfig) -> None:
                 "use a fresh directory or delete the old run"
             )
     else:
-        marker.write_text(json.dumps(payload, indent=2) + "\n")
+        _write_atomically(marker, lambda p: p.write_text(json.dumps(payload, indent=2) + "\n"))
 
 
 def _ensure_corpus(config: PipelineConfig) -> MultiModalCorpus:
@@ -284,8 +305,8 @@ def _ensure_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
         cohort_ids = [ln for ln in cohort_path.read_text().splitlines() if ln]
         return trials, cohort_ids
     trials, cohort_ids = _make_eval_material(config, corpus)
-    scoring.write_trials(trials_path, trials)
-    cohort_path.write_text("\n".join(cohort_ids) + "\n")
+    _write_atomically(trials_path, lambda p: scoring.write_trials(p, trials))
+    _write_atomically(cohort_path, lambda p: p.write_text("\n".join(cohort_ids) + "\n"))
     return trials, cohort_ids
 
 
@@ -582,8 +603,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         },
     }
     report_path = config.output_dir / "report.json"
-    tmp_path = config.output_dir / ".report.json.tmp"
-    tmp_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    tmp_path.replace(report_path)
+    _write_atomically(
+        report_path, lambda p: p.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    )
     logger.info("pipeline finished; report at %s", report_path)
     return report

@@ -189,19 +189,26 @@ def generate_corpus(config: SynthConfig) -> MultiModalCorpus:
     )
 
 
-def perturb_two_views(x: np.ndarray, low: float, high: float, rng) -> tuple[np.ndarray, np.ndarray]:
+def perturb_two_views(
+    x: np.ndarray, low: float, high: float, rng, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Two independent additive-noise views of each row of ``x``.
 
     Per view, one magnitude is drawn uniformly from [low, high] per row and
     scales a standard-normal perturbation, so each view's expectation is the
-    clean row.
+    clean row. The views are the two halves of ``out``, a (2 * rows, dim)
+    C-contiguous float64 array, which is allocated when not given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    views = []
-    for _ in range(2):
-        mag = rng.uniform(low, high, size=(x.shape[0], 1))
-        views.append(x + mag * rng.standard_normal(x.shape))
-    return views[0], views[1]
+    m = x.shape[0]
+    if out is None:
+        out = np.empty((2 * m, x.shape[1]))
+    for view in (out[:m], out[m:]):
+        mag = rng.uniform(low, high, size=(m, 1))
+        rng.standard_normal(out=view)
+        view *= mag
+        view += x
+    return out[:m], out[m:]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from selflabel.encoder import (
     ClassifierHead,
     EncoderParams,
     TrainConfig,
+    _ClassifierStep,
+    _ContrastiveStep,
     classifier_loss,
     classifier_posteriors,
     contrastive_loss,
@@ -310,6 +312,44 @@ class TestGradCheckHarness:
         theta = pack_params(init_encoder(in_dim, hidden, embed_dim, rng))
         assert grad_check(f, theta) < 1e-4
 
+    # The two above are hand-written references; the two below check the
+    # steps the training loops run, on their flat pack_params vector.
+
+    def test_production_classifier_step(self):
+        rng = np.random.default_rng(14)
+        in_dim, hidden, embed_dim, k, batch = 4, 5, 3, 3, 6
+        x = rng.standard_normal((batch, in_dim))
+        labels = rng.integers(0, k, size=batch)
+        params = init_encoder(in_dim, hidden, embed_dim, rng)
+        head = ClassifierHead(rng.standard_normal((k, embed_dim)), rng.standard_normal(k))
+        # buffers sized for a larger batch, so this is a trailing partial one
+        step = _ClassifierStep(params, head, batch + 2, 0.1)
+        theta = pack_params(params, head)
+        np.testing.assert_array_equal(step.theta, theta)
+
+        def f(theta):
+            step.theta[:] = theta
+            loss, _ = step.loss(x, labels)
+            return loss, step.gradient().copy()
+
+        assert grad_check(f, theta) < 1e-4
+
+    @pytest.mark.parametrize("variant", ["cross", "simclr"])
+    def test_production_contrastive_step(self, variant):
+        rng = np.random.default_rng(15)
+        in_dim, hidden, embed_dim, m = 4, 5, 3, 3
+        x = rng.standard_normal((2 * m, in_dim))
+        params = init_encoder(in_dim, hidden, embed_dim, rng)
+        step = _ContrastiveStep(params, m, 0.2, variant)
+        theta = pack_params(params)
+        np.testing.assert_array_equal(step.theta, theta)
+
+        def f(theta):
+            step.theta[:] = theta
+            return step.loss(x), step.gradient().copy()
+
+        assert grad_check(f, theta) < 1e-4
+
 
 def tiny_corpus():
     return generate_corpus(
@@ -457,6 +497,29 @@ class TestTrainClassifier:
         with pytest.raises(TrainingError) as excinfo:
             train_classifier(x, labels, 4, cfg)
         assert excinfo.value.epoch >= 0
+
+
+class TestNonFiniteFeatures:
+    """A non-finite feature is a data fault, reported before training starts."""
+
+    def bad_features(self):
+        x = tiny_corpus().audio.astype(np.float64)
+        x[41, 2] = np.nan
+        x[50, 0] = np.inf
+        return x
+
+    def test_classifier_names_first_bad_row(self):
+        labels = np.arange(80) % 4
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        with pytest.raises(NumericError, match="row 41") as excinfo:
+            train_classifier(self.bad_features(), labels, 4, cfg)
+        assert not isinstance(excinfo.value, TrainingError)
+
+    def test_contrastive_names_first_bad_row(self):
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        with pytest.raises(NumericError, match="row 41") as excinfo:
+            train_contrastive(self.bad_features(), cfg, (0.2, 0.6))
+        assert not isinstance(excinfo.value, TrainingError)
 
 
 class TestGradientFuzz:

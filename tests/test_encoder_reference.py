@@ -1,0 +1,262 @@
+"""The training loops against a reference copy of the per-array formulation.
+
+The reference below is the training code as it stood before the loops moved
+onto flat parameter/gradient vectors and preallocated buffers: each step
+builds fresh arrays, `_backward` returns an `EncoderParams` of gradients and
+the optimizers loop over the arrays one by one. The production loops must
+reproduce its parameters, head and per-epoch logs bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from selflabel.encoder import (
+    EncoderParams,
+    TrainConfig,
+    init_encoder,
+    init_head,
+    train_classifier,
+    train_contrastive,
+)
+
+# ---------------------------------------------------------------------------
+# reference implementation
+# ---------------------------------------------------------------------------
+
+
+def ref_forward(params, x2d):
+    hidden = np.tanh(x2d @ params.w1.T + params.b1)
+    z = hidden @ params.w2.T + params.b2
+    return hidden, z
+
+
+def ref_backward(params, x2d, hidden, dz):
+    dw2 = dz.T @ hidden
+    db2 = dz.sum(axis=0)
+    dhidden = dz @ params.w2
+    dpre = dhidden * (1.0 - hidden * hidden)
+    dw1 = dpre.T @ x2d
+    db1 = dpre.sum(axis=0)
+    return EncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+
+
+def ref_perturb_two_views(x, low, high, rng):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    views = []
+    for _ in range(2):
+        mag = rng.uniform(low, high, size=(x.shape[0], 1))
+        views.append(x + mag * rng.standard_normal(x.shape))
+    return views[0], views[1]
+
+
+def ref_contrastive_loss(z, tau, denominator):
+    n2 = z.shape[0]
+    m = n2 // 2
+    norms = np.linalg.norm(z, axis=1)
+    u = z / norms[:, None]
+    cosines = u @ u.T
+    s = cosines / tau
+    pair = np.concatenate([np.arange(m) + m, np.arange(m)])
+    if denominator == "cross":
+        sample = np.concatenate([np.arange(m), np.arange(m)])
+        view = np.repeat(np.array([0, 1]), m)
+        mask = (sample[:, None] != sample[None, :]) & (view[:, None] != view[None, :])
+    else:
+        mask = ~np.eye(n2, dtype=bool)
+    s_masked = np.where(mask, s, -np.inf)
+    row_max = s_masked.max(axis=1)
+    expo = np.exp(s_masked - row_max[:, None])
+    denom = expo.sum(axis=1)
+    lse = row_max + np.log(denom)
+    s_pos = s[np.arange(n2), pair]
+    loss = float(np.mean(lse - s_pos))
+    a_mat = expo / denom[:, None]
+    a_mat[np.arange(n2), pair] -= 1.0
+    a_mat /= tau
+    g = a_mat + a_mat.T
+    row_coef = (g * cosines).sum(axis=1)
+    grad = (g @ u - row_coef[:, None] * u) / norms[:, None] / n2
+    return loss, grad
+
+
+def ref_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def ref_classifier_loss(logits, labels, epsilon):
+    n, k = logits.shape
+    target = np.full((n, k), epsilon / k, dtype=np.float64)
+    target[np.arange(n), labels] += 1.0 - epsilon
+    logp = ref_log_softmax(logits)
+    loss = float(-(target * logp).sum() / n)
+    return loss, (np.exp(logp) - target) / n
+
+
+class RefSgd:
+    def __init__(self, arrays):
+        self.arrays = arrays
+
+    def step(self, grads, lr):
+        for a, g in zip(self.arrays, grads):
+            a -= lr * g
+
+
+class RefAdam:
+    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.arrays = arrays
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+
+    def step(self, grads, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1**self.t)
+            vhat = v / (1 - b2**self.t)
+            a -= lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def ref_optimizer(config, arrays):
+    return RefAdam(arrays) if config.optimizer == "adam" else RefSgd(arrays)
+
+
+def ref_lr_at(config, epoch):
+    if config.optimizer == "sgd" and config.epochs > 0 and epoch >= (2 * config.epochs) // 3:
+        return config.learning_rate * 0.1
+    return config.learning_rate
+
+
+def ref_train_contrastive(x, config, augmentation_range):
+    n = x.shape[0]
+    low, high = augmentation_range
+    params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim,
+                          np.random.default_rng([config.seed, 101]))
+    rng = np.random.default_rng([config.seed, 102])
+    opt = ref_optimizer(config, params.arrays())
+    log = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        lr = ref_lr_at(config, epoch)
+        losses = []
+        for start in range(0, n - config.batch_size + 1, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            v1, v2 = ref_perturb_two_views(x[idx], low, high, rng)
+            batch = np.vstack([v1, v2])
+            hidden, z = ref_forward(params, batch)
+            loss, dz = ref_contrastive_loss(z, config.temperature, config.denominator)
+            grads = ref_backward(params, batch, hidden, dz)
+            opt.step(grads.arrays(), lr)
+            losses.append(loss)
+        log.append((epoch, float(np.mean(losses)), float("nan")))
+    return params, log
+
+
+def ref_train_classifier(x, labels, num_classes, config, augmentation_range, augmentation_prob):
+    n = x.shape[0]
+    init_rng = np.random.default_rng([config.seed, 201])
+    params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
+    head = init_head(num_classes, config.embed_dim, init_rng)
+    rng = np.random.default_rng([config.seed, 202])
+    opt = ref_optimizer(config, params.arrays() + head.arrays())
+    log = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        lr = ref_lr_at(config, epoch)
+        loss_sum = 0.0
+        hits = 0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            xb, yb = x[idx], labels[idx]
+            if augmentation_range is not None:
+                low, high = augmentation_range
+                hit = rng.random(len(idx)) < augmentation_prob
+                mag = rng.uniform(low, high, size=(len(idx), 1)) * hit[:, None]
+                xb = xb + mag * rng.standard_normal(xb.shape)
+            hidden, z = ref_forward(params, xb)
+            logits = z @ head.w.T + head.b
+            batch_loss, dlogits = ref_classifier_loss(logits, yb, config.epsilon_smooth)
+            dhead_w = dlogits.T @ z
+            dhead_b = dlogits.sum(axis=0)
+            dz = dlogits @ head.w
+            enc_grads = ref_backward(params, xb, hidden, dz)
+            opt.step(enc_grads.arrays() + [dhead_w, dhead_b], lr)
+            loss_sum += batch_loss * len(idx)
+            hits += int((np.argmax(logits, axis=1) == yb).sum())
+        log.append((epoch, loss_sum / n, hits / n))
+    return params, head, log
+
+
+# ---------------------------------------------------------------------------
+# bitwise comparisons
+# ---------------------------------------------------------------------------
+
+
+def assert_bitwise(actual, expected):
+    assert len(actual) == len(expected)
+    for a, b in zip(actual, expected):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_same_log(actual, expected):
+    # NaN accuracies compare equal through their bytes
+    assert np.array(actual).tobytes() == np.array(expected).tobytes()
+
+
+def features(n, d, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((7, d)) * 2.0
+    return centers[rng.integers(0, 7, size=n)] + rng.standard_normal((n, d)) * 0.7
+
+
+CLASSIFIER_CASES = [
+    # (n, d, k, batch, epochs, optimizer, lr, augmentation)
+    pytest.param(200, 6, 5, 32, 3, "sgd", 0.5, (0.5, 1.2), id="sgd-aug-partial-lrdrop"),
+    pytest.param(200, 6, 5, 32, 3, "sgd", 0.5, None, id="sgd-noaug-partial-lrdrop"),
+    pytest.param(192, 6, 5, 32, 2, "adam", 0.01, (0.5, 1.2), id="adam-aug-exact"),
+    pytest.param(150, 6, 4, 40, 2, "adam", 0.01, None, id="adam-noaug-partial"),
+    pytest.param(600, 20, 200, 128, 3, "sgd", 0.5, (1.0, 2.4), id="pipeline-shapes"),
+]
+
+
+@pytest.mark.parametrize("n, d, k, batch, epochs, optimizer, lr, aug", CLASSIFIER_CASES)
+def test_train_classifier_matches_reference(n, d, k, batch, epochs, optimizer, lr, aug):
+    x = features(n, d, seed=n + k)
+    labels = np.random.default_rng(k).integers(0, k, size=n)
+    cfg = TrainConfig(
+        epochs=epochs, batch_size=batch, seed=17, optimizer=optimizer, learning_rate=lr
+    )
+    params, head, log = train_classifier(x, labels, k, cfg, augmentation_range=aug)
+    ref_params, ref_head, ref_log = ref_train_classifier(x, labels, k, cfg, aug, 0.6)
+    assert_bitwise(params.arrays() + head.arrays(), ref_params.arrays() + ref_head.arrays())
+    assert_same_log(log, ref_log)
+
+
+CONTRASTIVE_CASES = [
+    # (n, d, batch, epochs, optimizer, lr, denominator)
+    pytest.param(100, 6, 16, 2, "adam", 0.003, "cross", id="adam-cross-dropped-tail"),
+    pytest.param(100, 6, 16, 2, "adam", 0.003, "simclr", id="adam-simclr"),
+    pytest.param(96, 6, 16, 3, "sgd", 0.1, "cross", id="sgd-cross-lrdrop"),
+    pytest.param(100, 6, 12, 3, "sgd", 0.1, "simclr", id="sgd-simclr-lrdrop-batch12"),
+    pytest.param(400, 20, 128, 1, "adam", 0.003, "cross", id="pipeline-shapes"),
+]
+
+
+@pytest.mark.parametrize("n, d, batch, epochs, optimizer, lr, denominator", CONTRASTIVE_CASES)
+def test_train_contrastive_matches_reference(n, d, batch, epochs, optimizer, lr, denominator):
+    x = features(n, d, seed=n + d)
+    cfg = TrainConfig(
+        epochs=epochs, batch_size=batch, seed=23, optimizer=optimizer, learning_rate=lr,
+        denominator=denominator,
+    )
+    params, log = train_contrastive(x, cfg, (0.2, 0.6))
+    ref_params, ref_log = ref_train_contrastive(x, cfg, (0.2, 0.6))
+    assert_bitwise(params.arrays(), ref_params.arrays())
+    assert_same_log(log, ref_log)

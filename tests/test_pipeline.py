@@ -184,6 +184,36 @@ class TestDeterminismAndResume:
             run_pipeline(other)
 
 
+def tree_bytes(root):
+    """Every file under ``root`` by relative path, the way ``diff -r`` sees it."""
+    root = Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestCrashSafeRunFiles:
+    @pytest.mark.parametrize("torn", ["cohort_ids", "trials", "run_config"])
+    def test_write_failing_part_way_then_resume_equals_uninterrupted(
+        self, tmp_path, monkeypatch, torn
+    ):
+        run_pipeline(tiny_config(tmp_path / "full", rounds=1))
+
+        crashed = tiny_config(tmp_path / "crashed", rounds=1)
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            if torn in self.name:
+                real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(f"simulated crash while writing {self.name}")
+            return real_write_text(self, data, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", write_half_then_fail)
+            with pytest.raises(OSError, match="simulated crash"):
+                run_pipeline(crashed)
+        run_pipeline(crashed)
+        assert tree_bytes(tmp_path / "crashed") == tree_bytes(tmp_path / "full")
+
+
 class TestGroundTruthFirewall:
     def test_randomized_identity_and_groups_leave_training_unchanged(self, tmp_path):
         corpus = generate_corpus(tiny_config(tmp_path / "x", rounds=0).synth)
