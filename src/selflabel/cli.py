@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, ensemble, pipeline, scoring, synthdata
+from ._textio import read_rows
 from .configio import build_pipeline_config, build_synth_config, parse_kv_file
 from .encoder import (
     train_classifier,
@@ -181,7 +182,7 @@ def _cmd_score(args) -> int:
         by_id = {sid: z[i] for i, sid in enumerate(sample_ids)}
         result = cosine_score(trials, by_id)
         if args.cohort:
-            cohort_ids = [ln for ln in Path(args.cohort).read_text().splitlines() if ln]
+            cohort_ids = [cid for cid, in read_rows(args.cohort, "cohort", (str,))]
             missing = [cid for cid in cohort_ids if cid not in by_id]
             if missing:
                 raise ConfigError(f"cohort ids not present in embeddings: {missing[:3]}")

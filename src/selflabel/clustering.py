@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import assign_points, sq_residuals
+from ._textio import read_rows
 from .errors import ConfigError, DataError
 
 # Fixed chunking (not per-worker splits): the combine order never depends on
@@ -38,7 +39,6 @@ class ClusterSettings:
     sweep_restarts: int = 4
     max_iters: int = 100
     workers: int = 1
-    normalize: bool = False  # length-normalize embeddings before k-means
 
     def __post_init__(self):
         if self.restarts < 1 or self.sweep_restarts < 1:
@@ -106,7 +106,10 @@ def _seed_list(seed) -> list[int]:
 
 
 def _chunk_slices(n: int) -> list[slice]:
-    return [slice(s, min(s + _CHUNK_ROWS, n)) for s in range(0, n, _CHUNK_ROWS)]
+    # A one-row remainder joins the chunk before it: numpy hands a one-row
+    # product to GEMV, which rounds differently from the GEMM of the others.
+    bounds = list(range(0, max(n - 1, 1), _CHUNK_ROWS)) + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _assign(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, pool) -> np.ndarray:
@@ -352,24 +355,10 @@ def write_assignment(path, sample_ids: Sequence[str], assignment: Assignment) ->
 
 def read_assignment(path, k: int | None = None) -> tuple[list[str], Assignment]:
     """Read an assignment TSV. ``k`` defaults to max label + 1."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read assignment file {path}: {exc}") from exc
-    sample_ids = []
-    labels = []
-    for ln in text.splitlines():
-        if not ln:
-            continue
-        parts = ln.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"malformed assignment row in {path}: {ln!r}")
-        try:
-            labels.append(int(parts[1]))
-        except ValueError as exc:
-            raise DataError(f"non-integer label in {path}: {ln!r}") from exc
-        sample_ids.append(parts[0])
+    sample_ids, labels = [], []
+    for sample_id, label in read_rows(path, "assignment", (str, int), "\t"):
+        sample_ids.append(sample_id)
+        labels.append(label)
     if not labels:
         raise DataError(f"assignment file {path} is empty")
     arr = np.asarray(labels, dtype=np.int64)
@@ -384,18 +373,8 @@ def write_wss_curve(path, curve: WssCurve) -> None:
 
 
 def read_wss_curve(path) -> WssCurve:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read curve file {path}: {exc}") from exc
     ks, ws = [], []
-    for ln in text.splitlines():
-        if not ln:
-            continue
-        parts = ln.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"malformed curve row in {path}: {ln!r}")
-        ks.append(int(parts[0]))
-        ws.append(float(parts[1]))
+    for k, w in read_rows(path, "curve", (int, float), "\t"):
+        ks.append(k)
+        ws.append(w)
     return WssCurve(ks=np.asarray(ks), wss=np.asarray(ws))

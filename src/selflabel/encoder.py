@@ -408,88 +408,52 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-class _EncoderStep:
-    """Flat parameter and gradient vectors of one training run, with a view
-    per array and activation buffers for batches of up to ``rows`` rows."""
-
-    def __init__(self, params: EncoderParams, head: ClassifierHead | None, rows: int):
-        k = head.num_classes if head is not None else None
-        self.dims = (params.in_dim, params.hidden_dim, params.embed_dim, k)
-        self.theta = pack_params(params, head)
-        self.grad = np.empty_like(self.theta)
-        self.arrays = _views(self.theta, _shapes(*self.dims))
-        self.grads = _views(self.grad, _shapes(*self.dims))
-        self._hidden = np.empty((rows, params.hidden_dim))
-        self._dhidden = np.empty_like(self._hidden)
-        self._z = np.empty((rows, params.embed_dim))
-        self._dz = np.empty_like(self._z)
-        self._xb = None
-
-    def unpack(self):
-        """The current (EncoderParams, ClassifierHead or None), as views."""
-        return unpack_params(self.theta, *self.dims)
-
-    def _encode(self, xb: np.ndarray) -> np.ndarray:
-        m = xb.shape[0]
-        self._xb = xb
-        _forward(*self.arrays[:4], xb, self._hidden[:m], self._z[:m])
-        return self._z[:m]
-
-    def gradient(self) -> np.ndarray:
-        """Backward pass of the last ``loss`` call from ``dz`` into ``self.grad``."""
-        m = self._xb.shape[0]
-        _backward(
-            self.arrays[2], self._xb, self._hidden[:m], self._dz[:m], self._dhidden[:m],
-            self.grads[:4],
-        )
-        if not np.isfinite(self.grad).all():
-            raise NumericError("non-finite entries in the gradient")
-        return self.grad
+def _flat(params: EncoderParams, head: ClassifierHead | None, rows: int):
+    """The flat parameter vector of ``params`` (and ``head``) in pack_params
+    order, a gradient vector of its length, one view per array of each, and
+    the buffers of the matching step function for up to ``rows`` rows."""
+    k = head.num_classes if head is not None else None
+    h, e = params.hidden_dim, params.embed_dim
+    shapes = _shapes(params.in_dim, h, e, k)
+    theta = pack_params(params, head)
+    grad = np.empty_like(theta)
+    widths = (h, h, e, e) + ((k, k, k, 1) if k is not None else ())
+    bufs = [np.empty((rows, w)) for w in widths]
+    return theta, grad, _views(theta, shapes), _views(grad, shapes), bufs
 
 
-class _ClassifierStep(_EncoderStep):
-    """Encoder + linear head trained with the label-smoothed loss."""
+def _classifier_step(arrays, grads, bufs, xb, yb, epsilon) -> tuple[float, int]:
+    """One forward and backward pass of encoder + head over the batch ``xb``.
 
-    def __init__(self, params: EncoderParams, head: ClassifierHead, rows: int, epsilon: float):
-        super().__init__(params, head, rows)
-        self.epsilon = epsilon
-        self._logits = np.empty((rows, head.num_classes))
-        self._dlogits = np.empty_like(self._logits)
-        self._target = np.empty_like(self._logits)
-        self._col = np.empty((rows, 1))
-
-    def loss(self, xb: np.ndarray, yb: np.ndarray) -> tuple[float, int]:
-        """Forward pass: the batch's mean loss and its count of rows whose
-        highest logit is the label."""
-        z = self._encode(xb)
-        m = xb.shape[0]
-        logits = self._logits[:m]
-        np.matmul(z, self.arrays[4].T, out=logits)
-        logits += self.arrays[5]
-        hits = int(np.count_nonzero(np.argmax(logits, axis=1) == yb))
-        loss = _smoothed_ce(
-            logits, yb, self.epsilon, self._target[:m], self._col[:m], self._dlogits[:m]
-        )
-        return loss, hits
-
-    def gradient(self) -> np.ndarray:
-        m = self._xb.shape[0]
-        dlogits, z, dz = self._dlogits[:m], self._z[:m], self._dz[:m]
-        np.matmul(dlogits.T, z, out=self.grads[4])
-        np.sum(dlogits, axis=0, out=self.grads[5])
-        np.matmul(dlogits, self.arrays[4], out=dz)
-        return super().gradient()
+    ``arrays``, ``grads`` and ``bufs`` are from :func:`_flat`, with buffers
+    of at least ``len(xb)`` rows. Writes the gradient into ``grads`` and
+    returns the batch's mean loss and its count of rows whose highest logit
+    is the label.
+    """
+    m = xb.shape[0]
+    hidden, dhidden, z, dz, logits, dlogits, target, col = (b[:m] for b in bufs)
+    w1, b1, w2, b2, hw, hb = arrays
+    _forward(w1, b1, w2, b2, xb, hidden, z)
+    np.matmul(z, hw.T, out=logits)
+    logits += hb
+    hits = int(np.count_nonzero(np.argmax(logits, axis=1) == yb))
+    loss = _smoothed_ce(logits, yb, epsilon, target, col, dlogits)
+    np.matmul(dlogits.T, z, out=grads[4])
+    np.sum(dlogits, axis=0, out=grads[5])
+    np.matmul(dlogits, hw, out=dz)
+    _backward(w2, xb, hidden, dz, dhidden, grads[:4])
+    return loss, hits
 
 
-class _ContrastiveStep(_EncoderStep):
-    """Encoder trained with the two-view contrastive loss on (2M, d) batches."""
-
-    def __init__(self, params: EncoderParams, m: int, tau: float, denominator: str):
-        super().__init__(params, None, 2 * m)
-        self._loss = _NtXent(m, params.embed_dim, tau, denominator)
-
-    def loss(self, batch: np.ndarray) -> float:
-        return self._loss(self._encode(batch), self._dz)
+def _contrastive_step(arrays, grads, bufs, batch, loss_fn: _NtXent) -> float:
+    """One forward and backward pass of the encoder over a (2M, d) two-view
+    ``batch``, with ``_flat``'s views and 2M-row buffers. Writes the gradient
+    into ``grads`` and returns the batch's loss."""
+    hidden, dhidden, z, dz = bufs
+    _forward(*arrays, batch, hidden, z)
+    loss = loss_fn(z, dz)
+    _backward(arrays[2], batch, hidden, dz, dhidden, grads)
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +546,9 @@ def train_contrastive(
                           np.random.default_rng([config.seed, 101]))
     rng = np.random.default_rng([config.seed, 102])
     size = config.batch_size
-    step = _ContrastiveStep(params, size, config.temperature, config.denominator)
-    opt = _make_optimizer(config, step.theta)
+    theta, grad, arrays, grads, bufs = _flat(params, None, 2 * size)
+    loss_fn = _NtXent(size, params.embed_dim, config.temperature, config.denominator)
+    opt = _make_optimizer(config, theta)
     xb = np.empty((size, x.shape[1]))
     batch = np.empty((2 * size, x.shape[1]))
     log = []
@@ -594,14 +559,13 @@ def train_contrastive(
         for start in range(0, n - size + 1, size):
             np.take(x, order[start : start + size], axis=0, out=xb)
             perturb_two_views(xb, low, high, rng, out=batch)
-            loss = step.loss(batch)
-            if not np.isfinite(loss):
-                raise TrainingError(f"contrastive loss diverged at epoch {epoch}", epoch)
-            opt.step(step.gradient(), lr)
+            loss = _contrastive_step(arrays, grads, bufs, batch, loss_fn)
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
+                raise TrainingError(f"contrastive training diverged at epoch {epoch}", epoch)
+            opt.step(grad, lr)
             losses.append(loss)
         log.append((epoch, float(np.mean(losses)), float("nan")))
-    params, _ = step.unpack()
-    return params, log
+    return EncoderParams(*arrays), log
 
 
 def train_classifier(
@@ -648,8 +612,8 @@ def train_classifier(
     head = init_head(num_classes, config.embed_dim, init_rng)
     rng = np.random.default_rng([config.seed, 202])
     size = config.batch_size
-    step = _ClassifierStep(params, head, size, config.epsilon_smooth)
-    opt = _make_optimizer(config, step.theta)
+    theta, grad, arrays, grads, bufs = _flat(params, head, size)
+    opt = _make_optimizer(config, theta)
     x_buf = np.empty((size, x.shape[1]))
     noise_buf = np.empty_like(x_buf)
     log = []
@@ -669,15 +633,16 @@ def train_classifier(
                 noise = rng.standard_normal(out=noise_buf[:m])
                 noise *= mag
                 xb += noise
-            batch_loss, batch_hits = step.loss(xb, labels[idx])
-            if not np.isfinite(batch_loss):
-                raise TrainingError(f"classifier loss diverged at epoch {epoch}", epoch)
-            opt.step(step.gradient(), lr)
+            batch_loss, batch_hits = _classifier_step(
+                arrays, grads, bufs, xb, labels[idx], config.epsilon_smooth
+            )
+            if not (np.isfinite(batch_loss) and np.isfinite(grad).all()):
+                raise TrainingError(f"classifier training diverged at epoch {epoch}", epoch)
+            opt.step(grad, lr)
             loss_sum += batch_loss * m
             hits += batch_hits
         log.append((epoch, loss_sum / n, hits / n))
-    params, head = step.unpack()
-    return params, head, log
+    return EncoderParams(*arrays[:4]), ClassifierHead(*arrays[4:]), log
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +698,7 @@ def write_checkpoint(path, params: EncoderParams, head: ClassifierHead | None = 
     with open(Path(path), "wb") as fh:
         fh.write(_ENC_MAGIC)
         fh.write(struct.pack("<IIII", params.in_dim, params.hidden_dim, params.embed_dim, k))
-        arrays = params.arrays() + (head.arrays() if head is not None else [])
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(pack_params(params, head).astype("<f4").tobytes())
 
 
 def read_checkpoint(path) -> tuple[EncoderParams, ClassifierHead | None]:
@@ -747,17 +710,13 @@ def read_checkpoint(path) -> tuple[EncoderParams, ClassifierHead | None]:
     if len(blob) < 20 or blob[:4] != _ENC_MAGIC:
         raise DataError(f"malformed header in {path}")
     in_dim, hidden, embd, k = struct.unpack("<IIII", blob[4:20])
-    shapes = _shapes(in_dim, hidden, embd, k or None)
-    need = 20 + 4 * sum(math.prod(s) for s in shapes)
+    need = 20 + 4 * sum(math.prod(s) for s in _shapes(in_dim, hidden, embd, k or None))
     if len(blob) < need:
         raise DataError(f"truncated payload in {path}")
     if len(blob) > need:
         raise DataError(f"trailing bytes after payload in {path}")
     theta = np.frombuffer(blob, dtype="<f4", offset=20).astype(np.float64)
-    arrays = _views(theta, shapes)
-    params = EncoderParams(*arrays[:4])
-    head = ClassifierHead(*arrays[4:]) if k else None
-    return params, head
+    return unpack_params(theta, in_dim, hidden, embd, k or None)
 
 
 def write_train_log(path, rows) -> None:

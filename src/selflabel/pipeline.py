@@ -5,11 +5,11 @@ Every round writes a self-contained directory (checkpoints, embeddings,
 assignments, scores, metrics). Downstream computations always consume the
 written files, never in-memory intermediates, so re-running metrics on a
 stored round reproduces its report byte for byte, and a resumed run is
-indistinguishable from an uninterrupted one. Round directories are staged in
-a temp directory and renamed into place only when complete; the run-level
-files (``run_config.json``, ``trials.txt``, ``cohort_ids.txt``,
-``report.json``) are staged as a file and renamed the same way, so a crash
-during any of these writes leaves either the whole file or none.
+indistinguishable from an uninterrupted one. The ``corpus/`` and round
+directories and the run-level files (``run_config.json``, ``trials.txt``,
+``cohort_ids.txt``, ``report.json``) are written under a staging name and
+renamed into place only when complete, so a crash during any of these
+writes leaves either the whole directory or file or none.
 
 Ground-truth identity labels and recording groups are read exclusively by
 evaluation steps (trial generation, NMI) and by the explicitly flagged
@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ensemble, scoring, synthdata
+from ._textio import read_rows
 from .clustering import (
     Assignment,
     ClusterSettings,
@@ -49,7 +50,7 @@ from .encoder import (
     write_checkpoint,
     write_train_log,
 )
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .metrics import DcfParams, eer, min_dcf, nmi
 from .scoring import Cohort, ScoreSet, Trial, as_norm, cosine_score, fuse_scores
 from .synthdata import MultiModalCorpus, SynthConfig
@@ -130,6 +131,8 @@ class PipelineConfig:
     def fingerprint(self) -> str:
         payload = asdict(self)
         payload.pop("output_dir")
+        # k-means results are bitwise the same for every worker count
+        payload["cluster"].pop("workers")
         payload["corpus_path"] = (
             str(self.corpus_path) if self.corpus_path is not None else None
         )
@@ -203,18 +206,31 @@ def _load_round(config: PipelineConfig, index: int) -> RoundArtifacts:
 # ---------------------------------------------------------------------------
 
 
-def _write_atomically(path: Path, write) -> None:
-    """Produce ``path`` all at once: ``write(tmp)`` fills a staging file
-    beside it, which is then renamed over ``path``. A write that fails part
-    way leaves no file at ``path``; its staging file is removed here, or by
-    the next ``_prepare_run`` after a hard crash."""
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink(missing_ok=True)
+
+
+@contextmanager
+def _staged(path: Path):
+    """Yield a staging path beside ``path``, where nothing exists yet.
+
+    The block writes a file or a directory there. When it completes, the
+    staging path is renamed over ``path``; when it raises, the staging path
+    is removed, so a failed write leaves nothing at ``path``. After a hard
+    crash, the next ``_prepare_run`` removes it.
+    """
     tmp = path.with_name(f".tmp_{path.name}")
+    _remove(tmp)
     try:
-        write(tmp)
+        yield tmp
+        if path.is_dir():
+            shutil.rmtree(path)
         tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    finally:
+        _remove(tmp)
 
 
 def _prepare_run(config: PipelineConfig) -> None:
@@ -226,10 +242,7 @@ def _prepare_run(config: PipelineConfig) -> None:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob(".tmp_*"):
-        if stale.is_dir():
-            shutil.rmtree(stale, ignore_errors=True)
-        else:
-            stale.unlink(missing_ok=True)
+        _remove(stale)
     marker = out / "run_config.json"
     payload = {"fingerprint": config.fingerprint()}
     if marker.exists():
@@ -240,7 +253,8 @@ def _prepare_run(config: PipelineConfig) -> None:
                 "use a fresh directory or delete the old run"
             )
     else:
-        _write_atomically(marker, lambda p: p.write_text(json.dumps(payload, indent=2) + "\n"))
+        with _staged(marker) as tmp:
+            tmp.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _ensure_corpus(config: PipelineConfig) -> MultiModalCorpus:
@@ -252,7 +266,8 @@ def _ensure_corpus(config: PipelineConfig) -> MultiModalCorpus:
     else:
         logger.info("generating synthetic corpus (%d samples)", config.synth.num_samples)
         corpus = synthdata.generate_corpus(config.synth)
-    synthdata.write_corpus(corpus, stored)
+    with _staged(stored) as tmp:
+        synthdata.write_corpus(corpus, tmp)
     # always hand back the file-backed copy
     return synthdata.read_corpus(stored)
 
@@ -302,11 +317,13 @@ def _ensure_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
     cohort_path = config.output_dir / "cohort_ids.txt"
     if trials_path.is_file() and cohort_path.is_file():
         trials = scoring.read_trials(trials_path)
-        cohort_ids = [ln for ln in cohort_path.read_text().splitlines() if ln]
+        cohort_ids = [cid for cid, in read_rows(cohort_path, "cohort", (str,))]
         return trials, cohort_ids
     trials, cohort_ids = _make_eval_material(config, corpus)
-    _write_atomically(trials_path, lambda p: scoring.write_trials(p, trials))
-    _write_atomically(cohort_path, lambda p: p.write_text("\n".join(cohort_ids) + "\n"))
+    with _staged(trials_path) as tmp:
+        scoring.write_trials(tmp, trials)
+    with _staged(cohort_path) as tmp:
+        tmp.write_text("\n".join(cohort_ids) + "\n")
     return trials, cohort_ids
 
 
@@ -324,16 +341,6 @@ def _write_round_embeddings(tmp: Path, modality: str, params, corpus) -> np.ndar
     synthdata.write_embeddings(tmp / f"{modality}.emb", z)
     # read back: all downstream math runs on the stored float32 values
     return synthdata.read_embeddings(tmp / f"{modality}.emb").astype(np.float64)
-
-
-def _cluster_view(z: np.ndarray, settings: ClusterSettings) -> np.ndarray:
-    """The matrix k-means actually sees: optionally length-normalized rows."""
-    if not settings.normalize:
-        return z
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise NumericError("cannot normalize a zero-norm embedding row")
-    return z / norms
 
 
 def _score_and_write(tmp: Path, modality: str, corpus, z, trials) -> None:
@@ -370,29 +377,6 @@ def _write_metrics(tmp: Path, report: dict) -> None:
     (tmp / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-@contextmanager
-def _staged_round(config: PipelineConfig, index: int):
-    """Yield an empty staging directory for round ``index``.
-
-    When the block completes, the directory is renamed into place as the
-    round directory; when it raises, the directory is removed, so a failed
-    round leaves no partial files behind.
-    """
-    tmp = config.output_dir / f".tmp_round_{index:03d}"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir()
-    try:
-        yield tmp
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    final = _round_dir(config, index)
-    if final.exists():
-        shutil.rmtree(final)
-    tmp.rename(final)
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -407,7 +391,8 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
         logger.info("round 0 already complete, skipping")
         return _load_round(config, 0)
 
-    with _staged_round(config, 0) as tmp:
+    with _staged(_round_dir(config, 0)) as tmp:
+        tmp.mkdir()
         aug_range = (corpus.config or config.synth).augmentation_noise_range
         train_cfg = replace(config.contrastive, seed=_derive_seed(config.seed, 0, 1))
         logger.info("round 0: contrastive pretraining (%d epochs)", train_cfg.epochs)
@@ -425,7 +410,7 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
         else:
             logger.info("round 0: sweeping K over %s", list(config.k_grid))
             curve = sweep_k(
-                _cluster_view(z_audio, cl),
+                z_audio,
                 config.k_grid,
                 restarts=cl.sweep_restarts,
                 seed=[config.seed, 0, 2],
@@ -436,7 +421,7 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
             k, _ = select_k_elbow(curve)
         logger.info("round 0: clustering audio embeddings at K=%d", k)
         _, assign_audio, _ = kmeans(
-            _cluster_view(z_audio, cl),
+            z_audio,
             k,
             restarts=cl.restarts,
             max_iters=cl.max_iters,
@@ -466,7 +451,8 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
     labels = previous.assignment(label_name)
     k = previous.k
 
-    with _staged_round(config, round_index) as tmp:
+    with _staged(_round_dir(config, round_index)) as tmp:
+        tmp.mkdir()
         z = {}
         for stream, modality in enumerate(_MODALITIES, start=4):
             train_cfg = replace(
@@ -490,8 +476,8 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
 
         cl = config.cluster
         fused_set = ensemble.fuse_pseudo_labels(
-            _cluster_view(z["audio"], cl),
-            _cluster_view(z["visual"], cl),
+            z["audio"],
+            z["visual"],
             k,
             restarts=cl.restarts,
             max_iters=cl.max_iters,
@@ -501,12 +487,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
         fused = fused_set.fused
         if config.use_group_consolidation:
             fused = ensemble.consolidate_groups(fused, corpus.group_ids)
-        for name, assign in (
-            ("audio", fused_set.audio),
-            ("visual", fused_set.visual),
-            ("joint", fused_set.joint),
-            ("fused", fused),
-        ):
+        for name, assign in fused_set._replace(fused=fused)._asdict().items():
             write_assignment(tmp / f"assign_{name}.tsv", corpus.sample_ids, assign)
         breakdown = ensemble.vote_breakdown(fused_set.joint, fused_set.audio, fused_set.visual)
         breakdown["group_consolidation"] = config.use_group_consolidation
@@ -603,8 +584,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         },
     }
     report_path = config.output_dir / "report.json"
-    _write_atomically(
-        report_path, lambda p: p.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    )
+    with _staged(report_path) as tmp:
+        tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     logger.info("pipeline finished; report at %s", report_path)
     return report

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._textio import read_rows
 from .errors import ConfigError, DataError, NumericError
 
 
@@ -226,20 +227,14 @@ def write_trials(path, trials: Sequence[Trial]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _target_flag(field: str) -> bool:
+    if field not in ("0", "1"):
+        raise ValueError(f"target flag {field!r}")
+    return field == "1"
+
+
 def read_trials(path) -> list[Trial]:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read trial file {path}: {exc}") from exc
-    trials = []
-    for ln in text.splitlines():
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise DataError(f"malformed trial row in {path}: {ln!r}")
-        trials.append(Trial(enroll_id=parts[0], test_id=parts[1], is_target=parts[2] == "1"))
+    trials = [Trial(*row) for row in read_rows(path, "trial", (str, str, _target_flag))]
     if not trials:
         raise DataError(f"trial file {path} is empty")
     return trials
@@ -254,28 +249,16 @@ def write_scores(path, score_set: ScoreSet) -> None:
 
 def read_scores(path, trials: Sequence[Trial]) -> ScoreSet:
     """Read a score file and bind it to a trial list (ids must match in order)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read score file {path}: {exc}") from exc
-    rows = [ln for ln in text.splitlines() if ln]
-    if len(rows) != len(trials):
-        raise DataError(
-            f"score file {path} has {len(rows)} rows but trial list has {len(trials)}"
-        )
-    scores = np.empty(len(rows), dtype=np.float64)
-    for i, (ln, trial) in enumerate(zip(rows, trials)):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise DataError(f"malformed score row in {path}: {ln!r}")
-        if parts[0] != trial.enroll_id or parts[1] != trial.test_id:
+    rows = read_rows(path, "score", (str, str, float))
+    scores = []
+    for trial, (enroll_id, test_id, score) in zip(trials, rows):
+        if enroll_id != trial.enroll_id or test_id != trial.test_id:
             raise DataError(
-                f"score row {i} of {path} names trial ({parts[0]}, {parts[1]}) but the "
-                f"trial list has ({trial.enroll_id}, {trial.test_id})"
+                f"score row {len(scores)} of {path} names trial ({enroll_id}, {test_id}) but "
+                f"the trial list has ({trial.enroll_id}, {trial.test_id})"
             )
-        try:
-            scores[i] = float(parts[2])
-        except ValueError as exc:
-            raise DataError(f"non-numeric score in {path}: {ln!r}") from exc
+        scores.append(score)
+    count = len(scores) + sum(1 for _ in rows)
+    if count != len(trials):
+        raise DataError(f"score file {path} has {count} rows but trial list has {len(trials)}")
     return ScoreSet(trials=tuple(trials), scores=scores)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._textio import read_rows
 from .errors import ConfigError, DataError
 
 _EMB_MAGIC = b"EMB1"
@@ -269,26 +270,15 @@ def write_corpus(corpus: MultiModalCorpus, path) -> None:
 
 def read_meta(path) -> tuple[list[str], list[str], np.ndarray]:
     """Parse a meta.tsv file into (sample_ids, group_ids, identity_gt)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read metadata file {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or tuple(lines[0].split("\t")) != _META_COLUMNS:
+    rows = read_rows(path, "metadata", (str, str, str), "\t")
+    if tuple(next(rows, ())) != _META_COLUMNS:
         raise DataError(f"malformed header in {path}")
     sample_ids, group_ids, idents = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"malformed row in {path}: {ln!r}")
-        sid, gid, ident = parts
-        if not sid or not gid:
-            raise DataError(f"empty id in {path}: {ln!r}")
+    for sid, gid, ident in rows:
         try:
             idents.append(int(ident))
         except ValueError as exc:
-            raise DataError(f"non-integer identity in {path}: {ln!r}") from exc
+            raise DataError(f"non-integer identity in {path}: {ident!r}") from exc
         sample_ids.append(sid)
         group_ids.append(gid)
     return sample_ids, group_ids, np.asarray(idents, dtype=np.int64)

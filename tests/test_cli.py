@@ -269,6 +269,20 @@ class TestScore:
         ])
         assert code == 0 and out.is_file()
 
+    def test_missing_cohort_file_exits_3(self, corpus_dir, tmp_path, capsys):
+        ids = read_corpus(corpus_dir).sample_ids
+        trials_path = tmp_path / "trials.txt"
+        trials_path.write_text(f"{ids[0]} {ids[1]} 1\n{ids[0]} {ids[50]} 0\n")
+        code = main([
+            "score", "--trials", str(trials_path),
+            "--embeddings", str(corpus_dir / "audio.emb"),
+            "--meta", str(corpus_dir / "meta.tsv"),
+            "--cohort", str(tmp_path / "missing.txt"),
+            "--out", str(tmp_path / "scores.txt"),
+        ])
+        assert code == 3
+        assert "error: cannot read cohort file" in capsys.readouterr().err
+
 
 class TestTrainCommands:
     def test_pretrain_then_train_exit_codes(self, corpus_dir, tmp_path):

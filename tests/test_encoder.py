@@ -10,8 +10,10 @@ from selflabel.encoder import (
     ClassifierHead,
     EncoderParams,
     TrainConfig,
-    _ClassifierStep,
-    _ContrastiveStep,
+    _classifier_step,
+    _contrastive_step,
+    _flat,
+    _NtXent,
     classifier_loss,
     classifier_posteriors,
     contrastive_loss,
@@ -313,7 +315,7 @@ class TestGradCheckHarness:
         assert grad_check(f, theta) < 1e-4
 
     # The two above are hand-written references; the two below check the
-    # steps the training loops run, on their flat pack_params vector.
+    # step functions the training loops run, on their flat pack_params vector.
 
     def test_production_classifier_step(self):
         rng = np.random.default_rng(14)
@@ -323,14 +325,14 @@ class TestGradCheckHarness:
         params = init_encoder(in_dim, hidden, embed_dim, rng)
         head = ClassifierHead(rng.standard_normal((k, embed_dim)), rng.standard_normal(k))
         # buffers sized for a larger batch, so this is a trailing partial one
-        step = _ClassifierStep(params, head, batch + 2, 0.1)
+        flat, grad, arrays, grads, bufs = _flat(params, head, batch + 2)
         theta = pack_params(params, head)
-        np.testing.assert_array_equal(step.theta, theta)
+        np.testing.assert_array_equal(flat, theta)
 
         def f(theta):
-            step.theta[:] = theta
-            loss, _ = step.loss(x, labels)
-            return loss, step.gradient().copy()
+            flat[:] = theta
+            loss, _ = _classifier_step(arrays, grads, bufs, x, labels, 0.1)
+            return loss, grad.copy()
 
         assert grad_check(f, theta) < 1e-4
 
@@ -340,13 +342,14 @@ class TestGradCheckHarness:
         in_dim, hidden, embed_dim, m = 4, 5, 3, 3
         x = rng.standard_normal((2 * m, in_dim))
         params = init_encoder(in_dim, hidden, embed_dim, rng)
-        step = _ContrastiveStep(params, m, 0.2, variant)
+        flat, grad, arrays, grads, bufs = _flat(params, None, 2 * m)
         theta = pack_params(params)
-        np.testing.assert_array_equal(step.theta, theta)
+        np.testing.assert_array_equal(flat, theta)
+        loss_fn = _NtXent(m, embed_dim, 0.2, variant)
 
         def f(theta):
-            step.theta[:] = theta
-            return step.loss(x), step.gradient().copy()
+            flat[:] = theta
+            return _contrastive_step(arrays, grads, bufs, x, loss_fn), grad.copy()
 
         assert grad_check(f, theta) < 1e-4
 

@@ -183,6 +183,19 @@ class TestDeterminismAndResume:
         with pytest.raises(ConfigError, match="different configuration"):
             run_pipeline(other)
 
+    def test_resume_with_another_worker_count_equals_uninterrupted(self, tmp_path):
+        run_pipeline(tiny_config(tmp_path / "full", rounds=1))
+
+        def workers(n):
+            return tiny_config(
+                tmp_path / "resumed", rounds=1,
+                cluster=ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50, workers=n),
+            )
+
+        run_stage1(workers(1))
+        run_pipeline(workers(2))
+        assert tree_bytes(tmp_path / "resumed") == tree_bytes(tmp_path / "full")
+
 
 def tree_bytes(root):
     """Every file under ``root`` by relative path, the way ``diff -r`` sees it."""
@@ -191,7 +204,7 @@ def tree_bytes(root):
 
 
 class TestCrashSafeRunFiles:
-    @pytest.mark.parametrize("torn", ["cohort_ids", "trials", "run_config"])
+    @pytest.mark.parametrize("torn", ["cohort_ids", "trials", "run_config", "meta.tsv"])
     def test_write_failing_part_way_then_resume_equals_uninterrupted(
         self, tmp_path, monkeypatch, torn
     ):

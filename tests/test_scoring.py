@@ -202,3 +202,8 @@ class TestScoreFiles:
         (tmp_path / "t.txt").write_text("a b maybe\n")
         with pytest.raises(DataError):
             read_trials(tmp_path / "t.txt")
+
+    def test_undecodable_trial_file_rejected(self, tmp_path):
+        (tmp_path / "t.txt").write_bytes(bytes(range(128, 256)))
+        with pytest.raises(DataError, match="cannot read trial file"):
+            read_trials(tmp_path / "t.txt")
