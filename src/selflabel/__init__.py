@@ -6,7 +6,6 @@ ensemble fusion across modalities, and verification-style scoring (EER,
 minDCF, AS-Norm) on a synthetic paired-modality corpus.
 """
 
-from ._kernels import active_backend
 from .clustering import (
     Assignment,
     ClusterSettings,
@@ -21,7 +20,6 @@ from .encoder import (
     EncoderParams,
     TrainConfig,
     classifier_loss,
-    classifier_posteriors,
     contrastive_loss,
     embed,
     grad_check,
@@ -31,7 +29,6 @@ from .encoder import (
 from .ensemble import (
     Correspondence,
     FusedLabels,
-    consolidate_groups,
     contingency,
     correspond,
     fuse_pseudo_labels,

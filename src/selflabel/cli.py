@@ -95,7 +95,7 @@ def _cmd_cluster(args) -> int:
         k, _ = clustering.select_k_elbow(curve)
         print(f"elbow selected K={k} from stored curve {args.from_curve}")
     elif args.k_grid is not None:
-        grid = tuple(int(v) for v in args.k_grid.split(","))
+        grid = clustering.elbow_grid(args.k_grid.split(","))
         curve = clustering.sweep_k(
             x, grid, restarts=args.restarts, seed=args.seed,
             max_iters=args.max_iters, workers=args.workers,
@@ -154,12 +154,7 @@ def _cmd_fuse(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, assign in fused_set._asdict().items():
-        clustering.write_assignment(out_dir / f"assign_{name}.tsv", sample_ids, assign)
-    breakdown = ensemble.vote_breakdown(fused_set.joint, fused_set.audio, fused_set.visual)
-    (out_dir / "fusion_report.json").write_text(
-        json.dumps(breakdown, indent=2, sort_keys=True) + "\n"
-    )
+    breakdown = ensemble.write_fusion(out_dir, sample_ids, fused_set)
     print(f"wrote fused assignments to {out_dir} ({breakdown})")
     return 0
 

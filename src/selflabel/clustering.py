@@ -306,6 +306,17 @@ def sweep_k(
     return WssCurve(ks=np.asarray(ks), wss=np.asarray(values))
 
 
+def elbow_grid(k_grid: Sequence[int]) -> tuple[int, ...]:
+    """``k_grid`` as ints, checked to be strictly ascending and long enough
+    for :func:`select_k_elbow`."""
+    ks = tuple(int(k) for k in k_grid)
+    if len(ks) < 3:
+        raise ConfigError(f"'k_grid' needs at least 3 values for the elbow, got {list(ks)}")
+    if sorted(set(ks)) != list(ks):
+        raise ConfigError("k_grid must be strictly ascending")
+    return ks
+
+
 def select_k_elbow(curve: WssCurve) -> tuple[int, np.ndarray]:
     """Pick the K at the knee of a WSS-vs-K curve.
 

@@ -93,12 +93,6 @@ def _as_int(value, key: str) -> int:
     return value
 
 
-def _as_bool(value, key: str) -> bool:
-    if isinstance(value, int) and value in (0, 1):  # bool is an int
-        return bool(value)
-    raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
-
-
 def _as_path(value, key: str) -> Path:
     if isinstance(value, tuple):
         raise ConfigError(f"config key {key!r} must be one path, got {value!r}")
@@ -138,9 +132,10 @@ _TOP_LEVEL_KEYS = {
     "corpus": ("corpus_path", _as_path),
     "k_grid": ("k_grid", _as_int_tuple),
     "fixed_k": ("fixed_k", _as_int),
-    "use_group_consolidation": ("use_group_consolidation", _as_bool),
 }
 _SECTIONS = ("synth", "contrastive", "classifier", "cluster", "eval", "dcf")
+# TrainConfig fields that only the other training loop reads
+_UNREAD_KEYS = ("contrastive.epsilon_smooth", "classifier.temperature", "classifier.denominator")
 
 
 def build_pipeline_config(
@@ -157,6 +152,8 @@ def build_pipeline_config(
         head = key.split(".", 1)[0]
         if key not in _TOP_LEVEL_KEYS and head not in _SECTIONS:
             raise ConfigError(f"unknown config key {key!r}")
+        if key in _UNREAD_KEYS:
+            raise ConfigError(f"config key {key!r} is not read by any training loop")
 
     base = PipelineConfig(output_dir=Path(output_dir))
     kwargs = {

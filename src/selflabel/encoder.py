@@ -319,29 +319,6 @@ def contrastive_loss(z: np.ndarray, tau: float, denominator: str = "cross"):
     return loss, grad
 
 
-def classifier_posteriors(head: ClassifierHead, z: np.ndarray) -> np.ndarray:
-    """Softmax class posteriors for one embedding or a batch of embeddings."""
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise NumericError("non-finite embedding")
-    single = z.ndim == 1
-    logits = np.atleast_2d(z) @ head.w.T + head.b
-    _log_softmax(logits, np.empty((logits.shape[0], 1)), np.empty_like(logits))
-    p = np.exp(logits, out=logits)
-    return p[0] if single else p
-
-
-def _log_softmax(logits: np.ndarray, col: np.ndarray, work: np.ndarray) -> None:
-    """Overwrite each row of ``logits`` with its log-softmax; ``col`` (rows, 1)
-    and ``work`` (the shape of ``logits``) are scratch."""
-    np.max(logits, axis=-1, keepdims=True, out=col)
-    logits -= col
-    np.exp(logits, out=work)
-    np.sum(work, axis=-1, keepdims=True, out=col)
-    np.log(col, out=col)
-    logits -= col
-
-
 def _smoothed_ce(logits, labels, epsilon, target, col, grad) -> float:
     """Core of :func:`classifier_loss`: the mean loss of ``logits`` against
     ``labels``, with d loss / d logits written into ``grad``. Leaves the
@@ -350,7 +327,13 @@ def _smoothed_ce(logits, labels, epsilon, target, col, grad) -> float:
     n, k = logits.shape
     target.fill(epsilon / k)
     target[np.arange(n), labels] += 1.0 - epsilon
-    _log_softmax(logits, col, grad)
+    # row-wise log-softmax in place, with grad as scratch
+    np.max(logits, axis=-1, keepdims=True, out=col)
+    logits -= col
+    np.exp(logits, out=grad)
+    np.sum(grad, axis=-1, keepdims=True, out=col)
+    np.log(col, out=col)
+    logits -= col
     np.multiply(target, logits, out=grad)
     loss = float(-grad.sum() / n)
     np.exp(logits, out=grad)

@@ -9,12 +9,14 @@ all-distinct ties.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._kernels import hungarian_min_cost
-from .clustering import Assignment, ClusterSettings, _seed_list, kmeans
+from .clustering import Assignment, ClusterSettings, _seed_list, kmeans, write_assignment
 from .errors import ConfigError, NumericError
 
 
@@ -32,6 +34,18 @@ class FusedLabels(NamedTuple):
     audio: Assignment
     visual: Assignment
     joint: Assignment
+
+
+def write_fusion(out_dir: Path, sample_ids: Sequence[str], fused_set: FusedLabels) -> dict:
+    """Write the four ``assign_<name>.tsv`` files and ``fusion_report.json``
+    (the vote breakdown) into ``out_dir``; returns the breakdown."""
+    for name, assign in fused_set._asdict().items():
+        write_assignment(out_dir / f"assign_{name}.tsv", sample_ids, assign)
+    breakdown = vote_breakdown(fused_set.joint, fused_set.audio, fused_set.visual)
+    (out_dir / "fusion_report.json").write_text(
+        json.dumps(breakdown, indent=2, sort_keys=True) + "\n"
+    )
+    return breakdown
 
 
 def contingency(ref: Assignment, cur: Assignment) -> np.ndarray:
@@ -124,20 +138,6 @@ def vote_breakdown(ref: Assignment, a: Assignment, b: Assignment) -> dict:
         "majority_2_1": len(ref) - unanimous - distinct,
         "all_distinct": distinct,
     }
-
-
-def consolidate_groups(labels: Assignment, groups: Sequence[str]) -> Assignment:
-    """Replace every label within a recording group by the group's modal
-    label; mode ties break toward the smallest label id."""
-    if len(groups) != len(labels):
-        raise ConfigError("group map does not cover every sample")
-    codes, inverse = np.unique(np.asarray(groups), return_inverse=True)
-    out = labels.labels.copy()
-    for g in range(codes.size):
-        members = np.nonzero(inverse == g)[0]
-        counts = np.bincount(labels.labels[members], minlength=labels.k)
-        out[members] = int(np.argmax(counts))
-    return Assignment(labels=out, k=labels.k)
 
 
 def fuse_pseudo_labels(

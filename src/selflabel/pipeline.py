@@ -11,10 +11,9 @@ directories and the run-level files (``run_config.json``, ``trials.txt``,
 renamed into place only when complete, so a crash during any of these
 writes leaves either the whole directory or file or none.
 
-Ground-truth identity labels and recording groups are read exclusively by
-evaluation steps (trial generation, NMI) and by the explicitly flagged
-group-consolidation variant; the training path sees feature matrices and
-pseudo-labels only.
+Ground-truth identity labels are read only by evaluation steps (trial
+generation, NMI); the training path sees feature matrices and pseudo-labels
+only.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from ._textio import read_rows
 from .clustering import (
     Assignment,
     ClusterSettings,
+    elbow_grid,
     kmeans,
     read_assignment,
     select_k_elbow,
@@ -58,6 +58,10 @@ from .synthdata import MultiModalCorpus, SynthConfig
 logger = logging.getLogger(__name__)
 
 _MODALITIES = ("audio", "visual")
+
+# Version of the run directory's file formats, part of the fingerprint;
+# raise it whenever a file that a resume reads or keeps changes format.
+ARTIFACT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,6 @@ class PipelineConfig:
     cluster: ClusterSettings = field(default_factory=ClusterSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
     dcf: DcfParams = field(default_factory=DcfParams)
-    use_group_consolidation: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -113,12 +116,7 @@ class PipelineConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.fixed_k is None:
-            if not self.k_grid:
-                raise ConfigError("k_grid must be nonempty when fixed_k is absent")
-            ks = tuple(int(k) for k in self.k_grid)
-            if sorted(set(ks)) != list(ks):
-                raise ConfigError("k_grid must be strictly ascending")
-            object.__setattr__(self, "k_grid", ks)
+            object.__setattr__(self, "k_grid", elbow_grid(self.k_grid))
         elif self.fixed_k < 1:
             raise ConfigError("fixed_k must be >= 1")
         low, high = self.classifier_augmentation
@@ -129,10 +127,14 @@ class PipelineConfig:
         object.__setattr__(self, "classifier_augmentation", (float(low), float(high)))
 
     def fingerprint(self) -> str:
+        """Hash of the settings that shape the run's files. ``rounds`` is out,
+        so raising it extends a finished run, and so is ``cluster.workers``:
+        k-means results are bitwise the same for every worker count."""
         payload = asdict(self)
         payload.pop("output_dir")
-        # k-means results are bitwise the same for every worker count
+        payload.pop("rounds")
         payload["cluster"].pop("workers")
+        payload["artifact_format"] = ARTIFACT_FORMAT
         payload["corpus_path"] = (
             str(self.corpus_path) if self.corpus_path is not None else None
         )
@@ -484,16 +486,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
             seed=[config.seed, round_index, 6],
             workers=cl.workers,
         )
-        fused = fused_set.fused
-        if config.use_group_consolidation:
-            fused = ensemble.consolidate_groups(fused, corpus.group_ids)
-        for name, assign in fused_set._replace(fused=fused)._asdict().items():
-            write_assignment(tmp / f"assign_{name}.tsv", corpus.sample_ids, assign)
-        breakdown = ensemble.vote_breakdown(fused_set.joint, fused_set.audio, fused_set.visual)
-        breakdown["group_consolidation"] = config.use_group_consolidation
-        (tmp / "fusion_report.json").write_text(
-            json.dumps(breakdown, indent=2, sort_keys=True) + "\n"
-        )
+        ensemble.write_fusion(tmp, corpus.sample_ids, fused_set)
         for modality in _MODALITIES:
             _score_and_write(tmp, modality, corpus, z[modality], trials)
         report = compute_round_metrics(tmp, corpus, trials, k, round_index)

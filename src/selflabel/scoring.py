@@ -32,11 +32,10 @@ class Trial:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Per-trial scores; ``normalized`` records whether AS-Norm was applied."""
+    """Per-trial scores, in trial order."""
 
     trials: tuple[Trial, ...]
     scores: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -98,7 +97,7 @@ def cosine_score(trials: Sequence[Trial], embeddings_by_id: Mapping[str, np.ndar
     scores = np.empty(len(trials), dtype=np.float64)
     for i, trial in enumerate(trials):
         scores[i] = float(lookup(trial.enroll_id) @ lookup(trial.test_id))
-    return ScoreSet(trials=tuple(trials), scores=scores, normalized=False)
+    return ScoreSet(trials=tuple(trials), scores=scores)
 
 
 # Rows sorted at a time for top-N statistics: bounds the sort's temporary
@@ -191,7 +190,7 @@ def as_norm(
     enroll_idx = np.fromiter((rows[t.enroll_id] for t in raw.trials), np.int64, len(raw))
     test_idx = np.fromiter((rows[t.test_id] for t in raw.trials), np.int64, len(raw))
     out = as_norm_scores(raw.scores, cohort_scores, enroll_idx, test_idx, top_n)
-    return ScoreSet(trials=raw.trials, scores=out, normalized=True)
+    return ScoreSet(trials=raw.trials, scores=out)
 
 
 def fuse_scores(score_sets: Sequence[ScoreSet], weights: Sequence[float]) -> ScoreSet:
@@ -210,11 +209,7 @@ def fuse_scores(score_sets: Sequence[ScoreSet], weights: Sequence[float]) -> Sco
     fused = np.zeros(len(first), dtype=np.float64)
     for weight, ss in zip(w, score_sets):
         fused += weight * ss.scores
-    return ScoreSet(
-        trials=first.trials,
-        scores=fused,
-        normalized=all(ss.normalized for ss in score_sets),
-    )
+    return ScoreSet(trials=first.trials, scores=fused)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,11 @@ class TestConfigValueErrors:
             ("rounds = 2.5", "rounds"),
             ("fixed_k = 7.9", "fixed_k"),
             ("k_grid = 100,abc,300", "k_grid"),
+            ("k_grid = 6,8", "k_grid"),
             ("use_group_consolidation = abc", "use_group_consolidation"),
+            ("classifier.temperature = 0.2", "classifier.temperature"),
+            ("classifier.denominator = simclr", "classifier.denominator"),
+            ("contrastive.epsilon_smooth = 0.2", "contrastive.epsilon_smooth"),
             ("classifier.aug_prob = abc", "classifier.aug_prob"),
             ("classifier.aug_low = abc\nclassifier.aug_high = 1.0", "classifier.aug_low"),
         ],
@@ -139,10 +143,8 @@ class TestConfigValueErrors:
         assert "'synth.augmentation_noise_high'" in capsys.readouterr().err
 
     def test_integral_values_still_convert(self, tmp_path):
-        config = build_pipeline_config(
-            {"rounds": 2.0, "fixed_k": 7, "use_group_consolidation": True}, tmp_path
-        )
-        assert (config.rounds, config.fixed_k, config.use_group_consolidation) == (2, 7, True)
+        config = build_pipeline_config({"rounds": 2.0, "fixed_k": 7}, tmp_path)
+        assert (config.rounds, config.fixed_k) == (2, 7)
 
 
 class TestGenerate:
@@ -206,6 +208,20 @@ class TestClusterAndMetrics:
         ])
         assert code == 0
         assert (tmp_path / "assign2.tsv").is_file()
+
+    def test_short_grid_exits_2_before_sweeping(self, corpus_dir, tmp_path, capsys):
+        code = main([
+            "cluster",
+            "--embeddings", str(corpus_dir / "audio.emb"),
+            "--meta", str(corpus_dir / "meta.tsv"),
+            "--k-grid", "6,8", "--restarts", "2",
+            "--curve-out", str(tmp_path / "wss.tsv"),
+            "--out", str(tmp_path / "assign.tsv"),
+        ])
+        assert code == 2
+        assert "at least 3 values" in capsys.readouterr().err
+        assert not (tmp_path / "wss.tsv").exists()
+        assert not (tmp_path / "assign.tsv").exists()
 
     def test_missing_embedding_file_exits_3(self, corpus_dir, tmp_path, capsys):
         code = main([

@@ -15,7 +15,6 @@ from selflabel.encoder import (
     _flat,
     _NtXent,
     classifier_loss,
-    classifier_posteriors,
     contrastive_loss,
     embed,
     grad_check,
@@ -36,6 +35,17 @@ def softmax_oracle(logits):
     e = [math.exp(v) for v in logits]
     s = sum(e)
     return [v / s for v in e]
+
+
+def posteriors(head, z):
+    """Softmax posteriors of ``head`` at embedding ``z``, read off
+    classifier_loss: for a batch of B rows the gradient is
+    (posterior - target) / B, and with epsilon 0 the target is one-hot."""
+    logits = np.atleast_2d(z) @ head.w.T + head.b
+    _, grad = classifier_loss(logits, np.zeros(len(logits), dtype=np.int64), 0.0)
+    p = grad * len(logits)
+    p[:, 0] += 1.0
+    return p[0]
 
 
 def smoothed_target(label, k, epsilon):
@@ -163,18 +173,18 @@ class TestContrastiveLoss:
 class TestPosteriorsAndTargets:
     def test_zero_head_uniform(self):
         head = ClassifierHead(np.zeros((5, 3)), np.zeros(5))
-        p = classifier_posteriors(head, np.array([0.3, -0.4, 1.0]))
+        p = posteriors(head, np.array([0.3, -0.4, 1.0]))
         np.testing.assert_allclose(p, np.full(5, 0.2), atol=1e-15)
 
     def test_saturated_logit_one_hot(self):
         head = ClassifierHead(np.array([[1000.0], [0.0], [0.0]]), np.zeros(3))
-        p = classifier_posteriors(head, np.array([1.0]))
+        p = posteriors(head, np.array([1.0]))
         np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_three_logit_worked_example(self):
         # oracle: direct softmax evaluation at high precision
         head = ClassifierHead(np.eye(3), np.zeros(3))
-        p = classifier_posteriors(head, np.array([1.0, 2.0, 3.0]))
+        p = posteriors(head, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(p, softmax_oracle([1.0, 2.0, 3.0]), atol=1e-15)
         np.testing.assert_allclose(p, [0.09003057, 0.24472847, 0.66524096], atol=1e-7)
 
@@ -182,7 +192,7 @@ class TestPosteriorsAndTargets:
         rng = np.random.default_rng(6)
         head = ClassifierHead(rng.standard_normal((7, 4)), rng.standard_normal(7))
         for _ in range(50):
-            p = classifier_posteriors(head, rng.standard_normal(4) * 10)
+            p = posteriors(head, rng.standard_normal(4) * 10)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0)
 

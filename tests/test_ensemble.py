@@ -1,4 +1,4 @@
-"""Contingency, Hungarian correspondence, relabeling, voting, consolidation."""
+"""Contingency, Hungarian correspondence, relabeling, voting."""
 
 import itertools
 
@@ -8,7 +8,6 @@ import pytest
 from selflabel.clustering import Assignment
 from selflabel.ensemble import (
     Correspondence,
-    consolidate_groups,
     contingency,
     correspond,
     fuse_pseudo_labels,
@@ -179,36 +178,6 @@ class TestMajorityVote:
         counts = vote_breakdown(ref, a, b)
         assert counts == {"unanimous": 1, "majority_2_1": 2, "all_distinct": 1}
         assert sum(counts.values()) == 4
-
-
-class TestConsolidateGroups:
-    def test_mode_replaces_minority(self):
-        labels = assign([1, 1, 2], k=3)
-        out = consolidate_groups(labels, ["g", "g", "g"])
-        np.testing.assert_array_equal(out.labels, [1, 1, 1])
-
-    def test_singleton_group_unchanged(self):
-        labels = assign([2], k=3)
-        out = consolidate_groups(labels, ["solo"])
-        np.testing.assert_array_equal(out.labels, [2])
-
-    def test_tie_breaks_to_smallest_label(self):
-        labels = assign([3, 4], k=5)
-        out = consolidate_groups(labels, ["g", "g"])
-        np.testing.assert_array_equal(out.labels, [3, 3])
-
-    def test_never_increases_group_label_pairs(self):
-        rng = np.random.default_rng(6)
-        labels = assign(rng.integers(0, 4, 60), k=4)
-        groups = [f"g{i}" for i in rng.integers(0, 12, 60)]
-        out = consolidate_groups(labels, groups)
-        before = len({(g, l) for g, l in zip(groups, labels.labels.tolist())})
-        after = len({(g, l) for g, l in zip(groups, out.labels.tolist())})
-        assert after <= before
-        # within each group all labels equal
-        for g in set(groups):
-            vals = {out.labels[i] for i, gg in enumerate(groups) if gg == g}
-            assert len(vals) == 1
 
 
 def separated_embeddings(n_clusters, per_cluster, dim, seed, noise=0.05):

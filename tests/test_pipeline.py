@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from selflabel.clustering import read_assignment
+from selflabel import pipeline
 from selflabel.encoder import TrainConfig
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams
 from selflabel.pipeline import (
+    ARTIFACT_FORMAT,
     ClusterSettings,
     EvalSettings,
     PipelineConfig,
@@ -59,6 +60,27 @@ def tiny_config(out, seed=31, rounds=2, **overrides):
 def read_bytes_map(root, names):
     return {name: (Path(root) / name).read_bytes() for name in names}
 
+
+# Every file of rounds 0 and 1 that training and clustering produce.
+TRAINING_FILES_R1 = [
+    f"round_000/{name}"
+    for name in ("encoder_audio.enc", "train_log_audio.tsv", "audio.emb", "assign_audio.tsv")
+] + [
+    f"round_001/{name}"
+    for name in (
+        "encoder_audio.enc",
+        "encoder_visual.enc",
+        "train_log_audio.tsv",
+        "train_log_visual.tsv",
+        "audio.emb",
+        "visual.emb",
+        "assign_audio.tsv",
+        "assign_visual.tsv",
+        "assign_joint.tsv",
+        "assign_fused.tsv",
+        "fusion_report.json",
+    )
+]
 
 LABEL_FILES_R1 = [
     "round_000/assign_audio.tsv",
@@ -183,6 +205,19 @@ class TestDeterminismAndResume:
         with pytest.raises(ConfigError, match="different configuration"):
             run_pipeline(other)
 
+    def test_artifact_format_change_rejects_resume(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path / "run", rounds=0)
+        run_stage1(config)
+        monkeypatch.setattr(pipeline, "ARTIFACT_FORMAT", ARTIFACT_FORMAT + 1)
+        with pytest.raises(ConfigError, match="different configuration"):
+            run_stage1(config)
+
+    def test_raising_rounds_extends_a_finished_run(self, tmp_path):
+        run_pipeline(tiny_config(tmp_path / "fresh", rounds=2))
+        run_pipeline(tiny_config(tmp_path / "extended", rounds=1))
+        run_pipeline(tiny_config(tmp_path / "extended", rounds=2))
+        assert tree_bytes(tmp_path / "extended") == tree_bytes(tmp_path / "fresh")
+
     def test_resume_with_another_worker_count_equals_uninterrupted(self, tmp_path):
         run_pipeline(tiny_config(tmp_path / "full", rounds=1))
 
@@ -235,33 +270,11 @@ class TestGroundTruthFirewall:
 
         runs = {}
         for name in ("corpus_clean", "corpus_shuffled"):
-            config = tiny_config(
-                tmp_path / f"run_{name}", rounds=1, corpus_path=tmp_path / name,
-                use_group_consolidation=False,
-            )
+            config = tiny_config(tmp_path / f"run_{name}", rounds=1, corpus_path=tmp_path / name)
             run_pipeline(config)
-            runs[name] = read_bytes_map(
-                tmp_path / f"run_{name}",
-                [
-                    "round_001/encoder_audio.enc",
-                    "round_001/encoder_visual.enc",
-                    "round_000/encoder_audio.enc",
-                    "round_001/assign_fused.tsv",
-                ],
-            )
+            runs[name] = read_bytes_map(tmp_path / f"run_{name}", TRAINING_FILES_R1)
         for name in runs["corpus_clean"]:
             assert runs["corpus_clean"][name] == runs["corpus_shuffled"][name], name
-
-    def test_group_consolidation_makes_labels_constant_per_group(self, tmp_path):
-        config = tiny_config(tmp_path / "run", rounds=1, use_group_consolidation=True)
-        run_pipeline(config)
-        corpus = read_corpus(config.output_dir / "corpus")
-        ids, assign = read_assignment(config.output_dir / "round_001" / "assign_fused.tsv")
-        assert ids == corpus.sample_ids
-        by_group = {}
-        for gid, label in zip(corpus.group_ids, assign.labels.tolist()):
-            by_group.setdefault(gid, set()).add(label)
-        assert all(len(labels) == 1 for labels in by_group.values())
 
 
 class TestMetricsReproduction:

@@ -123,7 +123,6 @@ class TestAsNorm:
         raw = cosine_score(trials, emb)
         normed = as_norm(raw, emb, cohort, top_n=4)
         assert normed.trials == raw.trials
-        assert normed.normalized and not raw.normalized
         assert len(normed) == 3
 
     def test_top_n_above_cohort_rejected(self):
