@@ -95,7 +95,7 @@ def _cmd_cluster(args) -> int:
         k, _ = clustering.select_k_elbow(curve)
         print(f"elbow selected K={k} from stored curve {args.from_curve}")
     elif args.k_grid is not None:
-        grid = clustering.elbow_grid(args.k_grid.split(","))
+        grid = clustering.elbow_grid(args.k_grid.split(","), "--k-grid")
         curve = clustering.sweep_k(
             x, grid, restarts=args.restarts, seed=args.seed,
             max_iters=args.max_iters, workers=args.workers,

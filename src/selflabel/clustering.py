@@ -7,14 +7,14 @@ distances within rounding of 0 to exactly 0 (see ``_kmeanspp_init``), so it
 picks the rows the direct ``((x - c) ** 2).sum()`` form picks; the
 assignment kernel's values are bitwise those of the same expression.
 
-The assignment step runs over fixed-size row chunks. Worker threads only
-parallelize chunk evaluation; partial results are always combined in chunk
-order, so every result is bitwise independent of the worker count.
+The restarts run in ``workers`` forked processes (``_parallel.ordered_map``)
+and the best is chosen in restart order, so every result is bitwise
+independent of the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,11 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import assign_points, sq_residuals
+from ._parallel import ordered_map
 from ._textio import read_rows
 from .errors import ConfigError, DataError
 
-# Fixed chunking (not per-worker splits): the combine order never depends on
-# how many threads ran, which is what makes kmeans() thread-count invariant.
+# Assignment runs over row chunks of this height; see _chunk_slices.
 _CHUNK_ROWS = 2048
 
 
@@ -38,7 +38,8 @@ class ClusterSettings:
     restarts: int = 10
     sweep_restarts: int = 4
     max_iters: int = 100
-    workers: int = 1
+    # result-neutral, so outside PipelineConfig.fingerprint()
+    workers: int = len(os.sched_getaffinity(0))
 
     def __post_init__(self):
         if self.restarts < 1 or self.sweep_restarts < 1:
@@ -112,12 +113,8 @@ def _chunk_slices(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _assign(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, pool) -> np.ndarray:
-    slices = _chunk_slices(x.shape[0])
-    if pool is None or len(slices) == 1:
-        parts = [assign_points(x[s], centroids, x_sq[s]) for s in slices]
-    else:
-        parts = list(pool.map(lambda s: assign_points(x[s], centroids, x_sq[s]), slices))
+def _assign(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    parts = [assign_points(x[s], centroids, x_sq[s]) for s in _chunk_slices(x.shape[0])]
     return np.concatenate([p[0] for p in parts])
 
 
@@ -192,13 +189,13 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng, x_sq: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _lloyd(x, x_sq, c0, max_iters, pool, return_history):
-    k = c0.shape[0]
-    c = c0
+def _restart(x, x_sq, k, seed, max_iters, return_history):
+    """One k-means++ seeding and Lloyd run from the stream ``seed``."""
+    c = x[_kmeanspp_init(x, k, np.random.default_rng(seed), x_sq)]
     labels = None
     history = []
     for _ in range(max_iters):
-        new_labels = _assign(x, x_sq, c, pool)
+        new_labels = _assign(x, x_sq, c)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -206,7 +203,7 @@ def _lloyd(x, x_sq, c0, max_iters, pool, return_history):
         if return_history:
             history.append(float(sq_residuals(x, c, labels).sum()))
     else:
-        labels = _assign(x, x_sq, c, pool)
+        labels = _assign(x, x_sq, c)
     w = float(sq_residuals(x, c, labels).sum())
     return c, labels, w, history
 
@@ -230,6 +227,7 @@ def kmeans(
 
     Restart r uses its own deterministic stream derived from (seed, r); the
     best restart is the one with the smallest final W (first wins ties).
+    The restarts run in up to ``workers`` processes, which changes no result.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[0] == 0:
@@ -242,29 +240,19 @@ def kmeans(
         raise ConfigError("restarts must be >= 1")
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
 
     prefix = _seed_list(seed)
     x_sq = (x * x).sum(axis=1)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        best = None
-        histories = []
-        for r in range(restarts):
-            rng = np.random.default_rng(prefix + [r])
-            c0 = x[_kmeanspp_init(x, k, rng, x_sq)]
-            c, labels, w, history = _lloyd(x, x_sq, c0, max_iters, pool, return_history)
-            histories.append(history)
-            if best is None or w < best[2]:
-                best = (c, labels, w)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    centroids, labels, _ = best
+    calls = [(x, x_sq, k, prefix + [r], max_iters, return_history) for r in range(restarts)]
+    runs = ordered_map(_restart, calls, workers, rows=x.shape[0])
+    # min() keeps the first of equal values: first restart wins ties
+    centroids, labels, _, _ = min(runs, key=lambda run: run[2])
     assignment = Assignment(labels=labels, k=k)
     w = wss(x, centroids, assignment)
     if return_history:
-        return centroids, assignment, w, histories
+        return centroids, assignment, w, [run[3] for run in runs]
     return centroids, assignment, w
 
 
@@ -306,14 +294,17 @@ def sweep_k(
     return WssCurve(ks=np.asarray(ks), wss=np.asarray(values))
 
 
-def elbow_grid(k_grid: Sequence[int]) -> tuple[int, ...]:
+def elbow_grid(k_grid: Sequence[int], name: str = "k_grid") -> tuple[int, ...]:
     """``k_grid`` as ints, checked to be strictly ascending and long enough
-    for :func:`select_k_elbow`."""
-    ks = tuple(int(k) for k in k_grid)
+    for :func:`select_k_elbow`; errors name the setting ``name``."""
+    try:
+        ks = tuple(int(k) for k in k_grid)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name!r} must be a list of integers, got {k_grid!r}") from None
     if len(ks) < 3:
-        raise ConfigError(f"'k_grid' needs at least 3 values for the elbow, got {list(ks)}")
+        raise ConfigError(f"{name!r} needs at least 3 values for the elbow, got {list(ks)}")
     if sorted(set(ks)) != list(ks):
-        raise ConfigError("k_grid must be strictly ascending")
+        raise ConfigError(f"{name!r} must be strictly ascending")
     return ks
 
 

@@ -31,3 +31,7 @@ class TrainingError(NumericError):
     def __init__(self, message: str, epoch: int):
         super().__init__(message)
         self.epoch = epoch
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold no epoch
+        return type(self), (self.args[0], self.epoch)

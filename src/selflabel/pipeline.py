@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ensemble, scoring, synthdata
+from ._parallel import ordered_map
 from ._textio import read_rows
 from .clustering import (
     Assignment,
@@ -129,7 +130,7 @@ class PipelineConfig:
     def fingerprint(self) -> str:
         """Hash of the settings that shape the run's files. ``rounds`` is out,
         so raising it extends a finished run, and so is ``cluster.workers``:
-        k-means results are bitwise the same for every worker count."""
+        every result is bitwise the same for every worker count."""
         payload = asdict(self)
         payload.pop("output_dir")
         payload.pop("rounds")
@@ -455,28 +456,30 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
 
     with _staged(_round_dir(config, round_index)) as tmp:
         tmp.mkdir()
-        z = {}
-        for stream, modality in enumerate(_MODALITIES, start=4):
-            train_cfg = replace(
-                config.classifier, seed=_derive_seed(config.seed, round_index, stream)
-            )
-            logger.info(
-                "round %d: training %s classifier on %s labels (K=%d)",
-                round_index, modality, label_name, k,
-            )
-            params, head, log = train_classifier(
+        logger.info(
+            "round %d: training the audio and visual classifiers on %s labels (K=%d)",
+            round_index, label_name, k,
+        )
+        # separate seed streams, so the two can train in separate processes
+        calls = [
+            (
                 corpus.features(modality).astype(np.float64),
                 labels.labels,
                 k,
-                train_cfg,
-                augmentation_range=config.classifier_augmentation,
-                augmentation_prob=config.classifier_augmentation_prob,
+                replace(config.classifier, seed=_derive_seed(config.seed, round_index, stream)),
+                config.classifier_augmentation,
+                config.classifier_augmentation_prob,
             )
+            for stream, modality in enumerate(_MODALITIES, start=4)
+        ]
+        cl = config.cluster
+        trained = ordered_map(train_classifier, calls, cl.workers, rows=len(corpus))
+        z = {}
+        for modality, (params, head, log) in zip(_MODALITIES, trained):
             write_checkpoint(tmp / f"encoder_{modality}.enc", params, head)
             write_train_log(tmp / f"train_log_{modality}.tsv", log)
             z[modality] = _write_round_embeddings(tmp, modality, params, corpus)
 
-        cl = config.cluster
         fused_set = ensemble.fuse_pseudo_labels(
             z["audio"],
             z["visual"],

@@ -223,6 +223,25 @@ class TestClusterAndMetrics:
         assert not (tmp_path / "wss.tsv").exists()
         assert not (tmp_path / "assign.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--k-grid", "4,x,8"], "'--k-grid'"),
+            (["--k", "4", "--workers", "0"], "workers"),
+        ],
+    )
+    def test_bad_flag_value_exits_2(self, corpus_dir, tmp_path, capsys, flags, named):
+        code = main([
+            "cluster",
+            "--embeddings", str(corpus_dir / "audio.emb"),
+            "--meta", str(corpus_dir / "meta.tsv"),
+            *flags,
+            "--out", str(tmp_path / "assign.tsv"),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "assign.tsv").exists()
+
     def test_missing_embedding_file_exits_3(self, corpus_dir, tmp_path, capsys):
         code = main([
             "cluster",

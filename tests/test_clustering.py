@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selflabel import clustering
+from selflabel import _parallel, clustering
 from selflabel.clustering import (
     Assignment,
     ClusterSettings,
@@ -70,6 +70,10 @@ class TestKmeansWorkedExamples:
         with pytest.raises(ConfigError):
             kmeans(FOUR_POINTS, 5, seed=0)
 
+    def test_worker_count_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            kmeans(FOUR_POINTS, 2, seed=0, workers=0)
+
 
 class TestKmeansContracts:
     def test_lloyd_monotone_wss(self):
@@ -84,7 +88,8 @@ class TestKmeansContracts:
         c, a, w = kmeans(x, 5, restarts=4, seed=2)
         assert w == wss(x, c, a)
 
-    def test_worker_count_invariance_bitwise(self):
+    def test_worker_count_invariance_bitwise(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
         x, _ = blobs(7, 500, 8, 2.0, seed=5)  # several chunks worth of rows
         results = [kmeans(x, 7, restarts=3, seed=6, workers=workers) for workers in (1, 2, 4)]
         for c, a, w in results[1:]:
@@ -210,9 +215,11 @@ class TestKmeansProperties:
         assert a.labels.min() >= 0 and a.labels.max() < k
         assert w == wss(x, c, a)
         assert w >= 0.0
-        # chunks of 4 rows, so two workers really split the assignment
+        # chunks of 4 rows, and forked restarts at any row count, so the two
+        # workers really split the restarts over chunked assignments
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering, "_CHUNK_ROWS", 4)
+            mp.setattr(_parallel, "FORK_MIN_ROWS", 0)
             chunked = kmeans(x, k, restarts=2, max_iters=20, seed=seed, workers=1)
             pooled = kmeans(x, k, restarts=2, max_iters=20, seed=seed, workers=2)
         for got in (chunked, pooled):

@@ -1,11 +1,13 @@
 """End-to-end pipeline: artifacts, determinism, resume, ground-truth firewall."""
 
 import json
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from selflabel import pipeline
+from selflabel import _parallel, pipeline
 from selflabel.encoder import TrainConfig
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams
@@ -27,6 +29,15 @@ from selflabel.synthdata import (
     read_corpus,
     write_corpus,
 )
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per ``os.fork`` call the test makes."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
 
 
 def tiny_config(out, seed=31, rounds=2, **overrides):
@@ -218,7 +229,8 @@ class TestDeterminismAndResume:
         run_pipeline(tiny_config(tmp_path / "extended", rounds=2))
         assert tree_bytes(tmp_path / "extended") == tree_bytes(tmp_path / "fresh")
 
-    def test_resume_with_another_worker_count_equals_uninterrupted(self, tmp_path):
+    def test_resume_with_another_worker_count_equals_uninterrupted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
         run_pipeline(tiny_config(tmp_path / "full", rounds=1))
 
         def workers(n):
@@ -230,6 +242,25 @@ class TestDeterminismAndResume:
         run_stage1(workers(1))
         run_pipeline(workers(2))
         assert tree_bytes(tmp_path / "resumed") == tree_bytes(tmp_path / "full")
+
+    def test_forked_run_equals_in_process_run(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
+        for n in (1, 2):
+            cluster = ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50, workers=n)
+            run_pipeline(tiny_config(tmp_path / f"w{n}", cluster=cluster))
+            if n == 1:
+                assert not forks
+        # one fork in round 0's k-means; per round, one for the classifier pair
+        # and one for each of the three k-means calls
+        assert len(forks) == 1 + 2 * 4
+        assert tree_bytes(tmp_path / "w2") == tree_bytes(tmp_path / "w1")
+
+    def test_small_inputs_run_in_process(self, tmp_path, forks):
+        # smaller than FORK_MIN_ROWS, as is the benchmark's warm-up run
+        config = tiny_config(tmp_path / "run", rounds=1)
+        assert config.cluster.workers == len(os.sched_getaffinity(0))
+        run_pipeline(replace(config, cluster=replace(config.cluster, workers=2)))
+        assert not forks
 
 
 def tree_bytes(root):
