@@ -16,9 +16,10 @@ from .clustering import (
     wss,
 )
 from .encoder import (
+    ClassifierConfig,
     ClassifierHead,
+    ContrastiveConfig,
     EncoderParams,
-    TrainConfig,
     classifier_loss,
     contrastive_loss,
     embed,

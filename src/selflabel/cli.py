@@ -119,19 +119,14 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    settings = _stage_settings(args)
-    config = settings.classifier
+    config = _stage_settings(args).classifier
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     corpus, features = _read_corpus_features(args.corpus, args.modality)
     ids, assignment = clustering.read_assignment(args.labels, k=args.num_classes)
     if ids != corpus.sample_ids:
         raise ConfigError("label file does not cover the corpus sample ids in order")
-    params, head, log = train_classifier(
-        features, assignment.labels, assignment.k, config,
-        augmentation_range=settings.classifier_augmentation,
-        augmentation_prob=settings.classifier_augmentation_prob,
-    )
+    params, head, log = train_classifier(features, assignment.labels, assignment.k, config)
     write_checkpoint(args.out, params, head)
     if args.log_out:
         write_train_log(args.log_out, log)
@@ -164,7 +159,10 @@ def _cmd_score(args) -> int:
     if args.fuse:
         if not args.weights:
             raise ConfigError("--weights is required with --fuse")
-        weights = [float(w) for w in args.weights.split(",")]
+        try:
+            weights = [float(w) for w in args.weights.split(",")]
+        except ValueError:
+            raise ConfigError(f"'--weights' must be numbers, got {args.weights!r}") from None
         sets = [scoring.read_scores(p, trials) for p in args.fuse]
         result = fuse_scores(sets, weights)
     else:

@@ -2,16 +2,21 @@
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
 dotted keys for sections (``classifier.epochs = 40``). Comma-separated
-values parse to tuples. Unknown keys are rejected so typos fail loudly.
+values parse to tuples. A section key sets the field of the same name in
+that section's settings class, converted by the type of the field's
+default; unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
+from .clustering import ClusterSettings
+from .encoder import ClassifierConfig, ContrastiveConfig
 from .errors import ConfigError
-from .pipeline import PipelineConfig
+from .metrics import DcfParams
+from .pipeline import EvalSettings, PipelineConfig
 from .synthdata import SynthConfig
 
 
@@ -62,22 +67,6 @@ def parse_kv_file(path) -> dict:
     return parse_kv_text(path.read_text())
 
 
-def _section(mapping: dict, prefix: str) -> dict:
-    out = {}
-    for key, value in mapping.items():
-        if key.startswith(prefix + "."):
-            out[key[len(prefix) + 1 :]] = value
-    return out
-
-
-def _override(base, kwargs: dict, what: str):
-    """``base`` with the given fields replaced; defaults stay with the dataclass."""
-    try:
-        return replace(base, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid {what} settings: {exc}") from exc
-
-
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
@@ -93,6 +82,12 @@ def _as_int(value, key: str) -> int:
     return value
 
 
+def _as_text(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a name, got {value!r}")
+    return value
+
+
 def _as_path(value, key: str) -> Path:
     if isinstance(value, tuple):
         raise ConfigError(f"config key {key!r} must be one path, got {value!r}")
@@ -103,25 +98,40 @@ def _as_int_tuple(value, key: str) -> tuple[int, ...]:
     return tuple(_as_int(v, key) for v in (value if isinstance(value, tuple) else (value,)))
 
 
-def _noise_range(kwargs: dict, low_key: str, high_key: str, what: str):
-    """Pop a (low, high) pair of keys; None when neither is set."""
-    low = kwargs.pop(low_key, None)
-    high = kwargs.pop(high_key, None)
-    if (low is None) != (high is None):
-        raise ConfigError(f"set both {what}.{low_key} and {what}.{high_key}")
-    if low is None:
-        return None
-    return _as_float(low, f"{what}.{low_key}"), _as_float(high, f"{what}.{high_key}")
+# conversion of a section key's value, by the type of its field's default
+_CONVERTERS = {int: _as_int, float: _as_float, str: _as_text}
+
+
+def _fields(cls, section: str, mapping: dict) -> dict:
+    """Keyword arguments of ``cls`` from the mapping's keys of one section:
+    the key ``section.name`` sets the field ``name``."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for key, value in mapping.items():
+        head, _, name = key.partition(".")
+        if head == section:
+            convert = _CONVERTERS.get(type(defaults.get(name)))
+            if convert is None:
+                raise ConfigError(f"unknown config key {key!r}")
+            kwargs[name] = convert(value, key)
+    return kwargs
+
+
+# the corpus's config.json stores this setting as one range field
+_NOISE_KEYS = ("synth.augmentation_noise_low", "synth.augmentation_noise_high")
 
 
 def build_synth_config(mapping: dict, seed_override: int | None = None) -> SynthConfig:
-    kwargs = _section(mapping, "synth")
-    noise = _noise_range(kwargs, "augmentation_noise_low", "augmentation_noise_high", "synth")
-    if noise is not None:
-        kwargs["augmentation_noise_range"] = noise
+    values = {k: v for k, v in mapping.items() if k not in _NOISE_KEYS}
+    kwargs = _fields(SynthConfig, "synth", values)
+    low, high = (mapping.get(key) for key in _NOISE_KEYS)
+    if (low is None) != (high is None):
+        raise ConfigError(f"set both {_NOISE_KEYS[0]} and {_NOISE_KEYS[1]}")
+    if low is not None:
+        kwargs["augmentation_noise_range"] = tuple(_as_float(mapping[k], k) for k in _NOISE_KEYS)
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    return _override(SynthConfig(), kwargs, "synth")
+    return SynthConfig(**kwargs)
 
 
 # top-level key -> (PipelineConfig field, conversion); an absent or empty
@@ -133,9 +143,15 @@ _TOP_LEVEL_KEYS = {
     "k_grid": ("k_grid", _as_int_tuple),
     "fixed_k": ("fixed_k", _as_int),
 }
-_SECTIONS = ("synth", "contrastive", "classifier", "cluster", "eval", "dcf")
-# TrainConfig fields that only the other training loop reads
-_UNREAD_KEYS = ("contrastive.epsilon_smooth", "classifier.temperature", "classifier.denominator")
+# section -> its settings class, each a PipelineConfig field of that name
+_SECTIONS = {
+    "synth": SynthConfig,
+    "contrastive": ContrastiveConfig,
+    "classifier": ClassifierConfig,
+    "cluster": ClusterSettings,
+    "eval": EvalSettings,
+    "dcf": DcfParams,
+}
 
 
 def build_pipeline_config(
@@ -149,13 +165,9 @@ def build_pipeline_config(
     converts and places the keys that the mapping sets.
     """
     for key in mapping:
-        head = key.split(".", 1)[0]
-        if key not in _TOP_LEVEL_KEYS and head not in _SECTIONS:
+        if key not in _TOP_LEVEL_KEYS and key.split(".", 1)[0] not in _SECTIONS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _UNREAD_KEYS:
-            raise ConfigError(f"config key {key!r} is not read by any training loop")
 
-    base = PipelineConfig(output_dir=Path(output_dir))
     kwargs = {
         name: convert(mapping[key], key)
         for key, (name, convert) in _TOP_LEVEL_KEYS.items()
@@ -163,15 +175,8 @@ def build_pipeline_config(
     }
     if seed_override is not None:
         kwargs["seed"] = int(seed_override)
-    classifier = _section(mapping, "classifier")
-    aug_range = _noise_range(classifier, "aug_low", "aug_high", "classifier")
-    if aug_range is not None:
-        kwargs["classifier_augmentation"] = aug_range
-    aug_prob = classifier.pop("aug_prob", None)
-    if aug_prob is not None:
-        kwargs["classifier_augmentation_prob"] = _as_float(aug_prob, "classifier.aug_prob")
     kwargs["synth"] = build_synth_config(mapping)
-    kwargs["classifier"] = _override(base.classifier, classifier, "classifier")
-    for name in ("contrastive", "cluster", "eval", "dcf"):
-        kwargs[name] = _override(getattr(base, name), _section(mapping, name), name)
-    return _override(base, kwargs, "pipeline")
+    for name, cls in _SECTIONS.items():
+        if name != "synth":
+            kwargs[name] = cls(**_fields(cls, name, mapping))
+    return PipelineConfig(output_dir=Path(output_dir), **kwargs)

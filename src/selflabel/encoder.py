@@ -34,10 +34,6 @@ from .synthdata import perturb_two_views
 
 _ENC_MAGIC = b"ENC1"
 
-# Per-sample rate at which the supervised stage perturbs its inputs; the
-# pipeline config takes its default from here.
-CLASSIFIER_AUGMENTATION_PROB = 0.6
-
 
 @dataclass(frozen=True)
 class EncoderParams:
@@ -103,34 +99,21 @@ class ClassifierHead:
         return [self.w, self.b]
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters shared by both training loops.
-
-    ``denominator`` picks the contrastive denominator: ``cross`` restricts
-    negatives to opposite-view embeddings of other samples (the positive term
-    is excluded), ``simclr`` is the standard NT-Xent denominator over all
-    other 2M-1 embeddings.
-    """
+@dataclass(frozen=True, kw_only=True)
+class _LoopConfig:
+    """Settings both training loops read; the subclasses' defaults are the pipeline's."""
 
     batch_size: int = 128
-    temperature: float = 0.1
-    epsilon_smooth: float = 0.1
-    learning_rate: float = 0.1
-    epochs: int = 30
+    learning_rate: float
+    epochs: int
     seed: int = 0
-    optimizer: str = "sgd"
+    optimizer: str
     hidden_dim: int = 64
     embed_dim: int = 16
-    denominator: str = "cross"
 
     def __post_init__(self):
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if not 0 <= self.epsilon_smooth < 1:
-            raise ConfigError("epsilon_smooth must lie in [0, 1)")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 0:
@@ -141,8 +124,44 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ConfigError("hidden_dim and embed_dim must be >= 1")
-        if self.denominator not in ("cross", "simclr"):
-            raise ConfigError(f"unknown denominator variant {self.denominator!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ContrastiveConfig(_LoopConfig):
+    """Settings of :func:`train_contrastive`."""
+
+    learning_rate: float = 0.003
+    epochs: int = 8
+    optimizer: str = "adam"
+    temperature: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.temperature <= 0:
+            raise ConfigError("temperature must be positive")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ClassifierConfig(_LoopConfig):
+    """Settings of :func:`train_classifier`. Its input noise (``aug_*``)
+    reaches further than the contrastive stage's corpus default."""
+
+    learning_rate: float = 0.5
+    epochs: int = 40
+    optimizer: str = "sgd"
+    epsilon_smooth: float = 0.1
+    aug_low: float = 1.0
+    aug_high: float = 2.4
+    aug_prob: float = 0.6
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 <= self.epsilon_smooth < 1:
+            raise ConfigError("epsilon_smooth must lie in [0, 1)")
+        if self.aug_low < 0 or self.aug_high < self.aug_low:
+            raise ConfigError("augmentation range must satisfy 0 <= aug_low <= aug_high")
+        if not 0 <= self.aug_prob <= 1:
+            raise ConfigError("aug_prob must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +248,12 @@ class _NtXent:
     buffers, all built once; see :func:`contrastive_loss` for the formula.
     """
 
-    def __init__(self, m: int, d: int, tau: float, denominator: str):
+    def __init__(self, m: int, d: int, tau: float):
         n2 = 2 * m
         pair = np.concatenate([np.arange(m) + m, np.arange(m)])
-        if denominator == "cross":
-            sample = np.concatenate([np.arange(m), np.arange(m)])
-            view = np.repeat(np.array([0, 1]), m)
-            mask = (sample[:, None] != sample[None, :]) & (view[:, None] != view[None, :])
-        elif denominator == "simclr":
-            mask = ~np.eye(n2, dtype=bool)
-        else:
-            raise ConfigError(f"unknown denominator variant {denominator!r}")
+        sample = np.concatenate([np.arange(m), np.arange(m)])
+        view = np.repeat(np.array([0, 1]), m)
+        mask = (sample[:, None] != sample[None, :]) & (view[:, None] != view[None, :])
         self.tau = tau
         self._excluded = ~mask
         self._rows = np.arange(n2)
@@ -292,17 +306,17 @@ class _NtXent:
         return loss
 
 
-def contrastive_loss(z: np.ndarray, tau: float, denominator: str = "cross"):
+def contrastive_loss(z: np.ndarray, tau: float):
     """Instance-discrimination loss over a two-view batch, with gradient.
 
     ``z`` has shape (2M, d): rows 0..M-1 are the first views, rows M..2M-1
     the second views of samples 0..M-1. Per anchor, the positive score is the
-    cosine of the sample's two views; the denominator set depends on the
-    ``denominator`` variant (see :class:`TrainConfig`). Returns the mean
+    cosine of the sample's two views, and the denominator runs over the
+    opposite-view embeddings of the other samples. Returns the mean
     per-anchor loss and its gradient with respect to ``z``. The loss is a
     pure function of pairwise cosines, hence invariant to a common positive
-    rescaling of all embeddings, and is not sign-constrained in the
-    ``cross`` variant (the positive term is absent from its denominator).
+    rescaling of all embeddings, and is not sign-constrained (the positive
+    term is absent from its denominator).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] % 2 != 0:
@@ -315,7 +329,7 @@ def contrastive_loss(z: np.ndarray, tau: float, denominator: str = "cross"):
     if tau <= 0:
         raise ConfigError("temperature must be positive")
     grad = np.empty_like(z)
-    loss = _NtXent(m, z.shape[1], tau, denominator)(z, grad)
+    loss = _NtXent(m, z.shape[1], tau)(z, grad)
     return loss, grad
 
 
@@ -486,11 +500,11 @@ class _Adam:
         self.theta -= w
 
 
-def _make_optimizer(config: TrainConfig, theta):
+def _make_optimizer(config: _LoopConfig, theta):
     return _Adam(theta) if config.optimizer == "adam" else _Sgd(theta)
 
 
-def _lr_at(config: TrainConfig, epoch: int) -> float:
+def _lr_at(config: _LoopConfig, epoch: int) -> float:
     # SGD drops by 10x at two thirds of the run; Adam stays flat.
     if config.optimizer == "sgd" and config.epochs > 0 and epoch >= (2 * config.epochs) // 3:
         return config.learning_rate * 0.1
@@ -504,7 +518,7 @@ def _lr_at(config: TrainConfig, epoch: int) -> float:
 
 def train_contrastive(
     features: np.ndarray,
-    config: TrainConfig,
+    config: ContrastiveConfig,
     augmentation_range: tuple[float, float],
 ) -> tuple[EncoderParams, list[tuple[int, float, float]]]:
     """Instance-discrimination pretraining on a feature matrix.
@@ -530,7 +544,7 @@ def train_contrastive(
     rng = np.random.default_rng([config.seed, 102])
     size = config.batch_size
     theta, grad, arrays, grads, bufs = _flat(params, None, 2 * size)
-    loss_fn = _NtXent(size, params.embed_dim, config.temperature, config.denominator)
+    loss_fn = _NtXent(size, params.embed_dim, config.temperature)
     opt = _make_optimizer(config, theta)
     xb = np.empty((size, x.shape[1]))
     batch = np.empty((2 * size, x.shape[1]))
@@ -555,16 +569,15 @@ def train_classifier(
     features: np.ndarray,
     pseudo_labels: np.ndarray,
     num_classes: int,
-    config: TrainConfig,
-    augmentation_range: tuple[float, float] | None = None,
-    augmentation_prob: float = CLASSIFIER_AUGMENTATION_PROB,
+    config: ClassifierConfig,
 ) -> tuple[EncoderParams, ClassifierHead, list[tuple[int, float, float]]]:
     """Supervised training of encoder + linear head on pseudo-labels.
 
-    Targets are label-smoothed with ``config.epsilon_smooth``. When an
-    ``augmentation_range`` is given, each sample is perturbed with additive
-    noise at probability ``augmentation_prob`` per step; combined with the
-    smoothing this is what keeps the network from memorizing label noise.
+    Targets are label-smoothed with ``config.epsilon_smooth``. In each step,
+    each sample is perturbed at probability ``config.aug_prob`` with
+    Gaussian noise whose magnitude is drawn from [``aug_low``, ``aug_high``];
+    combined with the smoothing this is what keeps the network from
+    memorizing label noise. At ``aug_prob`` 0 nothing is drawn for it.
     Returns the trained encoder, the head, and a per-epoch (epoch,
     mean_loss, accuracy) log where accuracy is the training accuracy against
     the pseudo-labels.
@@ -581,12 +594,6 @@ def train_classifier(
         raise ConfigError(
             f"label index out of range: found {labels.max()}, have {num_classes} classes"
         )
-    if augmentation_range is not None:
-        low, high = augmentation_range
-        if low < 0 or high < low:
-            raise ConfigError("augmentation range must satisfy 0 <= low <= high")
-        if not 0 <= augmentation_prob <= 1:
-            raise ConfigError("augmentation_prob must lie in [0, 1]")
     _require_finite_rows(x, "features")
 
     n = x.shape[0]
@@ -609,9 +616,9 @@ def train_classifier(
             idx = order[start : start + size]
             m = len(idx)
             xb = np.take(x, idx, axis=0, out=x_buf[:m])
-            if augmentation_range is not None:
-                hit = rng.random(m) < augmentation_prob
-                mag = rng.uniform(low, high, size=(m, 1))
+            if config.aug_prob > 0:
+                hit = rng.random(m) < config.aug_prob
+                mag = rng.uniform(config.aug_low, config.aug_high, size=(m, 1))
                 mag *= hit[:, None]
                 noise = rng.standard_normal(out=noise_buf[:m])
                 noise *= mag

@@ -5,11 +5,12 @@ Every round writes a self-contained directory (checkpoints, embeddings,
 assignments, scores, metrics). Downstream computations always consume the
 written files, never in-memory intermediates, so re-running metrics on a
 stored round reproduces its report byte for byte, and a resumed run is
-indistinguishable from an uninterrupted one. The ``corpus/`` and round
-directories and the run-level files (``run_config.json``, ``trials.txt``,
-``cohort_ids.txt``, ``report.json``) are written under a staging name and
-renamed into place only when complete, so a crash during any of these
-writes leaves either the whole directory or file or none.
+indistinguishable from an uninterrupted one. The ``corpus/``, round and
+``final/`` directories and the run-level files (``run_config.json``,
+``trials.txt``, ``cohort_ids.txt``, ``report.json``) are written under a
+staging name and renamed into place only when complete, so a crash during
+any of these writes leaves either the whole directory or file or none, and
+a re-run leaves no file of an earlier run's ``final/``.
 
 Ground-truth identity labels are read only by evaluation steps (trial
 generation, NMI); the training path sees feature matrices and pseudo-labels
@@ -43,8 +44,8 @@ from .clustering import (
     write_wss_curve,
 )
 from .encoder import (
-    CLASSIFIER_AUGMENTATION_PROB,
-    TrainConfig,
+    ClassifierConfig,
+    ContrastiveConfig,
     embed,
     train_classifier,
     train_contrastive,
@@ -90,20 +91,8 @@ class PipelineConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     k_grid: tuple[int, ...] = (100, 150, 200, 250, 300, 400)
     fixed_k: int | None = None
-    contrastive: TrainConfig = field(
-        default_factory=lambda: TrainConfig(
-            optimizer="adam", learning_rate=0.003, epochs=8, batch_size=128
-        )
-    )
-    classifier: TrainConfig = field(
-        default_factory=lambda: TrainConfig(
-            optimizer="sgd", learning_rate=0.5, epochs=40, batch_size=128
-        )
-    )
-    # the supervised stage perturbs inputs harder than the contrastive one
-    # (range extended at the noisy end), applied per sample at this rate
-    classifier_augmentation: tuple[float, float] = (1.0, 2.4)
-    classifier_augmentation_prob: float = CLASSIFIER_AUGMENTATION_PROB
+    contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
+    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     cluster: ClusterSettings = field(default_factory=ClusterSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
     dcf: DcfParams = field(default_factory=DcfParams)
@@ -120,12 +109,6 @@ class PipelineConfig:
             object.__setattr__(self, "k_grid", elbow_grid(self.k_grid))
         elif self.fixed_k < 1:
             raise ConfigError("fixed_k must be >= 1")
-        low, high = self.classifier_augmentation
-        if low < 0 or high < low:
-            raise ConfigError("classifier_augmentation must satisfy 0 <= low <= high")
-        if not 0 <= self.classifier_augmentation_prob <= 1:
-            raise ConfigError("classifier_augmentation_prob must lie in [0, 1]")
-        object.__setattr__(self, "classifier_augmentation", (float(low), float(high)))
 
     def fingerprint(self) -> str:
         """Hash of the settings that shape the run's files. ``rounds`` is out,
@@ -467,8 +450,6 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
                 labels.labels,
                 k,
                 replace(config.classifier, seed=_derive_seed(config.seed, round_index, stream)),
-                config.classifier_augmentation,
-                config.classifier_augmentation_prob,
             )
             for stream, modality in enumerate(_MODALITIES, start=4)
         ]
@@ -526,35 +507,35 @@ def _system_metrics(raw: ScoreSet, normed: ScoreSet, dcf: DcfParams) -> dict:
 def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: RoundArtifacts) -> dict:
     """Normalized and fused verification metrics from the last round's
     stored embeddings and score files."""
-    final_dir = config.output_dir / "final"
-    final_dir.mkdir(exist_ok=True)
     systems = ["audio"] if last.index == 0 else ["audio", "visual"]
     raw_sets, norm_sets = {}, {}
-    for modality in systems:
-        z = last.embeddings(modality).astype(np.float64)
-        by_id = _embeddings_by_id(corpus, z)
-        raw = scoring.read_scores(last.path / f"scores_{modality}.tsv", trials)
-        cohort = Cohort(np.stack([by_id[cid] for cid in cohort_ids]))
-        normed = as_norm(raw, by_id, cohort, config.eval.top_n)
-        scoring.write_scores(final_dir / f"scores_{modality}_norm.tsv", normed)
-        raw_sets[modality] = raw
-        norm_sets[modality] = scoring.read_scores(
-            final_dir / f"scores_{modality}_norm.tsv", trials
-        )
+    with _staged(config.output_dir / "final") as final_dir:
+        final_dir.mkdir()
+        for modality in systems:
+            z = last.embeddings(modality).astype(np.float64)
+            by_id = _embeddings_by_id(corpus, z)
+            raw = scoring.read_scores(last.path / f"scores_{modality}.tsv", trials)
+            cohort = Cohort(np.stack([by_id[cid] for cid in cohort_ids]))
+            normed = as_norm(raw, by_id, cohort, config.eval.top_n)
+            scoring.write_scores(final_dir / f"scores_{modality}_norm.tsv", normed)
+            raw_sets[modality] = raw
+            norm_sets[modality] = scoring.read_scores(
+                final_dir / f"scores_{modality}_norm.tsv", trials
+            )
 
-    out = {
-        modality: _system_metrics(raw_sets[modality], norm_sets[modality], config.dcf)
-        for modality in systems
-    }
-    if len(systems) > 1:
-        weights = [1.0 / len(systems)] * len(systems)
-        fused_raw = fuse_scores([raw_sets[m] for m in systems], weights)
-        fused_norm = fuse_scores([norm_sets[m] for m in systems], weights)
-        scoring.write_scores(final_dir / "scores_fusion.tsv", fused_raw)
-        scoring.write_scores(final_dir / "scores_fusion_norm.tsv", fused_norm)
-        fused_raw = scoring.read_scores(final_dir / "scores_fusion.tsv", trials)
-        fused_norm = scoring.read_scores(final_dir / "scores_fusion_norm.tsv", trials)
-        out["fusion"] = _system_metrics(fused_raw, fused_norm, config.dcf)
+        out = {
+            modality: _system_metrics(raw_sets[modality], norm_sets[modality], config.dcf)
+            for modality in systems
+        }
+        if len(systems) > 1:
+            weights = [1.0 / len(systems)] * len(systems)
+            fused_raw = fuse_scores([raw_sets[m] for m in systems], weights)
+            fused_norm = fuse_scores([norm_sets[m] for m in systems], weights)
+            scoring.write_scores(final_dir / "scores_fusion.tsv", fused_raw)
+            scoring.write_scores(final_dir / "scores_fusion_norm.tsv", fused_norm)
+            fused_raw = scoring.read_scores(final_dir / "scores_fusion.tsv", trials)
+            fused_norm = scoring.read_scores(final_dir / "scores_fusion_norm.tsv", trials)
+            out["fusion"] = _system_metrics(fused_raw, fused_norm, config.dcf)
     return out
 
 

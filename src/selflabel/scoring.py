@@ -200,6 +200,8 @@ def fuse_scores(score_sets: Sequence[ScoreSet], weights: Sequence[float]) -> Sco
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(score_sets),):
         raise ConfigError("one weight per score set required")
+    if not np.all(np.isfinite(w)):
+        raise ConfigError(f"weights must be finite, got {w.tolist()!r}")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ConfigError(f"weights must sum to 1, got {w.sum()!r}")
     first = score_sets[0]

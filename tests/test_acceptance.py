@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from selflabel.clustering import WssCurve, kmeans, select_k_elbow
-from selflabel.encoder import TrainConfig, classifier_loss, contrastive_loss, grad_check
+from selflabel.encoder import (
+    ClassifierConfig,
+    ContrastiveConfig,
+    classifier_loss,
+    contrastive_loss,
+    grad_check,
+)
 from selflabel.ensemble import correspond
 from selflabel.errors import NumericError
 from selflabel.metrics import DcfParams, eer, min_dcf, nmi
@@ -382,9 +388,13 @@ def _small_pipeline(out, seed=61, rounds=2, corpus_path=None, synth_seed=None):
             seed=synth_seed if synth_seed is not None else seed,
         ),
         fixed_k=20,
-        contrastive=TrainConfig(optimizer="adam", learning_rate=0.003, epochs=3, batch_size=25),
-        classifier=TrainConfig(optimizer="sgd", learning_rate=0.5, epochs=6, batch_size=25),
-        classifier_augmentation=(0.5, 1.2),
+        contrastive=ContrastiveConfig(
+            optimizer="adam", learning_rate=0.003, epochs=3, batch_size=25
+        ),
+        classifier=ClassifierConfig(
+            optimizer="sgd", learning_rate=0.5, epochs=6, batch_size=25,
+            aug_low=0.5, aug_high=1.2,
+        ),
         cluster=ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50),
         eval=EvalSettings(cohort_size=10, top_n=8, target_trials=30, nontarget_trials=30),
     )

@@ -1,5 +1,6 @@
 """CLI subcommands, config files, and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -92,7 +93,7 @@ class TestConfigParsing:
         assert config.seed == 9
         assert config.fixed_k == 16
         assert config.classifier.epochs == 4
-        assert config.classifier_augmentation == (0.4, 1.0)
+        assert (config.classifier.aug_low, config.classifier.aug_high) == (0.4, 1.0)
         assert config.synth.augmentation_noise_range == (0.4, 0.9)
 
 
@@ -145,6 +146,39 @@ class TestConfigValueErrors:
     def test_integral_values_still_convert(self, tmp_path):
         config = build_pipeline_config({"rounds": 2.0, "fixed_k": 7}, tmp_path)
         assert (config.rounds, config.fixed_k) == (2, 7)
+
+    @pytest.mark.parametrize(
+        "section", ["synth", "contrastive", "classifier", "cluster", "eval", "dcf"]
+    )
+    def test_every_field_is_a_key(self, tmp_path, capsys, section):
+        """``section.field = <default>`` builds the default config, and a
+        numeric field takes no word, nor an integer field a fraction."""
+        run = tmp_path / "run"
+        default = build_pipeline_config({}, run)
+        settings = getattr(default, section)
+        for field in dataclasses.fields(settings):
+            value = getattr(settings, field.name)
+            if field.name == "augmentation_noise_range":
+                keys = ("synth.augmentation_noise_low", "synth.augmentation_noise_high")
+                good = dict(zip(keys, value))
+            else:
+                keys = (f"{section}.{field.name}",)
+                good = {keys[0]: value}
+            text = "".join(f"{k} = {v}\n" for k, v in good.items())
+            assert build_pipeline_config(parse_kv_text(text), run) == default, text
+            if isinstance(value, str):
+                continue
+            bad_values = ["abc", "2.5"] if isinstance(value, int) else ["abc"]
+            for key in keys:
+                for bad in bad_values:
+                    cfg = tmp_path / "bad.cfg"
+                    cfg.write_text("".join(
+                        f"{k} = {bad if k == key else v}\n" for k, v in good.items()
+                    ))
+                    code = main(["pipeline", "--config", str(cfg), "--out", str(run)])
+                    assert code == 2, (key, bad)
+                    assert repr(key) in capsys.readouterr().err, (key, bad)
+                    assert not run.exists()
 
 
 class TestGenerate:
@@ -286,6 +320,24 @@ class TestScore:
         assert code == 0
         rows = [ln.split() for ln in fused.read_text().splitlines()]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "weights, named", [("0.5,x", "'--weights'"), ("0.5,nan", "weights must be finite")]
+    )
+    def test_bad_weights_exit_2(self, tmp_path, capsys, weights, named):
+        trials_path = tmp_path / "trials.txt"
+        trials_path.write_text("a b 1\nc d 0\n")
+        scores = tmp_path / "s.txt"
+        scores.write_text("a b 0.1\nc d 0.2\n")
+        out = tmp_path / "fused.txt"
+        code = main([
+            "score", "--trials", str(trials_path),
+            "--fuse", str(scores), str(scores), "--weights", weights,
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_asnorm_via_cohort_file(self, corpus_dir, tmp_path):
         corpus = read_corpus(corpus_dir)

@@ -8,8 +8,9 @@ import pytest
 from selflabel.clustering import kmeans
 from selflabel.encoder import (
     ClassifierHead,
+    ClassifierConfig,
+    ContrastiveConfig,
     EncoderParams,
-    TrainConfig,
     _classifier_step,
     _contrastive_step,
     _flat,
@@ -58,7 +59,7 @@ def smoothed_target(label, k, epsilon):
     return np.full(k, 1.0 / k) - grad[0]
 
 
-def contrastive_oracle(z, tau, denominator="cross"):
+def contrastive_oracle(z, tau):
     """Straight nested-loop evaluation of the two-view loss."""
     z = np.asarray(z, dtype=np.float64)
     m = z.shape[0] // 2
@@ -76,11 +77,7 @@ def contrastive_oracle(z, tau, denominator="cross"):
             den = 0.0
             for k in range(m):
                 for l in range(2):
-                    if denominator == "cross":
-                        keep = k != i and l != j
-                    else:
-                        keep = (k, l) != (i, j)
-                    if keep:
+                    if k != i and l != j:
                         den += math.exp(cos(row(i, j), row(k, l)) / tau)
             total += -math.log(num / den)
     return total / (2 * m)
@@ -134,20 +131,18 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(11)
         z = rng.standard_normal((8, 6))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        for variant in ("cross", "simclr"):
-            loss, _ = contrastive_loss(z, tau=0.1, denominator=variant)
-            assert loss == pytest.approx(contrastive_oracle(z, 0.1, variant), abs=1e-12)
+        loss, _ = contrastive_loss(z, tau=0.1)
+        assert loss == pytest.approx(contrastive_oracle(z, 0.1), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         z0 = rng.standard_normal((8, 5))
-        for variant in ("cross", "simclr"):
 
-            def f(theta, variant=variant):
-                loss, grad = contrastive_loss(theta.reshape(8, 5), 0.1, variant)
-                return loss, grad.ravel()
+        def f(theta):
+            loss, grad = contrastive_loss(theta.reshape(8, 5), 0.1)
+            return loss, grad.ravel()
 
-            assert grad_check(f, z0.ravel()) < 1e-4
+        assert grad_check(f, z0.ravel()) < 1e-4
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
@@ -346,8 +341,7 @@ class TestGradCheckHarness:
 
         assert grad_check(f, theta) < 1e-4
 
-    @pytest.mark.parametrize("variant", ["cross", "simclr"])
-    def test_production_contrastive_step(self, variant):
+    def test_production_contrastive_step(self):
         rng = np.random.default_rng(15)
         in_dim, hidden, embed_dim, m = 4, 5, 3, 3
         x = rng.standard_normal((2 * m, in_dim))
@@ -355,7 +349,7 @@ class TestGradCheckHarness:
         flat, grad, arrays, grads, bufs = _flat(params, None, 2 * m)
         theta = pack_params(params)
         np.testing.assert_array_equal(flat, theta)
-        loss_fn = _NtXent(m, embed_dim, 0.2, variant)
+        loss_fn = _NtXent(m, embed_dim, 0.2)
 
         def f(theta):
             flat[:] = theta
@@ -383,7 +377,7 @@ def tiny_corpus():
 class TestTrainContrastive:
     def test_zero_epochs_returns_initialization(self):
         corpus = tiny_corpus()
-        cfg = TrainConfig(epochs=0, batch_size=16, seed=3, optimizer="adam")
+        cfg = ContrastiveConfig(epochs=0, batch_size=16, seed=3, optimizer="adam")
         params, log = train_contrastive(corpus.audio.astype(np.float64), cfg, (0.2, 0.6))
         expected = init_encoder(6, cfg.hidden_dim, cfg.embed_dim, np.random.default_rng([3, 101]))
         np.testing.assert_array_equal(params.w1, expected.w1)
@@ -392,7 +386,9 @@ class TestTrainContrastive:
 
     def test_determinism_bitwise(self):
         corpus = tiny_corpus()
-        cfg = TrainConfig(epochs=3, batch_size=16, seed=9, optimizer="adam", learning_rate=0.003)
+        cfg = ContrastiveConfig(
+            epochs=3, batch_size=16, seed=9, optimizer="adam", learning_rate=0.003
+        )
         x = corpus.audio.astype(np.float64)
         p1, _ = train_contrastive(x, cfg, (0.2, 0.6))
         p2, _ = train_contrastive(x, cfg, (0.2, 0.6))
@@ -401,13 +397,13 @@ class TestTrainContrastive:
 
     def test_batch_size_above_corpus_rejected(self):
         corpus = tiny_corpus()
-        cfg = TrainConfig(epochs=1, batch_size=1000, seed=0)
+        cfg = ContrastiveConfig(epochs=1, batch_size=1000, seed=0)
         with pytest.raises(ConfigError):
             train_contrastive(corpus.audio.astype(np.float64), cfg, (0.2, 0.6))
 
     def test_augmentation_range_validated(self):
         corpus = tiny_corpus()
-        cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        cfg = ContrastiveConfig(epochs=1, batch_size=16, seed=0)
         with pytest.raises(ConfigError):
             train_contrastive(corpus.audio.astype(np.float64), cfg, (0.5, 0.1))
 
@@ -423,7 +419,7 @@ class TestContrastiveBeatsRawBaseline:
         _, raw_assign, _ = kmeans(x, k, restarts=10, seed=1)
         raw_nmi = nmi(raw_assign.labels, truth)
 
-        cfg = TrainConfig(
+        cfg = ContrastiveConfig(
             optimizer="adam", learning_rate=0.003, epochs=20, batch_size=128,
             temperature=0.1, seed=0,
         )
@@ -447,8 +443,8 @@ class TestTrainClassifier:
         probe_acc = ((design @ coef > 0).astype(int) == y).mean()
         assert probe_acc == 1.0
 
-        cfg = TrainConfig(
-            epochs=50, batch_size=20, seed=4, optimizer="sgd", learning_rate=0.5
+        cfg = ClassifierConfig(
+            epochs=50, batch_size=20, seed=4, optimizer="sgd", learning_rate=0.5, aug_prob=0.0
         )
         _, _, log = train_classifier(x, y, 2, cfg)
         assert log[-1][2] >= 0.99
@@ -457,7 +453,7 @@ class TestTrainClassifier:
         corpus = tiny_corpus()
         x = corpus.audio.astype(np.float64)
         labels = np.arange(len(x)) % 4
-        cfg = TrainConfig(epochs=0, batch_size=16, seed=2)
+        cfg = ClassifierConfig(epochs=0, batch_size=16, seed=2)
         params, head, log = train_classifier(x, labels, 4, cfg)
         rng = np.random.default_rng([2, 201])
         expected = init_encoder(6, cfg.hidden_dim, cfg.embed_dim, rng)
@@ -476,9 +472,9 @@ class TestTrainClassifier:
         floor = float(-(q * np.log(q)).sum())
         assert floor > 0
 
-        cfg = TrainConfig(
+        cfg = ClassifierConfig(
             epochs=60, batch_size=20, seed=4, optimizer="sgd", learning_rate=0.5,
-            epsilon_smooth=eps,
+            epsilon_smooth=eps, aug_prob=0.0,
         )
         _, _, log = train_classifier(x, y, k, cfg)
         assert log[-1][2] == 1.0  # perfect training accuracy
@@ -489,15 +485,17 @@ class TestTrainClassifier:
         x = corpus.audio.astype(np.float64)
         labels = np.full(len(x), 7)
         with pytest.raises(ConfigError):
-            train_classifier(x, labels, 4, TrainConfig(epochs=1, batch_size=16, seed=0))
+            train_classifier(x, labels, 4, ClassifierConfig(epochs=1, batch_size=16, seed=0))
 
     def test_determinism_bitwise(self):
         corpus = tiny_corpus()
         x = corpus.audio.astype(np.float64)
         labels = np.arange(len(x)) % 5
-        cfg = TrainConfig(epochs=3, batch_size=16, seed=6, learning_rate=0.2)
-        p1, h1, _ = train_classifier(x, labels, 5, cfg, augmentation_range=(0.0, 0.5))
-        p2, h2, _ = train_classifier(x, labels, 5, cfg, augmentation_range=(0.0, 0.5))
+        cfg = ClassifierConfig(
+            epochs=3, batch_size=16, seed=6, learning_rate=0.2, aug_low=0.0, aug_high=0.5
+        )
+        p1, h1, _ = train_classifier(x, labels, 5, cfg)
+        p2, h2, _ = train_classifier(x, labels, 5, cfg)
         for a, b in zip(p1.arrays() + h1.arrays(), p2.arrays() + h2.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -506,7 +504,9 @@ class TestTrainClassifier:
         corpus = tiny_corpus()
         x = corpus.audio.astype(np.float64)
         labels = np.arange(len(x)) % 4
-        cfg = TrainConfig(epochs=20, batch_size=16, seed=0, optimizer="sgd", learning_rate=1e18)
+        cfg = ClassifierConfig(
+            epochs=20, batch_size=16, seed=0, optimizer="sgd", learning_rate=1e18, aug_prob=0.0
+        )
         with pytest.raises(TrainingError) as excinfo:
             train_classifier(x, labels, 4, cfg)
         assert excinfo.value.epoch >= 0
@@ -523,13 +523,13 @@ class TestNonFiniteFeatures:
 
     def test_classifier_names_first_bad_row(self):
         labels = np.arange(80) % 4
-        cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        cfg = ClassifierConfig(epochs=1, batch_size=16, seed=0)
         with pytest.raises(NumericError, match="row 41") as excinfo:
             train_classifier(self.bad_features(), labels, 4, cfg)
         assert not isinstance(excinfo.value, TrainingError)
 
     def test_contrastive_names_first_bad_row(self):
-        cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        cfg = ContrastiveConfig(epochs=1, batch_size=16, seed=0)
         with pytest.raises(NumericError, match="row 41") as excinfo:
             train_contrastive(self.bad_features(), cfg, (0.2, 0.6))
         assert not isinstance(excinfo.value, TrainingError)

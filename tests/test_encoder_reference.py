@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from selflabel.encoder import (
+    ClassifierConfig,
+    ContrastiveConfig,
     EncoderParams,
-    TrainConfig,
     init_encoder,
     init_head,
     train_classifier,
@@ -49,7 +50,7 @@ def ref_perturb_two_views(x, low, high, rng):
     return views[0], views[1]
 
 
-def ref_contrastive_loss(z, tau, denominator):
+def ref_contrastive_loss(z, tau):
     n2 = z.shape[0]
     m = n2 // 2
     norms = np.linalg.norm(z, axis=1)
@@ -57,12 +58,9 @@ def ref_contrastive_loss(z, tau, denominator):
     cosines = u @ u.T
     s = cosines / tau
     pair = np.concatenate([np.arange(m) + m, np.arange(m)])
-    if denominator == "cross":
-        sample = np.concatenate([np.arange(m), np.arange(m)])
-        view = np.repeat(np.array([0, 1]), m)
-        mask = (sample[:, None] != sample[None, :]) & (view[:, None] != view[None, :])
-    else:
-        mask = ~np.eye(n2, dtype=bool)
+    sample = np.concatenate([np.arange(m), np.arange(m)])
+    view = np.repeat(np.array([0, 1]), m)
+    mask = (sample[:, None] != sample[None, :]) & (view[:, None] != view[None, :])
     s_masked = np.where(mask, s, -np.inf)
     row_max = s_masked.max(axis=1)
     expo = np.exp(s_masked - row_max[:, None])
@@ -150,7 +148,7 @@ def ref_train_contrastive(x, config, augmentation_range):
             v1, v2 = ref_perturb_two_views(x[idx], low, high, rng)
             batch = np.vstack([v1, v2])
             hidden, z = ref_forward(params, batch)
-            loss, dz = ref_contrastive_loss(z, config.temperature, config.denominator)
+            loss, dz = ref_contrastive_loss(z, config.temperature)
             grads = ref_backward(params, batch, hidden, dz)
             opt.step(grads.arrays(), lr)
             losses.append(loss)
@@ -158,7 +156,7 @@ def ref_train_contrastive(x, config, augmentation_range):
     return params, log
 
 
-def ref_train_classifier(x, labels, num_classes, config, augmentation_range, augmentation_prob):
+def ref_train_classifier(x, labels, num_classes, config):
     n = x.shape[0]
     init_rng = np.random.default_rng([config.seed, 201])
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
@@ -174,10 +172,10 @@ def ref_train_classifier(x, labels, num_classes, config, augmentation_range, aug
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             xb, yb = x[idx], labels[idx]
-            if augmentation_range is not None:
-                low, high = augmentation_range
-                hit = rng.random(len(idx)) < augmentation_prob
-                mag = rng.uniform(low, high, size=(len(idx), 1)) * hit[:, None]
+            if config.aug_prob > 0:
+                hit = rng.random(len(idx)) < config.aug_prob
+                mag = rng.uniform(config.aug_low, config.aug_high, size=(len(idx), 1))
+                mag = mag * hit[:, None]
                 xb = xb + mag * rng.standard_normal(xb.shape)
             hidden, z = ref_forward(params, xb)
             logits = z @ head.w.T + head.b
@@ -230,31 +228,33 @@ CLASSIFIER_CASES = [
 def test_train_classifier_matches_reference(n, d, k, batch, epochs, optimizer, lr, aug):
     x = features(n, d, seed=n + k)
     labels = np.random.default_rng(k).integers(0, k, size=n)
-    cfg = TrainConfig(
-        epochs=epochs, batch_size=batch, seed=17, optimizer=optimizer, learning_rate=lr
+    aug_settings = {"aug_low": aug[0], "aug_high": aug[1]} if aug else {"aug_prob": 0.0}
+    cfg = ClassifierConfig(
+        epochs=epochs, batch_size=batch, seed=17, optimizer=optimizer, learning_rate=lr,
+        **aug_settings,
     )
-    params, head, log = train_classifier(x, labels, k, cfg, augmentation_range=aug)
-    ref_params, ref_head, ref_log = ref_train_classifier(x, labels, k, cfg, aug, 0.6)
+    params, head, log = train_classifier(x, labels, k, cfg)
+    ref_params, ref_head, ref_log = ref_train_classifier(x, labels, k, cfg)
     assert_bitwise(params.arrays() + head.arrays(), ref_params.arrays() + ref_head.arrays())
     assert_same_log(log, ref_log)
 
 
 CONTRASTIVE_CASES = [
-    # (n, d, batch, epochs, optimizer, lr, denominator)
-    pytest.param(100, 6, 16, 2, "adam", 0.003, "cross", id="adam-cross-dropped-tail"),
-    pytest.param(100, 6, 16, 2, "adam", 0.003, "simclr", id="adam-simclr"),
-    pytest.param(96, 6, 16, 3, "sgd", 0.1, "cross", id="sgd-cross-lrdrop"),
-    pytest.param(100, 6, 12, 3, "sgd", 0.1, "simclr", id="sgd-simclr-lrdrop-batch12"),
-    pytest.param(400, 20, 128, 1, "adam", 0.003, "cross", id="pipeline-shapes"),
+    # (n, d, batch, epochs, optimizer, lr, temperature)
+    pytest.param(100, 6, 16, 2, "adam", 0.003, 0.1, id="adam-cross-dropped-tail"),
+    pytest.param(100, 6, 16, 2, "adam", 0.003, 0.5, id="adam-cross-tau0.5"),
+    pytest.param(96, 6, 16, 3, "sgd", 0.1, 0.1, id="sgd-cross-lrdrop"),
+    pytest.param(100, 6, 12, 3, "sgd", 0.1, 0.1, id="sgd-cross-lrdrop-batch12"),
+    pytest.param(400, 20, 128, 1, "adam", 0.003, 0.1, id="pipeline-shapes"),
 ]
 
 
-@pytest.mark.parametrize("n, d, batch, epochs, optimizer, lr, denominator", CONTRASTIVE_CASES)
-def test_train_contrastive_matches_reference(n, d, batch, epochs, optimizer, lr, denominator):
+@pytest.mark.parametrize("n, d, batch, epochs, optimizer, lr, tau", CONTRASTIVE_CASES)
+def test_train_contrastive_matches_reference(n, d, batch, epochs, optimizer, lr, tau):
     x = features(n, d, seed=n + d)
-    cfg = TrainConfig(
+    cfg = ContrastiveConfig(
         epochs=epochs, batch_size=batch, seed=23, optimizer=optimizer, learning_rate=lr,
-        denominator=denominator,
+        temperature=tau,
     )
     params, log = train_contrastive(x, cfg, (0.2, 0.6))
     ref_params, ref_log = ref_train_contrastive(x, cfg, (0.2, 0.6))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from selflabel import _parallel, pipeline
-from selflabel.encoder import TrainConfig
+from selflabel.encoder import ClassifierConfig, ContrastiveConfig
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams
 from selflabel.pipeline import (
@@ -57,9 +57,13 @@ def tiny_config(out, seed=31, rounds=2, **overrides):
             seed=seed,
         ),
         fixed_k=24,
-        contrastive=TrainConfig(optimizer="adam", learning_rate=0.003, epochs=3, batch_size=32),
-        classifier=TrainConfig(optimizer="sgd", learning_rate=0.5, epochs=8, batch_size=32),
-        classifier_augmentation=(0.5, 1.2),
+        contrastive=ContrastiveConfig(
+            optimizer="adam", learning_rate=0.003, epochs=3, batch_size=32
+        ),
+        classifier=ClassifierConfig(
+            optimizer="sgd", learning_rate=0.5, epochs=8, batch_size=32,
+            aug_low=0.5, aug_high=1.2,
+        ),
         cluster=ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50),
         eval=EvalSettings(cohort_size=10, top_n=8, target_trials=40, nontarget_trials=40),
         dcf=DcfParams(),
@@ -168,8 +172,9 @@ class TestRounds:
         art = run_stage1(config)
         broken = tiny_config(
             tmp_path / "run", rounds=1,
-            classifier=TrainConfig(
-                optimizer="sgd", learning_rate=1e18, epochs=20, batch_size=32
+            classifier=ClassifierConfig(
+                optimizer="sgd", learning_rate=1e18, epochs=20, batch_size=32,
+                aug_low=0.5, aug_high=1.2,
             ),
         )
         with pytest.raises(TrainingError):
@@ -228,6 +233,14 @@ class TestDeterminismAndResume:
         run_pipeline(tiny_config(tmp_path / "extended", rounds=1))
         run_pipeline(tiny_config(tmp_path / "extended", rounds=2))
         assert tree_bytes(tmp_path / "extended") == tree_bytes(tmp_path / "fresh")
+
+    def test_lowering_rounds_rewrites_final(self, tmp_path):
+        # a lowered run's final/ holds the fresh run's files and no others
+        run_pipeline(tiny_config(tmp_path / "fresh", rounds=0))
+        run_pipeline(tiny_config(tmp_path / "lowered", rounds=1))
+        run_pipeline(tiny_config(tmp_path / "lowered", rounds=0))
+        final = tree_bytes(tmp_path / "lowered" / "final")
+        assert final == tree_bytes(tmp_path / "fresh" / "final")
 
     def test_resume_with_another_worker_count_equals_uninterrupted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)

@@ -174,6 +174,12 @@ class TestFuseScores:
         with pytest.raises(ConfigError):
             fuse_scores([s1], [0.9])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        s1 = ScoreSet(trials=trial_list([("a", "b", 1)]), scores=np.array([0.1]))
+        with pytest.raises(ConfigError, match="weights must be finite"):
+            fuse_scores([s1, s1], [0.5, bad])
+
 
 class TestScoreFiles:
     def test_trial_round_trip(self, tmp_path):
