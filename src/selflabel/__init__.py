@@ -38,7 +38,7 @@ from .ensemble import (
     relabel,
 )
 from .errors import ConfigError, DataError, NumericError, SelfLabelError, TrainingError
-from .metrics import DcfParams, eer, min_dcf, nmi
+from .metrics import DcfParams, eer, min_dcf, nmi, verification_metrics
 from .pipeline import (
     EvalSettings,
     PipelineConfig,
@@ -47,7 +47,7 @@ from .pipeline import (
     run_round,
     run_stage1,
 )
-from .scoring import Cohort, ScoreSet, Trial, as_norm, as_norm_scores, cosine_score, fuse_scores
+from .scoring import Cohort, ScoreSet, Trials, as_norm, as_norm_scores, cosine_score, fuse_scores
 from .synthdata import (
     MultiModalCorpus,
     SynthConfig,

@@ -26,7 +26,7 @@ from .encoder import (
     write_train_log,
 )
 from .errors import ConfigError, SelfLabelError
-from .metrics import DcfParams, eer, min_dcf, nmi
+from .metrics import DcfParams, nmi, verification_metrics
 from .scoring import Cohort, as_norm, cosine_score, fuse_scores
 
 
@@ -47,7 +47,7 @@ def _read_corpus_features(corpus_dir, modality):
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         Path(out_path).write_text(text + "\n")
     print(text)
@@ -172,16 +172,13 @@ def _cmd_score(args) -> int:
         z = synthdata.read_embeddings(args.embeddings).astype(np.float64)
         if z.shape[0] != len(sample_ids):
             raise ConfigError("embedding row count does not match meta.tsv")
-        by_id = {sid: z[i] for i, sid in enumerate(sample_ids)}
-        result = cosine_score(trials, by_id)
+        trials = trials.reindex(sample_ids)
+        result = cosine_score(trials, z)
         if args.cohort:
             cohort_ids = [cid for cid, in read_rows(args.cohort, "cohort", (str,))]
-            missing = [cid for cid in cohort_ids if cid not in by_id]
-            if missing:
-                raise ConfigError(f"cohort ids not present in embeddings: {missing[:3]}")
-            cohort = Cohort(np.stack([by_id[cid] for cid in cohort_ids]))
+            cohort = Cohort(z[scoring.rows_of(cohort_ids, sample_ids, "cohort")])
             top_n = args.top_n if args.top_n is not None else cohort.size
-            result = as_norm(result, by_id, cohort, top_n)
+            result = as_norm(result, z, cohort, top_n)
     scoring.write_scores(args.out, result)
     print(f"wrote {len(result)} scores to {args.out}")
     return 0
@@ -203,9 +200,8 @@ def _cmd_metrics(args) -> int:
             raise ConfigError("--trials is required with --scores")
         trials = scoring.read_trials(args.trials)
         score_set = scoring.read_scores(args.scores, trials)
-        report["eer"], _ = eer(score_set)
         dcf = DcfParams(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
-        report["min_dcf"], report["threshold"] = min_dcf(score_set, dcf)
+        report.update(verification_metrics(score_set, dcf))
     _emit(report, args.out)
     return 0
 

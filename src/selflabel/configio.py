@@ -104,7 +104,8 @@ _CONVERTERS = {int: _as_int, float: _as_float, str: _as_text}
 
 def _fields(cls, section: str, mapping: dict) -> dict:
     """Keyword arguments of ``cls`` from the mapping's keys of one section:
-    the key ``section.name`` sets the field ``name``."""
+    the key ``section.name`` sets the field ``name``. An empty or ``none``
+    value keeps the field's default, as it does for a top-level key."""
     defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
     for key, value in mapping.items():
@@ -113,7 +114,8 @@ def _fields(cls, section: str, mapping: dict) -> dict:
             convert = _CONVERTERS.get(type(defaults.get(name)))
             if convert is None:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[name] = convert(value, key)
+            if value is not None:
+                kwargs[name] = convert(value, key)
     return kwargs
 
 

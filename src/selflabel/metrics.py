@@ -120,3 +120,15 @@ def min_dcf(score_set: ScoreSet, params: DcfParams = DcfParams()) -> tuple[float
     dcf = (miss_cost * frr + fa_cost * far) / min(miss_cost, fa_cost)
     i = int(np.argmin(dcf))
     return float(dcf[i]), float(thresholds[i])
+
+
+def verification_metrics(score_set: ScoreSet, params: DcfParams = DcfParams()) -> dict:
+    """EER, minDCF and minDCF's threshold, ready for JSON: the threshold of
+    the reject-all point is infinite, and is reported as None."""
+    eer_value, _ = eer(score_set)
+    dcf_value, threshold = min_dcf(score_set, params)
+    return {
+        "eer": eer_value,
+        "min_dcf": dcf_value,
+        "threshold": threshold if np.isfinite(threshold) else None,
+    }

@@ -53,8 +53,8 @@ from .encoder import (
     write_train_log,
 )
 from .errors import ConfigError, DataError
-from .metrics import DcfParams, eer, min_dcf, nmi
-from .scoring import Cohort, ScoreSet, Trial, as_norm, cosine_score, fuse_scores
+from .metrics import DcfParams, eer, nmi, verification_metrics
+from .scoring import Cohort, ScoreSet, Trials, as_norm, cosine_score, fuse_scores
 from .synthdata import MultiModalCorpus, SynthConfig
 
 logger = logging.getLogger(__name__)
@@ -113,11 +113,15 @@ class PipelineConfig:
     def fingerprint(self) -> str:
         """Hash of the settings that shape the run's files. ``rounds`` is out,
         so raising it extends a finished run, and so is ``cluster.workers``:
-        every result is bitwise the same for every worker count."""
+        every result is bitwise the same for every worker count. The two
+        loops' ``seed`` fields are out too: the pipeline replaces them with
+        seeds derived from ``seed``."""
         payload = asdict(self)
         payload.pop("output_dir")
         payload.pop("rounds")
         payload["cluster"].pop("workers")
+        payload["contrastive"].pop("seed")
+        payload["classifier"].pop("seed")
         payload["artifact_format"] = ARTIFACT_FORMAT
         payload["corpus_path"] = (
             str(self.corpus_path) if self.corpus_path is not None else None
@@ -263,7 +267,10 @@ def _make_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
 
     Evaluation-only: this is the one place outside metrics where hidden
     identity labels are read. Trial samples are disjoint from the cohort
-    slice.
+    slice. A target trial is two distinct samples of a uniform identity
+    with at least two pool samples; a non-target trial is one uniform
+    sample of each of two distinct such identities. Each draw is one array
+    call over all trials.
     """
     ev = config.eval
     n = len(corpus)
@@ -274,52 +281,61 @@ def _make_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
     cohort_idx = np.sort(perm[: ev.cohort_size])
     pool = np.sort(perm[ev.cohort_size :])
 
-    idents = corpus.identity_gt[pool]
-    by_identity: dict[int, np.ndarray] = {}
-    for ident in np.unique(idents):
-        members = pool[idents == ident]
-        if members.size >= 2:
-            by_identity[int(ident)] = members
-    eligible = sorted(by_identity)
-    if len(eligible) < 2:
+    # the pool grouped by identity: identity e's members are
+    # pool[start[e] : start[e] + count[e]]
+    pool = pool[np.argsort(corpus.identity_gt[pool], kind="stable")]
+    _, start, count = np.unique(corpus.identity_gt[pool], return_index=True, return_counts=True)
+    eligible = count >= 2
+    start, count = start[eligible], count[eligible]
+    if start.size < 2:
         raise ConfigError("corpus too small to build verification trials")
 
-    trials: list[Trial] = []
-    for _ in range(ev.target_trials):
-        ident = eligible[int(rng.integers(len(eligible)))]
-        a, b = rng.choice(by_identity[ident], size=2, replace=False)
-        trials.append(Trial(corpus.sample_ids[int(a)], corpus.sample_ids[int(b)], True))
-    for _ in range(ev.nontarget_trials):
-        ia, ib = rng.choice(len(eligible), size=2, replace=False)
-        a = rng.choice(by_identity[eligible[int(ia)]])
-        b = rng.choice(by_identity[eligible[int(ib)]])
-        trials.append(Trial(corpus.sample_ids[int(a)], corpus.sample_ids[int(b)], False))
+    def distinct_pair(bound):
+        # two distinct uniform draws below each entry of ``bound``
+        i = rng.integers(bound)
+        j = rng.integers(bound - 1)
+        return i, j + (j >= i)
+
+    ident = rng.integers(start.size, size=ev.target_trials)
+    a, b = distinct_pair(count[ident])
+    target = (pool[start[ident] + a], pool[start[ident] + b])
+    ia, ib = distinct_pair(np.full(ev.nontarget_trials, start.size))
+    nontarget = (
+        pool[start[ia] + rng.integers(count[ia])],
+        pool[start[ib] + rng.integers(count[ib])],
+    )
+    trials = Trials(
+        ids=corpus.sample_ids,
+        enroll=np.concatenate([target[0], nontarget[0]]),
+        test=np.concatenate([target[1], nontarget[1]]),
+        is_target=np.repeat([True, False], [ev.target_trials, ev.nontarget_trials]),
+    )
     cohort_ids = [corpus.sample_ids[int(i)] for i in cohort_idx]
     return trials, cohort_ids
 
 
 def _ensure_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
+    """The run's trial list, as rows of the corpus, and its cohort ids.
+
+    Both are drawn once per run directory; every stage reads them back from
+    the stored files.
+    """
     trials_path = config.output_dir / "trials.txt"
     cohort_path = config.output_dir / "cohort_ids.txt"
-    if trials_path.is_file() and cohort_path.is_file():
-        trials = scoring.read_trials(trials_path)
-        cohort_ids = [cid for cid, in read_rows(cohort_path, "cohort", (str,))]
-        return trials, cohort_ids
-    trials, cohort_ids = _make_eval_material(config, corpus)
-    with _staged(trials_path) as tmp:
-        scoring.write_trials(tmp, trials)
-    with _staged(cohort_path) as tmp:
-        tmp.write_text("\n".join(cohort_ids) + "\n")
+    if not (trials_path.is_file() and cohort_path.is_file()):
+        trials, cohort_ids = _make_eval_material(config, corpus)
+        with _staged(trials_path) as tmp:
+            scoring.write_trials(tmp, trials)
+        with _staged(cohort_path) as tmp:
+            tmp.write_text("\n".join(cohort_ids) + "\n")
+    trials = scoring.read_trials(trials_path).reindex(corpus.sample_ids)
+    cohort_ids = [cid for cid, in read_rows(cohort_path, "cohort", (str,))]
     return trials, cohort_ids
 
 
 # ---------------------------------------------------------------------------
 # per-round helpers
 # ---------------------------------------------------------------------------
-
-
-def _embeddings_by_id(corpus: MultiModalCorpus, matrix: np.ndarray) -> dict[str, np.ndarray]:
-    return {sid: matrix[i] for i, sid in enumerate(corpus.sample_ids)}
 
 
 def _write_round_embeddings(tmp: Path, modality: str, params, corpus) -> np.ndarray:
@@ -329,8 +345,8 @@ def _write_round_embeddings(tmp: Path, modality: str, params, corpus) -> np.ndar
     return synthdata.read_embeddings(tmp / f"{modality}.emb").astype(np.float64)
 
 
-def _score_and_write(tmp: Path, modality: str, corpus, z, trials) -> None:
-    raw = cosine_score(trials, _embeddings_by_id(corpus, z))
+def _score_and_write(tmp: Path, modality: str, z, trials) -> None:
+    raw = cosine_score(trials, z)
     scoring.write_scores(tmp / f"scores_{modality}.tsv", raw)
 
 
@@ -360,7 +376,8 @@ def compute_round_metrics(round_path, corpus: MultiModalCorpus, trials, k: int, 
 
 
 def _write_metrics(tmp: Path, report: dict) -> None:
-    (tmp / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    (tmp / "metrics.json").write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +432,7 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
             workers=cl.workers,
         )
         write_assignment(tmp / "assign_audio.tsv", corpus.sample_ids, assign_audio)
-        _score_and_write(tmp, "audio", corpus, z_audio, trials)
+        _score_and_write(tmp, "audio", z_audio, trials)
         report = compute_round_metrics(tmp, corpus, trials, k, 0)
         _write_metrics(tmp, report)
     art = _load_round(config, 0)
@@ -472,7 +489,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
         )
         ensemble.write_fusion(tmp, corpus.sample_ids, fused_set)
         for modality in _MODALITIES:
-            _score_and_write(tmp, modality, corpus, z[modality], trials)
+            _score_and_write(tmp, modality, z[modality], trials)
         report = compute_round_metrics(tmp, corpus, trials, k, round_index)
         _write_metrics(tmp, report)
     art = _load_round(config, round_index)
@@ -496,11 +513,9 @@ def _metrics_brief(m: dict) -> str:
 def _system_metrics(raw: ScoreSet, normed: ScoreSet, dcf: DcfParams) -> dict:
     """EER, minDCF and its threshold on raw scores, plus EER and minDCF
     after AS-Norm."""
-    eer_value, _ = eer(raw)
-    dcf_value, threshold = min_dcf(raw, dcf)
-    out = {"eer": eer_value, "min_dcf": dcf_value, "threshold": threshold}
-    out["eer_norm"], _ = eer(normed)
-    out["min_dcf_norm"], _ = min_dcf(normed, dcf)
+    out = verification_metrics(raw, dcf)
+    after = verification_metrics(normed, dcf)
+    out["eer_norm"], out["min_dcf_norm"] = after["eer"], after["min_dcf"]
     return out
 
 
@@ -508,15 +523,14 @@ def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: Rou
     """Normalized and fused verification metrics from the last round's
     stored embeddings and score files."""
     systems = ["audio"] if last.index == 0 else ["audio", "visual"]
+    cohort_rows = scoring.rows_of(cohort_ids, corpus.sample_ids, "cohort")
     raw_sets, norm_sets = {}, {}
     with _staged(config.output_dir / "final") as final_dir:
         final_dir.mkdir()
         for modality in systems:
             z = last.embeddings(modality).astype(np.float64)
-            by_id = _embeddings_by_id(corpus, z)
             raw = scoring.read_scores(last.path / f"scores_{modality}.tsv", trials)
-            cohort = Cohort(np.stack([by_id[cid] for cid in cohort_ids]))
-            normed = as_norm(raw, by_id, cohort, config.eval.top_n)
+            normed = as_norm(raw, z, Cohort(z[cohort_rows]), config.eval.top_n)
             scoring.write_scores(final_dir / f"scores_{modality}_norm.tsv", normed)
             raw_sets[modality] = raw
             norm_sets[modality] = scoring.read_scores(
@@ -562,6 +576,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     }
     report_path = config.output_dir / "report.json"
     with _staged(report_path) as tmp:
-        tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        tmp.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     logger.info("pipeline finished; report at %s", report_path)
     return report

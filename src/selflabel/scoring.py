@@ -1,9 +1,10 @@
 """Trial scoring: cosine similarity, adaptive symmetric normalization, fusion.
 
 A trial is an (enroll, test) pair; its key says whether the two samples share
-an identity. Raw scores are cosines of the two embeddings. AS-Norm
-z-normalizes a raw score against each side's top-N cohort scores and averages
-the two normalized values:
+an identity. A trial list (``Trials``) holds the pairs as row indices into
+one id list, and scoring gathers rows of one embedding matrix. Raw scores are
+cosines of the two embeddings. AS-Norm z-normalizes a raw score against each
+side's top-N cohort scores and averages the two normalized values:
 
     s' = 0.5 * [ (s - mu_e) / sigma_e + (s - mu_t) / sigma_t ]
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,23 +24,67 @@ from ._textio import read_rows
 from .errors import ConfigError, DataError, NumericError
 
 
-@dataclass(frozen=True)
-class Trial:
-    enroll_id: str
-    test_id: str
-    is_target: bool
+def rows_of(names: Sequence[str], ids: Sequence[str], what: str) -> np.ndarray:
+    """The row of each of ``names`` in ``ids``; a name that ``ids`` lacks
+    raises DataError naming ``what``."""
+    row = {sid: i for i, sid in enumerate(ids)}
+    try:
+        return np.fromiter((row[name] for name in names), np.int64, len(names))
+    except KeyError as exc:
+        raise DataError(f"unknown id in {what}: {exc.args[0]!r}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """A trial list as row indices into an id list.
+
+    Trial i pairs ``ids[enroll[i]]`` with ``ids[test[i]]``, and
+    ``is_target[i]`` says whether the two share an identity. An embedding
+    matrix scored over the trials holds one row per entry of ``ids``.
+    """
+
+    ids: tuple[str, ...]
+    enroll: np.ndarray
+    test: np.ndarray
+    is_target: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name, dtype in (("enroll", np.int64), ("test", np.int64), ("is_target", bool)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        shape = self.enroll.shape
+        if len(shape) != 1 or not shape == self.test.shape == self.is_target.shape:
+            raise ConfigError("enroll, test and is_target must be equal-length 1-d arrays")
+        rows = np.concatenate([self.enroll, self.test])
+        if rows.size and not (rows.min() >= 0 and rows.max() < len(self.ids)):
+            raise ConfigError(f"trial indices must lie in [0, {len(self.ids)})")
+
+    def __len__(self) -> int:
+        return self.enroll.size
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Trials) and self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("enroll", "test", "is_target")
+        )
+
+    def reindex(self, ids: Sequence[str]) -> Trials:
+        """The same trials as row indices into ``ids``."""
+        rows = rows_of(self.ids, ids, "trial list")
+        return Trials(ids, rows[self.enroll], rows[self.test], self.is_target)
 
 
 @dataclass(frozen=True)
 class ScoreSet:
     """Per-trial scores, in trial order."""
 
-    trials: tuple[Trial, ...]
+    trials: Trials
     scores: np.ndarray
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
-        object.__setattr__(self, "trials", tuple(self.trials))
         if scores.shape != (len(self.trials),):
             raise ConfigError("scores and trials differ in length")
         if not np.all(np.isfinite(scores)):
@@ -52,7 +97,7 @@ class ScoreSet:
 
     @property
     def is_target(self) -> np.ndarray:
-        return np.asarray([t.is_target for t in self.trials], dtype=bool)
+        return self.trials.is_target
 
 
 @dataclass(frozen=True)
@@ -74,30 +119,46 @@ class Cohort:
         return self.embeddings.shape[0]
 
 
-def _unit(vec: np.ndarray, label: str) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise NumericError(f"zero-norm embedding for {label}")
-    return vec / norm
+def _unit_rows(trials: Trials, embeddings) -> np.ndarray:
+    """The embedding matrix with each row that a trial uses scaled to unit
+    norm, once; rows no trial uses are zero."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if emb.ndim != 2 or emb.shape[0] != len(trials.ids):
+        raise ConfigError(
+            f"need one embedding row per trial id ({len(trials.ids)}), got shape {emb.shape}"
+        )
+    used = np.zeros(len(trials.ids), dtype=bool)
+    used[trials.enroll] = True
+    used[trials.test] = True
+    rows = np.flatnonzero(used)
+    vectors = emb[rows]
+    norms = np.linalg.norm(vectors, axis=1)
+    if np.any(norms == 0):
+        sample_id = trials.ids[rows[np.argmax(norms == 0)]]
+        raise NumericError(f"zero-norm embedding for {sample_id}")
+    units = np.zeros_like(emb)
+    units[rows] = vectors / norms[:, None]
+    return units
 
 
-def cosine_score(trials: Sequence[Trial], embeddings_by_id: Mapping[str, np.ndarray]) -> ScoreSet:
-    """Cosine similarity of enroll and test embeddings per trial."""
-    units: dict[str, np.ndarray] = {}
+# Trials scored per gather: bounds the two gathered row blocks, so scoring
+# 40k trials allocates no trial-length matrix.
+_GATHER_ROWS = 4096
 
-    def lookup(sample_id: str) -> np.ndarray:
-        if sample_id not in units:
-            if sample_id not in embeddings_by_id:
-                raise DataError(f"unknown id in trial list: {sample_id!r}")
-            units[sample_id] = _unit(
-                np.asarray(embeddings_by_id[sample_id], dtype=np.float64), sample_id
-            )
-        return units[sample_id]
 
+def cosine_score(trials: Trials, embeddings) -> ScoreSet:
+    """Cosine similarity of the enroll and test embeddings of each trial.
+
+    ``embeddings`` holds one row per entry of ``trials.ids``.
+    """
+    units = _unit_rows(trials, embeddings)
     scores = np.empty(len(trials), dtype=np.float64)
-    for i, trial in enumerate(trials):
-        scores[i] = float(lookup(trial.enroll_id) @ lookup(trial.test_id))
-    return ScoreSet(trials=tuple(trials), scores=scores)
+    for start in range(0, len(trials), _GATHER_ROWS):
+        part = slice(start, start + _GATHER_ROWS)
+        scores[part] = np.einsum(
+            "ij,ij->i", units[trials.enroll[part]], units[trials.test[part]]
+        )
+    return ScoreSet(trials=trials, scores=scores)
 
 
 # Rows sorted at a time for top-N statistics: bounds the sort's temporary
@@ -161,36 +222,21 @@ def as_norm_scores(
     return out
 
 
-def as_norm(
-    raw: ScoreSet,
-    embeddings_by_id: Mapping[str, np.ndarray],
-    cohort: Cohort,
-    top_n: int,
-) -> ScoreSet:
+def as_norm(raw: ScoreSet, embeddings, cohort: Cohort, top_n: int) -> ScoreSet:
     """Adaptive symmetric score normalization of a raw score set.
 
-    Trial order is preserved. Each trial sample's cosine scores against the
-    cohort are computed once and normalized by :func:`as_norm_scores`.
+    ``embeddings`` holds one row per entry of ``raw.trials.ids``. Trial
+    order is preserved. The cosine scores of every trial row against the
+    cohort come from one matrix product and are normalized by
+    :func:`as_norm_scores`.
     """
     cohort_units = cohort.embeddings / np.linalg.norm(cohort.embeddings, axis=1)[:, None]
     if not np.all(np.isfinite(cohort_units)):
         raise NumericError("zero-norm embedding in cohort")
-
-    rows: dict[str, int] = {}
-    for trial in raw.trials:
-        for sample_id in (trial.enroll_id, trial.test_id):
-            if sample_id not in rows:
-                if sample_id not in embeddings_by_id:
-                    raise DataError(f"unknown id in trial list: {sample_id!r}")
-                rows[sample_id] = len(rows)
-    cohort_scores = np.empty((len(rows), cohort.size), dtype=np.float64)
-    for sample_id, row in rows.items():
-        unit = _unit(np.asarray(embeddings_by_id[sample_id], dtype=np.float64), sample_id)
-        cohort_scores[row] = cohort_units @ unit
-    enroll_idx = np.fromiter((rows[t.enroll_id] for t in raw.trials), np.int64, len(raw))
-    test_idx = np.fromiter((rows[t.test_id] for t in raw.trials), np.int64, len(raw))
-    out = as_norm_scores(raw.scores, cohort_scores, enroll_idx, test_idx, top_n)
-    return ScoreSet(trials=raw.trials, scores=out)
+    trials = raw.trials
+    cohort_scores = _unit_rows(trials, embeddings) @ cohort_units.T
+    out = as_norm_scores(raw.scores, cohort_scores, trials.enroll, trials.test, top_n)
+    return ScoreSet(trials=trials, scores=out)
 
 
 def fuse_scores(score_sets: Sequence[ScoreSet], weights: Sequence[float]) -> ScoreSet:
@@ -219,8 +265,15 @@ def fuse_scores(score_sets: Sequence[ScoreSet], weights: Sequence[float]) -> Sco
 # ---------------------------------------------------------------------------
 
 
-def write_trials(path, trials: Sequence[Trial]) -> None:
-    lines = [f"{t.enroll_id} {t.test_id} {1 if t.is_target else 0}" for t in trials]
+def _pair_names(trials: Trials) -> tuple[list[str], list[str]]:
+    ids = trials.ids
+    return [ids[i] for i in trials.enroll.tolist()], [ids[i] for i in trials.test.tolist()]
+
+
+def write_trials(path, trials: Trials) -> None:
+    enroll, test = _pair_names(trials)
+    flags = trials.is_target.tolist()
+    lines = [f"{e} {t} {1 if k else 0}" for e, t, k in zip(enroll, test, flags)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -230,32 +283,41 @@ def _target_flag(field: str) -> bool:
     return field == "1"
 
 
-def read_trials(path) -> list[Trial]:
-    trials = [Trial(*row) for row in read_rows(path, "trial", (str, str, _target_flag))]
-    if not trials:
+def read_trials(path) -> Trials:
+    """Read a trial file; its ids are numbered in the order they first appear."""
+    rows: dict[str, int] = {}
+    enroll, test, is_target = [], [], []
+    for enroll_id, test_id, flag in read_rows(path, "trial", (str, str, _target_flag)):
+        enroll.append(rows.setdefault(enroll_id, len(rows)))
+        test.append(rows.setdefault(test_id, len(rows)))
+        is_target.append(flag)
+    if not enroll:
         raise DataError(f"trial file {path} is empty")
-    return trials
+    return Trials(tuple(rows), enroll, test, is_target)
 
 
 def write_scores(path, score_set: ScoreSet) -> None:
-    lines = [
-        f"{t.enroll_id} {t.test_id} {s:.6f}" for t, s in zip(score_set.trials, score_set.scores)
-    ]
+    enroll, test = _pair_names(score_set.trials)
+    scores = score_set.scores.tolist()
+    lines = [f"{e} {t} {s:.6f}" for e, t, s in zip(enroll, test, scores)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_scores(path, trials: Sequence[Trial]) -> ScoreSet:
-    """Read a score file and bind it to a trial list (ids must match in order)."""
+def read_scores(path, trials: Trials) -> ScoreSet:
+    """Read a score file and bind it to a trial list: row i must name the
+    enroll and test ids of trial i."""
+    enroll, test = _pair_names(trials)
     rows = read_rows(path, "score", (str, str, float))
     scores = []
-    for trial, (enroll_id, test_id, score) in zip(trials, rows):
-        if enroll_id != trial.enroll_id or test_id != trial.test_id:
+    # the rows come last, so that zip draws no row past the trial list
+    for want_enroll, want_test, (enroll_id, test_id, score) in zip(enroll, test, rows):
+        if enroll_id != want_enroll or test_id != want_test:
             raise DataError(
                 f"score row {len(scores)} of {path} names trial ({enroll_id}, {test_id}) but "
-                f"the trial list has ({trial.enroll_id}, {trial.test_id})"
+                f"the trial list has ({want_enroll}, {want_test})"
             )
         scores.append(score)
     count = len(scores) + sum(1 for _ in rows)
     if count != len(trials):
         raise DataError(f"score file {path} has {count} rows but trial list has {len(trials)}")
-    return ScoreSet(trials=tuple(trials), scores=scores)
+    return ScoreSet(trials=trials, scores=scores)

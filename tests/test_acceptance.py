@@ -35,7 +35,7 @@ from selflabel.pipeline import (
 from selflabel.scoring import (
     Cohort,
     ScoreSet,
-    Trial,
+    Trials,
     as_norm,
     as_norm_scores,
     cosine_score,
@@ -177,8 +177,9 @@ def _min_dcf_oracle(scores, is_target, params):
 def _random_score_set(rng):
     n_t = int(rng.integers(1, 26))
     n_n = int(rng.integers(1, 26))
-    trials = [Trial(f"e{i}", f"t{i}", True) for i in range(n_t)]
-    trials += [Trial(f"E{i}", f"T{i}", False) for i in range(n_n)]
+    n = n_t + n_n
+    trials = Trials([f"s{i}" for i in range(2 * n)], np.arange(0, 2 * n, 2),
+                    np.arange(1, 2 * n, 2), np.arange(n) < n_t)
     scores = np.concatenate([
         rng.standard_normal(n_t) + rng.uniform(0, 2),
         rng.standard_normal(n_n),
@@ -355,9 +356,9 @@ class TestCriterion09AsNorm:
             moved = _asnorm_one(a * s + b, a * e + b, a * t + b, top_n=12)
             affine_ok &= abs(moved - base) <= 1e-9
 
-        emb = {"e": np.array([1.0, 0.0]), "t": np.array([0.0, 1.0])}
+        emb = np.array([[1.0, 0.0], [0.0, 1.0]])
         cohort = Cohort(np.tile([0.6, 0.8], (5, 1)))
-        raw = cosine_score([Trial("e", "t", True)], emb)
+        raw = cosine_score(Trials(["e", "t"], [0], [1], [True]), emb)
         try:
             as_norm(raw, emb, cohort, top_n=3)
             degenerate_ok = False

@@ -11,6 +11,15 @@ from selflabel.errors import ConfigError
 from selflabel.pipeline import _derive_seed
 from selflabel.synthdata import read_corpus
 
+def strict_json(text):
+    """Parse JSON as the standard has it: no NaN, Infinity or -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 TINY_SYNTH = """
 # desk-size corpus
 synth.num_identities = 16
@@ -147,6 +156,14 @@ class TestConfigValueErrors:
         config = build_pipeline_config({"rounds": 2.0, "fixed_k": 7}, tmp_path)
         assert (config.rounds, config.fixed_k) == (2, 7)
 
+    def test_empty_value_keeps_the_default_everywhere(self, tmp_path):
+        # one rule for top-level and section keys: empty or ``none`` is unset
+        text = "rounds =\nclassifier.epochs =\ncontrastive.optimizer = none\neval.top_n =\n"
+        config = build_pipeline_config(parse_kv_text(text), tmp_path)
+        assert config == build_pipeline_config({}, tmp_path)
+        with pytest.raises(ConfigError, match="'classifier.foo'"):
+            build_pipeline_config(parse_kv_text("classifier.foo =\n"), tmp_path)
+
     @pytest.mark.parametrize(
         "section", ["synth", "contrastive", "classifier", "cluster", "eval", "dcf"]
     )
@@ -219,6 +236,23 @@ class TestClusterAndMetrics:
         report = json.loads(report_path.read_text())
         assert 0.0 <= report["nmi_audio"] <= 1.0
         assert report["eer"] is None
+
+    def test_reject_all_threshold_is_strict_json_null(self, corpus_dir, tmp_path, capsys):
+        # rejecting every trial is optimal here; its threshold is infinite
+        trials = tmp_path / "trials.txt"
+        trials.write_text("a b 1\nc d 1\ne f 0\ng h 0\n")
+        scores = tmp_path / "scores.txt"
+        scores.write_text("a b 0.1\nc d 0.2\ne f 0.9\ng h 0.3\n")
+        out = tmp_path / "report.json"
+        code = main([
+            "metrics", "--meta", str(corpus_dir / "meta.tsv"),
+            "--trials", str(trials), "--scores", str(scores), "--out", str(out),
+        ])
+        assert code == 0
+        for text in (capsys.readouterr().out, out.read_text()):
+            report = strict_json(text)
+            assert report["min_dcf"] == 1.0
+            assert report["threshold"] is None
 
     def test_cluster_with_grid_and_curve(self, corpus_dir, tmp_path):
         code = main([
@@ -371,6 +405,26 @@ class TestScore:
         assert "error: cannot read cohort file" in capsys.readouterr().err
 
 
+    def test_unknown_trial_or_cohort_id_exits_3(self, corpus_dir, tmp_path, capsys):
+        ids = read_corpus(corpus_dir).sample_ids
+        cohort = tmp_path / "cohort.txt"
+        cohort.write_text("\n".join(ids[100:110]) + "\n")
+        for trial_line, cohort_line, named in (
+            (f"{ids[0]} nosuch 1", ids[110], "unknown id in trial list: 'nosuch'"),
+            (f"{ids[0]} {ids[1]} 1", "nosuch", "unknown id in cohort: 'nosuch'"),
+        ):
+            (tmp_path / "trials.txt").write_text(trial_line + "\n")
+            cohort.write_text(f"{ids[100]}\n{cohort_line}\n")
+            code = main([
+                "score", "--trials", str(tmp_path / "trials.txt"),
+                "--embeddings", str(corpus_dir / "audio.emb"),
+                "--meta", str(corpus_dir / "meta.tsv"),
+                "--cohort", str(cohort), "--out", str(tmp_path / "scores.txt"),
+            ])
+            assert code == 3
+            assert named in capsys.readouterr().err
+
+
 class TestTrainCommands:
     def test_pretrain_then_train_exit_codes(self, corpus_dir, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -479,6 +533,6 @@ class TestPipelineCommand:
             "report", "--config", str(cfg), "--run", str(out), "--out", str(report_path),
         ])
         assert code == 0
-        report = json.loads(report_path.read_text())
+        report = strict_json(report_path.read_text())
         assert len(report["rounds"]) == 2
-        assert report == json.loads((out / "report.json").read_text())
+        assert report == strict_json((out / "report.json").read_text())

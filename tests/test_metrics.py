@@ -4,22 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams, eer, min_dcf, nmi
-from selflabel.scoring import ScoreSet, Trial
+from selflabel.scoring import ScoreSet, Trials
 
 
 def score_set(target_scores, nontarget_scores):
-    trials = []
-    scores = []
-    for i, s in enumerate(target_scores):
-        trials.append(Trial(f"e{i}", f"t{i}", True))
-        scores.append(s)
-    for i, s in enumerate(nontarget_scores):
-        trials.append(Trial(f"ne{i}", f"nt{i}", False))
-        scores.append(s)
-    return ScoreSet(trials=trials, scores=np.array(scores, dtype=np.float64))
+    """Scores of trials that each pair two fresh samples, targets first."""
+    n_t, n = len(target_scores), len(target_scores) + len(nontarget_scores)
+    trials = Trials(
+        ids=[f"s{i}" for i in range(2 * n)],
+        enroll=np.arange(0, 2 * n, 2),
+        test=np.arange(1, 2 * n, 2),
+        is_target=np.arange(n) < n_t,
+    )
+    scores = np.concatenate([target_scores, nontarget_scores]).astype(np.float64)
+    return ScoreSet(trials=trials, scores=scores)
 
 
 def nmi_oracle(a, b):
@@ -242,3 +245,46 @@ class TestMinDcf:
             DcfParams(p_target=0.0)
         with pytest.raises(ConfigError):
             DcfParams(p_target=0.5, c_miss=-1.0)
+
+
+# scores on a grid of 1/8, where every map below stays strictly increasing in
+# floating point; ties in the drawn scores are kept
+_grid_scores = st.lists(st.integers(-40, 40), min_size=1, max_size=30).map(
+    lambda values: np.array(values, dtype=np.float64) / 8.0
+)
+_INCREASING = {
+    "affine": lambda s: 3.0 * s - 7.0,
+    "cube": lambda s: s**3,
+    "exp": np.exp,
+    "arctan": np.arctan,
+}
+
+
+class TestMonotoneInvariance:
+    """EER and minDCF depend on the order of the scores only: neither the
+    order of the trials nor a strictly increasing map of the scores moves
+    them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tgt=_grid_scores, non=_grid_scores, data=st.data())
+    def test_trial_order(self, tgt, non, data):
+        ss = score_set(tgt, non)
+        order = np.array(data.draw(st.permutations(range(len(ss)))))
+        trials = ss.trials
+        shuffled = ScoreSet(
+            trials=Trials(trials.ids, trials.enroll[order], trials.test[order],
+                          trials.is_target[order]),
+            scores=ss.scores[order],
+        )
+        assert eer(shuffled) == eer(ss)
+        assert min_dcf(shuffled) == min_dcf(ss)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tgt=_grid_scores, non=_grid_scores, name=st.sampled_from(sorted(_INCREASING)))
+    def test_strictly_increasing_map(self, tgt, non, name):
+        ss = score_set(tgt, non)
+        grid = np.unique(ss.scores)
+        assume(np.all(np.diff(_INCREASING[name](grid)) > 0))
+        warped = ScoreSet(trials=ss.trials, scores=_INCREASING[name](ss.scores))
+        assert eer(warped)[0] == eer(ss)[0]
+        assert min_dcf(warped)[0] == min_dcf(ss)[0]

@@ -5,6 +5,7 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selflabel import _parallel, pipeline
@@ -23,6 +24,7 @@ from selflabel.pipeline import (
 )
 from selflabel.scoring import read_trials
 from selflabel.synthdata import (
+    MultiModalCorpus,
     SynthConfig,
     generate_corpus,
     randomize_ground_truth,
@@ -183,6 +185,54 @@ class TestRounds:
         assert not list(config.output_dir.glob(".tmp_*"))
 
 
+class TestTrialSampler:
+    """The evaluation trials that a run draws, on small corpora."""
+
+    def test_pairs_counts_cohort_and_determinism(self, tmp_path):
+        ev = EvalSettings(cohort_size=10, top_n=8, target_trials=3000, nontarget_trials=2000)
+        config = tiny_config(tmp_path / "run", eval=ev)
+        corpus = generate_corpus(config.synth)
+        trials, cohort_ids = pipeline._make_eval_material(config, corpus)
+        assert trials.ids == tuple(corpus.sample_ids)
+        assert len(trials) == 5000
+        target = trials.is_target
+        assert target[:3000].all() and not target[3000:].any()
+
+        ident = corpus.identity_gt
+        enroll, test = trials.enroll, trials.test
+        # a target pairs two distinct samples of one identity, a non-target
+        # spans two identities
+        assert np.all(enroll[target] != test[target])
+        assert np.all(ident[enroll[target]] == ident[test[target]])
+        assert np.all(ident[enroll[~target]] != ident[test[~target]])
+        cohort = {corpus.sample_ids.index(cid) for cid in cohort_ids}
+        assert len(cohort) == 10
+        assert not cohort & (set(enroll.tolist()) | set(test.tolist()))
+        # identities are uniform: 24 identities, 125 target trials each
+        counts = np.bincount(ident[enroll[target]], minlength=24)
+        assert counts.min() > 70 and counts.max() < 180
+
+        again = pipeline._make_eval_material(config, corpus)
+        assert again[0] == trials and again[1] == cohort_ids
+        other, _ = pipeline._make_eval_material(replace(config, seed=32), corpus)
+        assert other != trials
+
+    def test_identities_with_one_pool_sample_never_drawn(self, tmp_path):
+        # identity 0 has one sample, so no trial can use it
+        ident = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+        features = np.arange(20, dtype=np.float32).reshape(10, 2)
+        corpus = MultiModalCorpus(
+            [f"x{i}" for i in range(10)], [f"g{i}" for i in ident], ident, features, features
+        )
+        ev = EvalSettings(cohort_size=2, top_n=2, target_trials=50, nontarget_trials=50)
+        for seed in range(5):
+            config = tiny_config(tmp_path / "run", seed=seed, eval=ev)
+            trials, cohort_ids = pipeline._make_eval_material(config, corpus)
+            used = set(trials.enroll.tolist()) | set(trials.test.tolist())
+            assert 0 not in used
+            assert not {corpus.sample_ids.index(cid) for cid in cohort_ids} & used
+
+
 class TestDeterminismAndResume:
     def test_two_runs_bitwise_identical(self, tmp_path):
         c1 = tiny_config(tmp_path / "a", rounds=1)
@@ -220,6 +270,20 @@ class TestDeterminismAndResume:
         other = tiny_config(tmp_path / "run", rounds=0, seed=99)
         with pytest.raises(ConfigError, match="different configuration"):
             run_pipeline(other)
+
+    def test_loop_seeds_are_outside_the_fingerprint(self, tmp_path):
+        # the pipeline derives both loops' seeds from ``seed``, so setting
+        # one changes no file, and a resume over a default run goes through
+        run_pipeline(tiny_config(tmp_path / "fresh", rounds=1))
+        run_pipeline(tiny_config(tmp_path / "resumed", rounds=0))
+        default = tiny_config(tmp_path / "resumed", rounds=1)
+        seeded = replace(
+            default,
+            contrastive=replace(default.contrastive, seed=99),
+            classifier=replace(default.classifier, seed=99),
+        )
+        run_pipeline(seeded)
+        assert tree_bytes(tmp_path / "resumed") == tree_bytes(tmp_path / "fresh")
 
     def test_artifact_format_change_rejects_resume(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path / "run", rounds=0)
@@ -344,8 +408,8 @@ class TestMetricsReproduction:
             (config.output_dir / "cohort_ids.txt").read_text().split()
         )
         trials = read_trials(config.output_dir / "trials.txt")
-        trial_ids = {t.enroll_id for t in trials} | {t.test_id for t in trials}
+        trial_ids = set(trials.ids)
         assert cohort_ids and trial_ids
         assert not (cohort_ids & trial_ids)
-        n_target = sum(1 for t in trials if t.is_target)
+        n_target = int(trials.is_target.sum())
         assert n_target == 40 and len(trials) == 80

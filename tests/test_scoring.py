@@ -7,7 +7,7 @@ from selflabel.errors import ConfigError, DataError, NumericError
 from selflabel.scoring import (
     Cohort,
     ScoreSet,
-    Trial,
+    Trials,
     as_norm,
     as_norm_scores,
     cosine_score,
@@ -19,8 +19,28 @@ from selflabel.scoring import (
 )
 
 
-def trial_list(pairs):
-    return [Trial(e, t, bool(k)) for e, t, k in pairs]
+def trial_list(pairs, ids=None):
+    """Trials from (enroll id, test id, key) triples: over ``ids`` when given
+    (the rows of an embedding matrix), else over the ids in first-seen order,
+    as read_trials numbers them."""
+    rows = {}
+    for e, t, _ in pairs:
+        rows.setdefault(e, len(rows))
+        rows.setdefault(t, len(rows))
+    trials = Trials(
+        tuple(rows),
+        [rows[e] for e, _, _ in pairs],
+        [rows[t] for _, t, _ in pairs],
+        [bool(k) for _, _, k in pairs],
+    )
+    return trials if ids is None else trials.reindex(ids)
+
+
+def score(pairs, emb):
+    """Cosine scores of (enroll id, test id, key) triples over an id -> vector
+    mapping, whose ids become the rows of the embedding matrix."""
+    ids = list(emb)
+    return cosine_score(trial_list(pairs, ids), np.stack([emb[sid] for sid in ids]))
 
 
 def asnorm_one(raw, enroll_scores, test_scores, top_n):
@@ -32,34 +52,43 @@ def asnorm_one(raw, enroll_scores, test_scores, top_n):
 class TestCosineScore:
     def test_identical_embeddings_score_one(self):
         emb = {"a": np.array([0.3, 0.4]), "b": np.array([0.3, 0.4])}
-        ss = cosine_score([Trial("a", "b", True)], emb)
+        ss = score([("a", "b", 1)], emb)
         assert ss.scores[0] == pytest.approx(1.0)
 
     def test_orthogonal_embeddings_score_zero(self):
         emb = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])}
-        ss = cosine_score([Trial("a", "b", False)], emb)
+        ss = score([("a", "b", 0)], emb)
         assert ss.scores[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_worked_example(self):
         emb = {"a": np.array([1.0, 1.0]), "b": np.array([1.0, 0.0])}
-        ss = cosine_score([Trial("a", "b", True)], emb)
+        ss = score([("a", "b", 1)], emb)
         assert ss.scores[0] == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_symmetry_in_enroll_and_test(self):
         rng = np.random.default_rng(3)
         emb = {"a": rng.standard_normal(5), "b": rng.standard_normal(5)}
-        fwd = cosine_score([Trial("a", "b", True)], emb).scores[0]
-        rev = cosine_score([Trial("b", "a", True)], emb).scores[0]
+        fwd = score([("a", "b", 1)], emb).scores[0]
+        rev = score([("b", "a", 1)], emb).scores[0]
         assert fwd == rev
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(DataError, match="unknown id"):
-            cosine_score([Trial("a", "zz", True)], {"a": np.ones(3)})
+        with pytest.raises(DataError, match="unknown id in trial list: 'zz'"):
+            score([("a", "zz", 1)], {"a": np.ones(3)})
 
     def test_zero_norm_rejected(self):
         emb = {"a": np.zeros(3), "b": np.ones(3)}
-        with pytest.raises(NumericError):
-            cosine_score([Trial("a", "b", True)], emb)
+        with pytest.raises(NumericError, match="zero-norm embedding for a"):
+            score([("a", "b", 1)], emb)
+
+    def test_rows_no_trial_uses_may_be_zero(self):
+        emb = {"a": np.ones(3), "unused": np.zeros(3), "b": np.ones(3)}
+        assert score([("a", "b", 1)], emb).scores[0] == pytest.approx(1.0)
+
+    def test_one_embedding_row_per_trial_id(self):
+        trials = trial_list([("a", "b", 1)])
+        with pytest.raises(ConfigError, match="one embedding row per trial id"):
+            cosine_score(trials, np.ones((3, 4)))
 
 
 class TestAsNorm:
@@ -92,32 +121,31 @@ class TestAsNorm:
         rng = np.random.default_rng(7)
         dim = 6
         ids = [f"s{i}" for i in range(8)]
-        emb = {sid: rng.standard_normal(dim) for sid in ids}
+        emb = rng.standard_normal((8, dim))
         cohort = Cohort(rng.standard_normal((10, dim)))
-        trials = trial_list([("s0", "s1", 1), ("s2", "s3", 0), ("s4", "s5", 1)])
+        trials = trial_list([("s0", "s1", 1), ("s2", "s3", 0), ("s4", "s5", 1)], ids)
         raw = cosine_score(trials, emb)
         normed = as_norm(raw, emb, cohort, top_n=5)
 
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        emb_rot = {sid: q @ v for sid, v in emb.items()}
+        emb_rot = emb @ q.T
         cohort_rot = Cohort(cohort.embeddings @ q.T)
         raw_rot = cosine_score(trials, emb_rot)
         normed_rot = as_norm(raw_rot, emb_rot, cohort_rot, top_n=5)
         np.testing.assert_allclose(normed_rot.scores, normed.scores, atol=1e-9)
 
     def test_degenerate_cohort_raises_named_side(self):
-        emb = {"e": np.array([1.0, 0.0]), "t": np.array([0.6, 0.8])}
+        emb = np.array([[1.0, 0.0], [0.6, 0.8]])
         # every cohort member identical: all cohort scores equal, zero sigma
         cohort = Cohort(np.tile([0.0, 1.0], (4, 1)))
-        trials = [Trial("e", "t", True)]
+        trials = trial_list([("e", "t", 1)])
         raw = cosine_score(trials, emb)
         with pytest.raises(NumericError, match="enroll side"):
             as_norm(raw, emb, cohort, top_n=3)
 
     def test_order_and_count_preserved(self):
         rng = np.random.default_rng(5)
-        ids = [f"x{i}" for i in range(6)]
-        emb = {sid: rng.standard_normal(4) for sid in ids}
+        emb = rng.standard_normal((6, 4))
         cohort = Cohort(rng.standard_normal((8, 4)))
         trials = trial_list([("x0", "x1", 1), ("x2", "x3", 0), ("x4", "x5", 0)])
         raw = cosine_score(trials, emb)
@@ -126,9 +154,9 @@ class TestAsNorm:
         assert len(normed) == 3
 
     def test_top_n_above_cohort_rejected(self):
-        emb = {"a": np.ones(3), "b": np.ones(3)}
+        emb = np.ones((2, 3))
         cohort = Cohort(np.random.default_rng(0).standard_normal((4, 3)))
-        raw = cosine_score([Trial("a", "b", True)], emb)
+        raw = cosine_score(trial_list([("a", "b", 1)]), emb)
         with pytest.raises(ConfigError):
             as_norm(raw, emb, cohort, top_n=9)
 
@@ -203,6 +231,29 @@ class TestScoreFiles:
         with pytest.raises(DataError, match="names trial"):
             read_scores(tmp_path / "s.txt", other)
 
+    def test_ids_numbered_in_first_seen_order(self, tmp_path):
+        (tmp_path / "t.txt").write_text("b a 1\na c 0\nc b 0\n")
+        trials = read_trials(tmp_path / "t.txt")
+        assert trials.ids == ("b", "a", "c")
+        assert trials.enroll.tolist() == [0, 1, 2]
+        assert trials.test.tolist() == [1, 2, 0]
+        assert trials.is_target.tolist() == [True, False, False]
+
+    def test_reindex_keeps_every_pair(self, tmp_path):
+        trials = trial_list([("b", "a", 1), ("a", "c", 0)])
+        moved = trials.reindex(["c", "x", "a", "b"])
+        assert moved.enroll.tolist() == [3, 2] and moved.test.tolist() == [2, 0]
+        write_trials(tmp_path / "a.txt", trials)
+        write_trials(tmp_path / "b.txt", moved)
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    @pytest.mark.parametrize("lines", [["a b 0.5"], ["a b 0.5", "c d 0.1", "e f 0.2"]])
+    def test_score_file_row_count_mismatch_rejected(self, tmp_path, lines):
+        trials = trial_list([("a", "b", 1), ("c", "d", 0)])
+        (tmp_path / "s.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"has {len(lines)} rows but trial list has 2"):
+            read_scores(tmp_path / "s.txt", trials)
+
     def test_malformed_trial_line_rejected(self, tmp_path):
         (tmp_path / "t.txt").write_text("a b maybe\n")
         with pytest.raises(DataError):
@@ -212,3 +263,22 @@ class TestScoreFiles:
         (tmp_path / "t.txt").write_bytes(bytes(range(128, 256)))
         with pytest.raises(DataError, match="cannot read trial file"):
             read_trials(tmp_path / "t.txt")
+
+
+class TestTrials:
+    def test_indices_out_of_range_rejected(self):
+        with pytest.raises(ConfigError, match="trial indices"):
+            Trials(("a", "b"), [0], [2], [True])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ConfigError, match="equal-length"):
+            Trials(("a", "b"), [0, 1], [1], [True, False])
+
+    def test_arrays_are_read_only_copies(self):
+        enroll = np.array([0, 1])
+        trials = Trials(("a", "b"), enroll, [1, 0], [1, 0])
+        enroll[0] = 1
+        assert trials.enroll.tolist() == [0, 1]
+        assert trials.is_target.dtype == bool
+        with pytest.raises(ValueError):
+            trials.test[0] = 0
