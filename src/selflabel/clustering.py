@@ -220,8 +220,9 @@ def kmeans(
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
 
     Returns ``(centroids, assignment, w)`` where ``centroids`` has shape
-    (k, d) and ``w`` equals ``wss(x, centroids, assignment)`` exactly (it is
-    computed by that function). With ``return_history=True`` a fourth element
+    (k, d) and ``w`` is the chosen restart's final W, which equals
+    ``wss(x, centroids, assignment)`` exactly (the same expression on the
+    same arrays). With ``return_history=True`` a fourth element
     is appended: one list of per-iteration WSS values per restart, each
     recorded after the assignment+update step.
 
@@ -248,9 +249,8 @@ def kmeans(
     calls = [(x, x_sq, k, prefix + [r], max_iters, return_history) for r in range(restarts)]
     runs = ordered_map(_restart, calls, workers, rows=x.shape[0])
     # min() keeps the first of equal values: first restart wins ties
-    centroids, labels, _, _ = min(runs, key=lambda run: run[2])
+    centroids, labels, w, _ = min(runs, key=lambda run: run[2])
     assignment = Assignment(labels=labels, k=k)
-    w = wss(x, centroids, assignment)
     if return_history:
         return centroids, assignment, w, [run[3] for run in runs]
     return centroids, assignment, w

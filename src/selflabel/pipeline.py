@@ -10,7 +10,12 @@ indistinguishable from an uninterrupted one. The ``corpus/``, round and
 ``trials.txt``, ``cohort_ids.txt``, ``report.json``) are written under a
 staging name and renamed into place only when complete, so a crash during
 any of these writes leaves either the whole directory or file or none, and
-a re-run leaves no file of an earlier run's ``final/``.
+a re-run leaves no file of an earlier run's ``final/``. Hence a ``corpus/``
+or ``round_*`` directory exists only when complete: a resume skips it
+without loading anything, and a round damaged by hand is a ``DataError``.
+
+Stage 1 and the supervised rounds are one routine, ``_run_round``; each
+passes only what it trains and how it makes K and the labels.
 
 Ground-truth identity labels are read only by evaluation steps (trial
 generation, NMI); the training path sees feature matrices and pseudo-labels
@@ -54,7 +59,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError
 from .metrics import DcfParams, eer, nmi, verification_metrics
-from .scoring import Cohort, ScoreSet, Trials, as_norm, cosine_score, fuse_scores
+from .scoring import Cohort, Trials, as_norm, cosine_score, fuse_scores
 from .synthdata import MultiModalCorpus, SynthConfig
 
 logger = logging.getLogger(__name__)
@@ -147,6 +152,10 @@ class RoundArtifacts:
         return synthdata.read_embeddings(self.path / f"{modality}.emb")
 
 
+def _json_text(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
@@ -155,40 +164,14 @@ def _round_dir(config: PipelineConfig, index: int) -> Path:
     return config.output_dir / f"round_{index:03d}"
 
 
-def _required_files(index: int) -> list[str]:
-    if index == 0:
-        return [
-            "encoder_audio.enc",
-            "audio.emb",
-            "assign_audio.tsv",
-            "scores_audio.tsv",
-            "metrics.json",
-        ]
-    return [
-        "encoder_audio.enc",
-        "encoder_visual.enc",
-        "audio.emb",
-        "visual.emb",
-        "assign_audio.tsv",
-        "assign_visual.tsv",
-        "assign_joint.tsv",
-        "assign_fused.tsv",
-        "scores_audio.tsv",
-        "scores_visual.tsv",
-        "fusion_report.json",
-        "metrics.json",
-    ]
-
-
-def _round_complete(config: PipelineConfig, index: int) -> bool:
-    path = _round_dir(config, index)
-    return path.is_dir() and all((path / f).is_file() for f in _required_files(index))
-
-
 def _load_round(config: PipelineConfig, index: int) -> RoundArtifacts:
-    path = _round_dir(config, index)
-    metrics = json.loads((path / "metrics.json").read_text())
-    return RoundArtifacts(index=index, path=path, k=int(metrics["k"]), metrics=metrics)
+    path = _round_dir(config, index) / "metrics.json"
+    try:
+        metrics = json.loads(path.read_text())
+        k = int(metrics["k"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read round metrics {path}: {exc}") from None
+    return RoundArtifacts(index=index, path=path.parent, k=k, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +232,14 @@ def _prepare_run(config: PipelineConfig) -> None:
 
 def _ensure_corpus(config: PipelineConfig) -> MultiModalCorpus:
     stored = config.output_dir / "corpus"
-    if (stored / "meta.tsv").is_file():
-        return synthdata.read_corpus(stored)
-    if config.corpus_path is not None:
-        corpus = synthdata.read_corpus(config.corpus_path)
-    else:
-        logger.info("generating synthetic corpus (%d samples)", config.synth.num_samples)
-        corpus = synthdata.generate_corpus(config.synth)
-    with _staged(stored) as tmp:
-        synthdata.write_corpus(corpus, tmp)
+    if not stored.is_dir():
+        if config.corpus_path is not None:
+            corpus = synthdata.read_corpus(config.corpus_path)
+        else:
+            logger.info("generating synthetic corpus (%d samples)", config.synth.num_samples)
+            corpus = synthdata.generate_corpus(config.synth)
+        with _staged(stored) as tmp:
+            synthdata.write_corpus(corpus, tmp)
     # always hand back the file-backed copy
     return synthdata.read_corpus(stored)
 
@@ -334,20 +316,8 @@ def _ensure_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
 
 
 # ---------------------------------------------------------------------------
-# per-round helpers
+# rounds
 # ---------------------------------------------------------------------------
-
-
-def _write_round_embeddings(tmp: Path, modality: str, params, corpus) -> np.ndarray:
-    z = embed(params, corpus.features(modality).astype(np.float64))
-    synthdata.write_embeddings(tmp / f"{modality}.emb", z)
-    # read back: all downstream math runs on the stored float32 values
-    return synthdata.read_embeddings(tmp / f"{modality}.emb").astype(np.float64)
-
-
-def _score_and_write(tmp: Path, modality: str, z, trials) -> None:
-    raw = cosine_score(trials, z)
-    scoring.write_scores(tmp / f"scores_{modality}.tsv", raw)
 
 
 def compute_round_metrics(round_path, corpus: MultiModalCorpus, trials, k: int, round_index: int) -> dict:
@@ -375,9 +345,37 @@ def compute_round_metrics(round_path, corpus: MultiModalCorpus, trials, k: int, 
     return report
 
 
-def _write_metrics(tmp: Path, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    (tmp / "metrics.json").write_text(text + "\n")
+def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundArtifacts:
+    """Build round ``index`` unless its directory exists, and load it.
+
+    ``train(corpus)`` returns ``{modality: (params, head, log)}``;
+    ``make_labels(tmp, corpus, z)`` writes the round's assignments from the
+    read-back embeddings ``z`` and returns K. Everything else a round holds
+    (checkpoints, logs, embeddings, scores, metrics) is written here.
+    """
+    if _round_dir(config, index).is_dir():
+        logger.info("round %d already complete, skipping", index)
+        return _load_round(config, index)
+    corpus = _ensure_corpus(config)
+    trials, _ = _ensure_eval_material(config, corpus)
+    with _staged(_round_dir(config, index)) as tmp:
+        tmp.mkdir()
+        z = {}
+        for modality, (params, head, log) in train(corpus).items():
+            write_checkpoint(tmp / f"encoder_{modality}.enc", params, head)
+            write_train_log(tmp / f"train_log_{modality}.tsv", log)
+            emb = embed(params, corpus.features(modality).astype(np.float64))
+            synthdata.write_embeddings(tmp / f"{modality}.emb", emb)
+            # read back: all downstream math runs on the stored float32 values
+            z[modality] = synthdata.read_embeddings(tmp / f"{modality}.emb").astype(np.float64)
+        k = make_labels(tmp, corpus, z)
+        for modality in z:
+            scoring.write_scores(tmp / f"scores_{modality}.tsv", cosine_score(trials, z[modality]))
+        report = compute_round_metrics(tmp, corpus, trials, k, index)
+        (tmp / "metrics.json").write_text(_json_text(report))
+    art = _load_round(config, index)
+    logger.info("round %d done: %s", index, _metrics_brief(art.metrics))
+    return art
 
 
 # ---------------------------------------------------------------------------
@@ -388,32 +386,24 @@ def _write_metrics(tmp: Path, report: dict) -> None:
 def run_stage1(config: PipelineConfig) -> RoundArtifacts:
     """Contrastive pretraining plus the initial clustering round (round 0)."""
     _prepare_run(config)
-    corpus = _ensure_corpus(config)
-    trials, _ = _ensure_eval_material(config, corpus)
-    if _round_complete(config, 0):
-        logger.info("round 0 already complete, skipping")
-        return _load_round(config, 0)
+    cl = config.cluster
 
-    with _staged(_round_dir(config, 0)) as tmp:
-        tmp.mkdir()
+    def train(corpus):
         aug_range = (corpus.config or config.synth).augmentation_noise_range
         train_cfg = replace(config.contrastive, seed=_derive_seed(config.seed, 0, 1))
         logger.info("round 0: contrastive pretraining (%d epochs)", train_cfg.epochs)
         params, log = train_contrastive(
             corpus.features("audio").astype(np.float64), train_cfg, aug_range
         )
-        write_checkpoint(tmp / "encoder_audio.enc", params)
-        write_train_log(tmp / "train_log_audio.tsv", log)
+        return {"audio": (params, None, log)}
 
-        z_audio = _write_round_embeddings(tmp, "audio", params, corpus)
-
-        cl = config.cluster
+    def make_labels(tmp, corpus, z):
         if config.fixed_k is not None:
             k = config.fixed_k
         else:
             logger.info("round 0: sweeping K over %s", list(config.k_grid))
             curve = sweep_k(
-                z_audio,
+                z["audio"],
                 config.k_grid,
                 restarts=cl.sweep_restarts,
                 seed=[config.seed, 0, 2],
@@ -424,7 +414,7 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
             k, _ = select_k_elbow(curve)
         logger.info("round 0: clustering audio embeddings at K=%d", k)
         _, assign_audio, _ = kmeans(
-            z_audio,
+            z["audio"],
             k,
             restarts=cl.restarts,
             max_iters=cl.max_iters,
@@ -432,12 +422,9 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
             workers=cl.workers,
         )
         write_assignment(tmp / "assign_audio.tsv", corpus.sample_ids, assign_audio)
-        _score_and_write(tmp, "audio", z_audio, trials)
-        report = compute_round_metrics(tmp, corpus, trials, k, 0)
-        _write_metrics(tmp, report)
-    art = _load_round(config, 0)
-    logger.info("round 0 done: %s", _metrics_brief(art.metrics))
-    return art
+        return k
+
+    return _run_round(config, 0, train, make_labels)
 
 
 def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts) -> RoundArtifacts:
@@ -445,17 +432,12 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
     re-cluster each modality and the joint space, fuse by voting."""
     if round_index < 1:
         raise ConfigError("round_index must be >= 1")
-    if _round_complete(config, round_index):
-        logger.info("round %d already complete, skipping", round_index)
-        return _load_round(config, round_index)
-    corpus = _ensure_corpus(config)
-    trials, _ = _ensure_eval_material(config, corpus)
     label_name = "audio" if previous.index == 0 else "fused"
-    labels = previous.assignment(label_name)
     k = previous.k
+    cl = config.cluster
 
-    with _staged(_round_dir(config, round_index)) as tmp:
-        tmp.mkdir()
+    def train(corpus):
+        labels = previous.assignment(label_name)
         logger.info(
             "round %d: training the audio and visual classifiers on %s labels (K=%d)",
             round_index, label_name, k,
@@ -470,14 +452,10 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
             )
             for stream, modality in enumerate(_MODALITIES, start=4)
         ]
-        cl = config.cluster
         trained = ordered_map(train_classifier, calls, cl.workers, rows=len(corpus))
-        z = {}
-        for modality, (params, head, log) in zip(_MODALITIES, trained):
-            write_checkpoint(tmp / f"encoder_{modality}.enc", params, head)
-            write_train_log(tmp / f"train_log_{modality}.tsv", log)
-            z[modality] = _write_round_embeddings(tmp, modality, params, corpus)
+        return dict(zip(_MODALITIES, trained))
 
+    def make_labels(tmp, corpus, z):
         fused_set = ensemble.fuse_pseudo_labels(
             z["audio"],
             z["visual"],
@@ -488,21 +466,14 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
             workers=cl.workers,
         )
         ensemble.write_fusion(tmp, corpus.sample_ids, fused_set)
-        for modality in _MODALITIES:
-            _score_and_write(tmp, modality, z[modality], trials)
-        report = compute_round_metrics(tmp, corpus, trials, k, round_index)
-        _write_metrics(tmp, report)
-    art = _load_round(config, round_index)
-    logger.info("round %d done: %s", round_index, _metrics_brief(art.metrics))
-    return art
+        return k
+
+    return _run_round(config, round_index, train, make_labels)
 
 
 def _metrics_brief(m: dict) -> str:
-    parts = []
-    for key in ("nmi_audio", "nmi_visual", "nmi_fused", "eer_audio", "eer_visual"):
-        if m.get(key) is not None:
-            parts.append(f"{key}={m[key]:.4f}")
-    return " ".join(parts)
+    keys = ("nmi_audio", "nmi_visual", "nmi_fused", "eer_audio", "eer_visual")
+    return " ".join(f"{key}={m[key]:.4f}" for key in keys if m.get(key) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -510,56 +481,42 @@ def _metrics_brief(m: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _system_metrics(raw: ScoreSet, normed: ScoreSet, dcf: DcfParams) -> dict:
-    """EER, minDCF and its threshold on raw scores, plus EER and minDCF
-    after AS-Norm."""
-    out = verification_metrics(raw, dcf)
-    after = verification_metrics(normed, dcf)
-    out["eer_norm"], out["min_dcf_norm"] = after["eer"], after["min_dcf"]
-    return out
-
-
 def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: RoundArtifacts) -> dict:
-    """Normalized and fused verification metrics from the last round's
-    stored embeddings and score files."""
-    systems = ["audio"] if last.index == 0 else ["audio", "visual"]
+    """Per system, EER, minDCF and its threshold on raw scores, plus EER and
+    minDCF after AS-Norm. The modalities' raw scores are the last round's
+    files; every other score set is written to ``final/`` and read back, and
+    the fusion fuses the read-back sets."""
+    modalities = ["audio"] if last.index == 0 else list(_MODALITIES)
+    weights = [1.0 / len(modalities)] * len(modalities)
     cohort_rows = scoring.rows_of(cohort_ids, corpus.sample_ids, "cohort")
-    raw_sets, norm_sets = {}, {}
+    stored, out = {}, {}  # stored: file stem -> score set read from that file
     with _staged(config.output_dir / "final") as final_dir:
         final_dir.mkdir()
-        for modality in systems:
-            z = last.embeddings(modality).astype(np.float64)
-            raw = scoring.read_scores(last.path / f"scores_{modality}.tsv", trials)
-            normed = as_norm(raw, z, Cohort(z[cohort_rows]), config.eval.top_n)
-            scoring.write_scores(final_dir / f"scores_{modality}_norm.tsv", normed)
-            raw_sets[modality] = raw
-            norm_sets[modality] = scoring.read_scores(
-                final_dir / f"scores_{modality}_norm.tsv", trials
-            )
-
-        out = {
-            modality: _system_metrics(raw_sets[modality], norm_sets[modality], config.dcf)
-            for modality in systems
-        }
-        if len(systems) > 1:
-            weights = [1.0 / len(systems)] * len(systems)
-            fused_raw = fuse_scores([raw_sets[m] for m in systems], weights)
-            fused_norm = fuse_scores([norm_sets[m] for m in systems], weights)
-            scoring.write_scores(final_dir / "scores_fusion.tsv", fused_raw)
-            scoring.write_scores(final_dir / "scores_fusion_norm.tsv", fused_norm)
-            fused_raw = scoring.read_scores(final_dir / "scores_fusion.tsv", trials)
-            fused_norm = scoring.read_scores(final_dir / "scores_fusion_norm.tsv", trials)
-            out["fusion"] = _system_metrics(fused_raw, fused_norm, config.dcf)
+        for system in modalities + ["fusion"] * (len(modalities) > 1):
+            if system == "fusion":
+                to_write = {
+                    f"fusion{suffix}": fuse_scores([stored[m + suffix] for m in modalities], weights)
+                    for suffix in ("", "_norm")
+                }
+            else:
+                z = last.embeddings(system).astype(np.float64)
+                stored[system] = scoring.read_scores(last.path / f"scores_{system}.tsv", trials)
+                cohort = Cohort(z[cohort_rows])
+                to_write = {f"{system}_norm": as_norm(stored[system], z, cohort, config.eval.top_n)}
+            for stem, score_set in to_write.items():
+                scoring.write_scores(final_dir / f"scores_{stem}.tsv", score_set)
+                stored[stem] = scoring.read_scores(final_dir / f"scores_{stem}.tsv", trials)
+            out[system] = verification_metrics(stored[system], config.dcf)
+            after = verification_metrics(stored[f"{system}_norm"], config.dcf)
+            out[system].update(eer_norm=after["eer"], min_dcf_norm=after["min_dcf"])
     return out
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run (or resume) the full pipeline and return the final report dict."""
-    art = run_stage1(config)
-    rounds = [art]
+    rounds = [run_stage1(config)]
     for r in range(1, config.rounds + 1):
-        art = run_round(config, r, rounds[-1])
-        rounds.append(art)
+        rounds.append(run_round(config, r, rounds[-1]))
 
     corpus = _ensure_corpus(config)
     trials, cohort_ids = _ensure_eval_material(config, corpus)
@@ -576,6 +533,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     }
     report_path = config.output_dir / "report.json"
     with _staged(report_path) as tmp:
-        tmp.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        tmp.write_text(_json_text(report))
     logger.info("pipeline finished; report at %s", report_path)
     return report

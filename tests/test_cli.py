@@ -501,6 +501,40 @@ class TestStageCommandsReproducePipeline:
         assert code == 0
         assert out.read_bytes() == (run / "run" / "round_001" / "encoder_audio.enc").read_bytes()
 
+    @pytest.mark.parametrize(
+        "sources, fused",
+        [
+            (("round_001/scores_audio.tsv", "round_001/scores_visual.tsv"), "scores_fusion.tsv"),
+            (("final/scores_audio_norm.tsv", "final/scores_visual_norm.tsv"),
+             "scores_fusion_norm.tsv"),
+        ],
+    )
+    def test_fuse_writes_final_fusion_scores(self, run, tmp_path, sources, fused):
+        # final/ fuses the last round's raw scores and the normalized scores
+        # as stored, audio first, with equal weights
+        out = tmp_path / fused
+        code = main([
+            "score", "--trials", str(run / "run" / "trials.txt"),
+            "--fuse", *(str(run / "run" / s) for s in sources), "--weights", "0.5,0.5",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (run / "run" / "final" / fused).read_bytes()
+
+    def test_metrics_give_the_report_fusion_norm_figures(self, run, tmp_path):
+        out = tmp_path / "metrics.json"
+        code = main([
+            "metrics", "--meta", str(run / "run" / "corpus" / "meta.tsv"),
+            "--trials", str(run / "run" / "trials.txt"),
+            "--scores", str(run / "run" / "final" / "scores_fusion_norm.tsv"),
+            "--out", str(out),
+        ])
+        assert code == 0
+        figures = strict_json(out.read_text())
+        report = strict_json((run / "run" / "report.json").read_text())
+        fusion = report["final_scoring"]["systems"]["fusion"]
+        assert (figures["eer"], figures["min_dcf"]) == (fusion["eer_norm"], fusion["min_dcf_norm"])
+
 
 class TestFuseCommand:
     def test_fuse_writes_four_assignments(self, corpus_dir, tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selflabel import _parallel, pipeline
+from selflabel import _parallel, cli, pipeline
 from selflabel.encoder import ClassifierConfig, ContrastiveConfig
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams
@@ -264,6 +264,20 @@ class TestDeterminismAndResume:
             assert a[name] == b[name], f"{name} differs after resume"
         assert report["rounds"][2]["round"] == 2
 
+    def test_finished_round_returns_before_loading_anything(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path / "run", rounds=1)
+        run_pipeline(config)
+
+        def no_corpus(config):
+            raise AssertionError("a finished round loaded the corpus")
+
+        monkeypatch.setattr(pipeline, "_ensure_corpus", no_corpus)
+        art0 = run_stage1(config)
+        art1 = run_round(config, 1, art0)
+        for art in (art0, art1):
+            stored = json.loads((art.path / "metrics.json").read_text())
+            assert (art.k, art.metrics) == (24, stored)
+
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         config = tiny_config(tmp_path / "run", rounds=0)
         run_pipeline(config)
@@ -368,6 +382,46 @@ class TestCrashSafeRunFiles:
                 run_pipeline(crashed)
         run_pipeline(crashed)
         assert tree_bytes(tmp_path / "crashed") == tree_bytes(tmp_path / "full")
+
+
+class TestDamagedRound:
+    """A round directory exists only when complete, so a hand-damaged one is
+    a DataError naming the file (exit 3), not a traceback or a rebuild."""
+
+    CONFIG = """
+seed = 31
+rounds = 1
+fixed_k = 12
+synth.num_identities = 12
+synth.groups_per_identity = 2
+synth.segments_per_group = 5
+contrastive.epochs = 2
+contrastive.batch_size = 16
+classifier.epochs = 2
+classifier.batch_size = 16
+cluster.restarts = 2
+eval.cohort_size = 10
+eval.top_n = 5
+eval.target_trials = 20
+eval.nontarget_trials = 20
+"""
+
+    @pytest.mark.parametrize("damage", ["torn", "deleted"])
+    def test_damaged_metrics_exit_3(self, tmp_path, capsys, damage):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIG)
+        argv = ["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+        metrics = tmp_path / "run" / "round_001" / "metrics.json"
+        if damage == "torn":
+            metrics.write_text(metrics.read_text()[:40])
+        else:
+            metrics.unlink()
+        left = sorted(metrics.parent.iterdir())
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert f"error: cannot read round metrics {metrics}" in capsys.readouterr().err
+        assert sorted(metrics.parent.iterdir()) == left  # nothing rebuilt
 
 
 class TestGroundTruthFirewall:
