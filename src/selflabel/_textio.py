@@ -1,7 +1,9 @@
-"""The one reader of the package's line-oriented text files."""
+"""The one reader of the package's line-oriented text files, and the one
+formatter of its JSON files."""
 
 from __future__ import annotations
 
+import json
 from typing import Iterator
 
 from .errors import DataError
@@ -35,3 +37,9 @@ def read_rows(path, what: str, types: tuple, sep: str | None = None) -> Iterator
                 yield row
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def json_text(data: dict) -> str:
+    """``data`` as indented JSON with sorted keys and a final newline; NaN
+    or an infinity raises ValueError, as JSON has neither."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -2,22 +2,20 @@
 
 Subcommands: generate, pretrain, cluster, train, fuse, score, metrics,
 pipeline, report. Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numeric failure.
+error (a file that disagrees with ``meta.tsv`` included), 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, ensemble, pipeline, scoring, synthdata
-from ._textio import read_rows
+from ._textio import json_text, read_rows
 from .configio import build_pipeline_config, build_synth_config, parse_kv_file
 from .encoder import (
     train_classifier,
@@ -25,7 +23,7 @@ from .encoder import (
     write_checkpoint,
     write_train_log,
 )
-from .errors import ConfigError, SelfLabelError
+from .errors import ConfigError, DataError, SelfLabelError
 from .metrics import DcfParams, nmi, verification_metrics
 from .scoring import Cohort, as_norm, cosine_score, fuse_scores
 
@@ -47,10 +45,10 @@ def _read_corpus_features(corpus_dir, modality):
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    text = json_text(report)
     if out_path:
-        Path(out_path).write_text(text + "\n")
-    print(text)
+        Path(out_path).write_text(text)
+    print(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +65,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    settings = _stage_settings(args)
-    config = settings.contrastive
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    corpus, features = _read_corpus_features(args.corpus, args.modality)
-    aug = (corpus.config or settings.synth).augmentation_noise_range
-    params, log = train_contrastive(features, config, aug)
+    config = _stage_settings(args).contrastive
+    _, features = _read_corpus_features(args.corpus, args.modality)
+    params, log = train_contrastive(features, config, args.seed)
     write_checkpoint(args.out, params)
     if args.log_out:
         write_train_log(args.log_out, log)
@@ -86,7 +80,7 @@ def _cmd_cluster(args) -> int:
     sample_ids, _, _ = synthdata.read_meta(args.meta)
     x = synthdata.read_embeddings(args.embeddings).astype(np.float64)
     if x.shape[0] != len(sample_ids):
-        raise ConfigError("embedding row count does not match meta.tsv")
+        raise DataError("embedding row count does not match meta.tsv")
     choices = [args.k is not None, args.k_grid is not None, args.from_curve is not None]
     if sum(choices) != 1:
         raise ConfigError("give exactly one of --k, --k-grid or --from-curve")
@@ -120,13 +114,13 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _stage_settings(args).classifier
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     corpus, features = _read_corpus_features(args.corpus, args.modality)
     ids, assignment = clustering.read_assignment(args.labels, k=args.num_classes)
     if ids != corpus.sample_ids:
-        raise ConfigError("label file does not cover the corpus sample ids in order")
-    params, head, log = train_classifier(features, assignment.labels, assignment.k, config)
+        raise DataError("label file does not cover the corpus sample ids in order")
+    params, head, log = train_classifier(
+        features, assignment.labels, assignment.k, config, args.seed
+    )
     write_checkpoint(args.out, params, head)
     if args.log_out:
         write_train_log(args.log_out, log)
@@ -142,7 +136,7 @@ def _cmd_fuse(args) -> int:
     za = synthdata.read_embeddings(args.audio_emb).astype(np.float64)
     zv = synthdata.read_embeddings(args.visual_emb).astype(np.float64)
     if za.shape[0] != len(sample_ids) or zv.shape[0] != len(sample_ids):
-        raise ConfigError("embedding row counts do not match meta.tsv")
+        raise DataError("embedding row counts do not match meta.tsv")
     fused_set = ensemble.fuse_pseudo_labels(
         za, zv, args.k, restarts=args.restarts, max_iters=args.max_iters,
         seed=args.seed, workers=args.workers,
@@ -171,7 +165,7 @@ def _cmd_score(args) -> int:
         sample_ids, _, _ = synthdata.read_meta(args.meta)
         z = synthdata.read_embeddings(args.embeddings).astype(np.float64)
         if z.shape[0] != len(sample_ids):
-            raise ConfigError("embedding row count does not match meta.tsv")
+            raise DataError("embedding row count does not match meta.tsv")
         trials = trials.reindex(sample_ids)
         result = cosine_score(trials, z)
         if args.cohort:
@@ -185,15 +179,15 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    _, _, identity_gt = synthdata.read_meta(args.meta)
+    sample_ids, _, identity_gt = synthdata.read_meta(args.meta)
     report = {"nmi_audio": None, "nmi_visual": None, "nmi_fused": None,
               "eer": None, "min_dcf": None, "threshold": None}
     for name, path in (("nmi_audio", args.audio), ("nmi_visual", args.visual),
                        ("nmi_fused", args.fused)):
         if path:
-            _, assignment = clustering.read_assignment(path)
-            if len(assignment) != identity_gt.size:
-                raise ConfigError(f"{path} does not match meta.tsv length")
+            ids, assignment = clustering.read_assignment(path)
+            if ids != sample_ids:
+                raise DataError(f"{path} does not cover the meta.tsv sample ids in order")
             report[name] = nmi(assignment.labels, identity_gt)
     if args.scores:
         if not args.trials:
@@ -258,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modality", choices=("audio", "visual"), default="audio")
     p.add_argument("--out", required=True, help="encoder checkpoint path")
     p.add_argument("--log-out", help="optional training log TSV")
-    p.set_defaults(func=_cmd_pretrain)
+    p.set_defaults(func=_cmd_pretrain, seed=0)
 
     p = sub.add_parser("cluster", help="k-means over an embedding file")
     _add_common(p, config=False, seed=False)
@@ -281,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="label-space size (default: max label + 1)")
     p.add_argument("--out", required=True)
     p.add_argument("--log-out")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, seed=0)
 
     p = sub.add_parser("fuse", help="cluster two modalities and fuse pseudo-labels")
     _add_common(p, config=False, seed=False)

@@ -4,7 +4,8 @@ Config files are plain text: one ``key = value`` per line, ``#`` comments,
 dotted keys for sections (``classifier.epochs = 40``). Comma-separated
 values parse to tuples. A section key sets the field of the same name in
 that section's settings class, converted by the type of the field's
-default; unknown keys are rejected so typos fail loudly.
+default, and a top-level key sets one ``PipelineConfig`` field; there is no
+other mapping. Unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -119,18 +120,8 @@ def _fields(cls, section: str, mapping: dict) -> dict:
     return kwargs
 
 
-# the corpus's config.json stores this setting as one range field
-_NOISE_KEYS = ("synth.augmentation_noise_low", "synth.augmentation_noise_high")
-
-
 def build_synth_config(mapping: dict, seed_override: int | None = None) -> SynthConfig:
-    values = {k: v for k, v in mapping.items() if k not in _NOISE_KEYS}
-    kwargs = _fields(SynthConfig, "synth", values)
-    low, high = (mapping.get(key) for key in _NOISE_KEYS)
-    if (low is None) != (high is None):
-        raise ConfigError(f"set both {_NOISE_KEYS[0]} and {_NOISE_KEYS[1]}")
-    if low is not None:
-        kwargs["augmentation_noise_range"] = tuple(_as_float(mapping[k], k) for k in _NOISE_KEYS)
+    kwargs = _fields(SynthConfig, "synth", mapping)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return SynthConfig(**kwargs)
@@ -177,8 +168,6 @@ def build_pipeline_config(
     }
     if seed_override is not None:
         kwargs["seed"] = int(seed_override)
-    kwargs["synth"] = build_synth_config(mapping)
     for name, cls in _SECTIONS.items():
-        if name != "synth":
-            kwargs[name] = cls(**_fields(cls, name, mapping))
+        kwargs[name] = cls(**_fields(cls, name, mapping))
     return PipelineConfig(output_dir=Path(output_dir), **kwargs)

@@ -101,15 +101,18 @@ class ClassifierHead:
 
 @dataclass(frozen=True, kw_only=True)
 class _LoopConfig:
-    """Settings both training loops read; the subclasses' defaults are the pipeline's."""
+    """Settings both training loops read; the subclasses' defaults are the
+    pipeline's. ``aug_low``/``aug_high`` bound the magnitude of the loop's
+    input noise. The seed is no setting: each loop takes it as an argument."""
 
     batch_size: int = 128
     learning_rate: float
     epochs: int
-    seed: int = 0
     optimizer: str
     hidden_dim: int = 64
     embed_dim: int = 16
+    aug_low: float = 1.0
+    aug_high: float
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -118,12 +121,12 @@ class _LoopConfig:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ConfigError("hidden_dim and embed_dim must be >= 1")
+        if self.aug_low < 0 or self.aug_high < self.aug_low:
+            raise ConfigError("augmentation range must satisfy 0 <= aug_low <= aug_high")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -133,6 +136,7 @@ class ContrastiveConfig(_LoopConfig):
     learning_rate: float = 0.003
     epochs: int = 8
     optimizer: str = "adam"
+    aug_high: float = 1.8
     temperature: float = 0.1
 
     def __post_init__(self):
@@ -143,23 +147,21 @@ class ContrastiveConfig(_LoopConfig):
 
 @dataclass(frozen=True, kw_only=True)
 class ClassifierConfig(_LoopConfig):
-    """Settings of :func:`train_classifier`. Its input noise (``aug_*``)
-    reaches further than the contrastive stage's corpus default."""
+    """Settings of :func:`train_classifier`. Its input noise reaches further
+    than the contrastive loop's (``aug_high`` 2.4, not 1.8), and hits each
+    sample at probability ``aug_prob``."""
 
     learning_rate: float = 0.5
     epochs: int = 40
     optimizer: str = "sgd"
-    epsilon_smooth: float = 0.1
-    aug_low: float = 1.0
     aug_high: float = 2.4
+    epsilon_smooth: float = 0.1
     aug_prob: float = 0.6
 
     def __post_init__(self):
         super().__post_init__()
         if not 0 <= self.epsilon_smooth < 1:
             raise ConfigError("epsilon_smooth must lie in [0, 1)")
-        if self.aug_low < 0 or self.aug_high < self.aug_low:
-            raise ConfigError("augmentation range must satisfy 0 <= aug_low <= aug_high")
         if not 0 <= self.aug_prob <= 1:
             raise ConfigError("aug_prob must lie in [0, 1]")
 
@@ -517,16 +519,16 @@ def _lr_at(config: _LoopConfig, epoch: int) -> float:
 
 
 def train_contrastive(
-    features: np.ndarray,
-    config: ContrastiveConfig,
-    augmentation_range: tuple[float, float],
+    features: np.ndarray, config: ContrastiveConfig, seed: int
 ) -> tuple[EncoderParams, list[tuple[int, float, float]]]:
     """Instance-discrimination pretraining on a feature matrix.
 
-    Deterministic given ``config.seed``. Returns the trained parameters and a
-    per-epoch log of (epoch, mean_loss, accuracy); accuracy is NaN here
-    because there are no labels at this stage. Trailing partial batches are
-    dropped so every batch has the full size.
+    Each row's two views take Gaussian noise of magnitude drawn from
+    [``config.aug_low``, ``config.aug_high``]. Deterministic given ``seed``
+    (nonnegative). Returns the trained parameters and a per-epoch log of
+    (epoch, mean_loss, accuracy); accuracy is NaN here because there are no
+    labels at this stage. Trailing partial batches are dropped so every
+    batch has the full size.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -534,14 +536,13 @@ def train_contrastive(
     n = x.shape[0]
     if config.batch_size > n:
         raise ConfigError(f"batch_size {config.batch_size} exceeds corpus size {n}")
-    low, high = augmentation_range
-    if low < 0 or high < low:
-        raise ConfigError("augmentation range must satisfy 0 <= low <= high")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     _require_finite_rows(x, "features")
 
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim,
-                          np.random.default_rng([config.seed, 101]))
-    rng = np.random.default_rng([config.seed, 102])
+                          np.random.default_rng([seed, 101]))
+    rng = np.random.default_rng([seed, 102])
     size = config.batch_size
     theta, grad, arrays, grads, bufs = _flat(params, None, 2 * size)
     loss_fn = _NtXent(size, params.embed_dim, config.temperature)
@@ -555,7 +556,7 @@ def train_contrastive(
         losses = []
         for start in range(0, n - size + 1, size):
             np.take(x, order[start : start + size], axis=0, out=xb)
-            perturb_two_views(xb, low, high, rng, out=batch)
+            perturb_two_views(xb, config.aug_low, config.aug_high, rng, out=batch)
             loss = _contrastive_step(arrays, grads, bufs, batch, loss_fn)
             if not (np.isfinite(loss) and np.isfinite(grad).all()):
                 raise TrainingError(f"contrastive training diverged at epoch {epoch}", epoch)
@@ -570,8 +571,10 @@ def train_classifier(
     pseudo_labels: np.ndarray,
     num_classes: int,
     config: ClassifierConfig,
+    seed: int,
 ) -> tuple[EncoderParams, ClassifierHead, list[tuple[int, float, float]]]:
-    """Supervised training of encoder + linear head on pseudo-labels.
+    """Supervised training of encoder + linear head on pseudo-labels,
+    deterministic given ``seed`` (nonnegative).
 
     Targets are label-smoothed with ``config.epsilon_smooth``. In each step,
     each sample is perturbed at probability ``config.aug_prob`` with
@@ -594,13 +597,15 @@ def train_classifier(
         raise ConfigError(
             f"label index out of range: found {labels.max()}, have {num_classes} classes"
         )
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     _require_finite_rows(x, "features")
 
     n = x.shape[0]
-    init_rng = np.random.default_rng([config.seed, 201])
+    init_rng = np.random.default_rng([seed, 201])
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
     head = init_head(num_classes, config.embed_dim, init_rng)
-    rng = np.random.default_rng([config.seed, 202])
+    rng = np.random.default_rng([seed, 202])
     size = config.batch_size
     theta, grad, arrays, grads, bufs = _flat(params, head, size)
     opt = _make_optimizer(config, theta)

@@ -9,13 +9,13 @@ all-distinct ties.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._kernels import hungarian_min_cost
+from ._textio import json_text
 from .clustering import Assignment, ClusterSettings, _seed_list, kmeans, write_assignment
 from .errors import ConfigError, NumericError
 
@@ -42,9 +42,7 @@ def write_fusion(out_dir: Path, sample_ids: Sequence[str], fused_set: FusedLabel
     for name, assign in fused_set._asdict().items():
         write_assignment(out_dir / f"assign_{name}.tsv", sample_ids, assign)
     breakdown = vote_breakdown(fused_set.joint, fused_set.audio, fused_set.visual)
-    (out_dir / "fusion_report.json").write_text(
-        json.dumps(breakdown, indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "fusion_report.json").write_text(json_text(breakdown))
     return breakdown
 
 

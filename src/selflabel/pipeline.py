@@ -29,14 +29,14 @@ import json
 import logging
 import shutil
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import ensemble, scoring, synthdata
 from ._parallel import ordered_map
-from ._textio import read_rows
+from ._textio import json_text, read_rows
 from .clustering import (
     Assignment,
     ClusterSettings,
@@ -68,7 +68,7 @@ _MODALITIES = ("audio", "visual")
 
 # Version of the run directory's file formats, part of the fingerprint;
 # raise it whenever a file that a resume reads or keeps changes format.
-ARTIFACT_FORMAT = 2
+ARTIFACT_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,11 @@ class PipelineConfig:
     def fingerprint(self) -> str:
         """Hash of the settings that shape the run's files. ``rounds`` is out,
         so raising it extends a finished run, and so is ``cluster.workers``:
-        every result is bitwise the same for every worker count. The two
-        loops' ``seed`` fields are out too: the pipeline replaces them with
-        seeds derived from ``seed``."""
+        every result is bitwise the same for every worker count."""
         payload = asdict(self)
         payload.pop("output_dir")
         payload.pop("rounds")
         payload["cluster"].pop("workers")
-        payload["contrastive"].pop("seed")
-        payload["classifier"].pop("seed")
         payload["artifact_format"] = ARTIFACT_FORMAT
         payload["corpus_path"] = (
             str(self.corpus_path) if self.corpus_path is not None else None
@@ -150,10 +146,6 @@ class RoundArtifacts:
 
     def embeddings(self, modality: str) -> np.ndarray:
         return synthdata.read_embeddings(self.path / f"{modality}.emb")
-
-
-def _json_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _derive_seed(*parts: int) -> int:
@@ -227,7 +219,7 @@ def _prepare_run(config: PipelineConfig) -> None:
             )
     else:
         with _staged(marker) as tmp:
-            tmp.write_text(json.dumps(payload, indent=2) + "\n")
+            tmp.write_text(json_text(payload))
 
 
 def _ensure_corpus(config: PipelineConfig) -> MultiModalCorpus:
@@ -351,8 +343,10 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
     ``train(corpus)`` returns ``{modality: (params, head, log)}``;
     ``make_labels(tmp, corpus, z)`` writes the round's assignments from the
     read-back embeddings ``z`` and returns K. Everything else a round holds
-    (checkpoints, logs, embeddings, scores, metrics) is written here.
+    (checkpoints, logs, embeddings, scores, metrics) is written here, into
+    a run directory pinned to ``config``.
     """
+    _prepare_run(config)
     if _round_dir(config, index).is_dir():
         logger.info("round %d already complete, skipping", index)
         return _load_round(config, index)
@@ -372,7 +366,7 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
         for modality in z:
             scoring.write_scores(tmp / f"scores_{modality}.tsv", cosine_score(trials, z[modality]))
         report = compute_round_metrics(tmp, corpus, trials, k, index)
-        (tmp / "metrics.json").write_text(_json_text(report))
+        (tmp / "metrics.json").write_text(json_text(report))
     art = _load_round(config, index)
     logger.info("round %d done: %s", index, _metrics_brief(art.metrics))
     return art
@@ -385,15 +379,14 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
 
 def run_stage1(config: PipelineConfig) -> RoundArtifacts:
     """Contrastive pretraining plus the initial clustering round (round 0)."""
-    _prepare_run(config)
     cl = config.cluster
 
     def train(corpus):
-        aug_range = (corpus.config or config.synth).augmentation_noise_range
-        train_cfg = replace(config.contrastive, seed=_derive_seed(config.seed, 0, 1))
-        logger.info("round 0: contrastive pretraining (%d epochs)", train_cfg.epochs)
+        logger.info("round 0: contrastive pretraining (%d epochs)", config.contrastive.epochs)
         params, log = train_contrastive(
-            corpus.features("audio").astype(np.float64), train_cfg, aug_range
+            corpus.features("audio").astype(np.float64),
+            config.contrastive,
+            _derive_seed(config.seed, 0, 1),
         )
         return {"audio": (params, None, log)}
 
@@ -448,7 +441,8 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
                 corpus.features(modality).astype(np.float64),
                 labels.labels,
                 k,
-                replace(config.classifier, seed=_derive_seed(config.seed, round_index, stream)),
+                config.classifier,
+                _derive_seed(config.seed, round_index, stream),
             )
             for stream, modality in enumerate(_MODALITIES, start=4)
         ]
@@ -533,6 +527,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     }
     report_path = config.output_dir / "report.json"
     with _staged(report_path) as tmp:
-        tmp.write_text(_json_text(report))
+        tmp.write_text(json_text(report))
     logger.info("pipeline finished; report at %s", report_path)
     return report

@@ -11,17 +11,18 @@ noise. Identity labels and recording-group ids are carried for evaluation
 only; nothing in the training path may read them.
 
 On disk a corpus is a directory with ``meta.tsv`` (sample_id, group_id,
-identity_gt), ``audio.emb`` and ``visual.emb``. Embedding files use the EMB1
-layout: magic ``EMB1``, u32-LE row count, u32-LE dimension, then float32-LE
-rows in meta order. Features are float32 in memory so file round-trips are
-bit-exact.
+identity_gt), ``audio.emb`` and ``visual.emb``, and nothing else: how a
+corpus was made, or how a network trains on it, is no part of it. Embedding
+files use the EMB1 layout: magic ``EMB1``, u32-LE row count, u32-LE
+dimension, then float32-LE rows in meta order. Features are float32 in
+memory so file round-trips are bit-exact. The range of the two-view noise
+(:func:`perturb_two_views`) is a setting of contrastive training.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ class SynthConfig:
     visual_dim: int = 20
     within_identity_spread: float = 4.8
     observation_noise: float = 0.15
-    augmentation_noise_range: tuple[float, float] = (1.0, 1.8)
     seed: int = 1234
 
     def __post_init__(self):
@@ -62,48 +62,27 @@ class SynthConfig:
             raise ConfigError("within_identity_spread must be >= 0")
         if self.observation_noise < 0:
             raise ConfigError("observation_noise must be >= 0")
-        low, high = self.augmentation_noise_range
-        if low < 0 or high < low:
-            raise ConfigError(
-                "augmentation_noise_range must satisfy 0 <= low <= high, "
-                f"got {self.augmentation_noise_range!r}"
-            )
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        object.__setattr__(
-            self, "augmentation_noise_range", (float(low), float(high))
-        )
 
     @property
     def num_samples(self) -> int:
         return self.num_identities * self.groups_per_identity * self.segments_per_group
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthConfig":
-        kwargs = dict(data)
-        if "augmentation_noise_range" in kwargs:
-            kwargs["augmentation_noise_range"] = tuple(kwargs["augmentation_noise_range"])
-        return cls(**kwargs)
 
 
 class MultiModalCorpus:
     """Ordered collection of paired-modality samples.
 
     Feature matrices are float32 and immutable; index = canonical sample
-    ordinal. ``config`` may be None for corpora read from directories written
-    by other tools (the optional ``config.json`` sidecar is absent).
+    ordinal.
     """
 
-    def __init__(self, sample_ids, group_ids, identity_gt, audio, visual, config=None):
+    def __init__(self, sample_ids, group_ids, identity_gt, audio, visual):
         self.sample_ids = list(sample_ids)
         self.group_ids = list(group_ids)
         self.identity_gt = np.asarray(identity_gt, dtype=np.int64)
         self.audio = np.asarray(audio, dtype=np.float32)
         self.visual = np.asarray(visual, dtype=np.float32)
-        self.config = config
         n = len(self.sample_ids)
         if len(set(self.sample_ids)) != n:
             raise DataError("sample ids are not unique")
@@ -137,7 +116,6 @@ class MultiModalCorpus:
             and np.array_equal(self.identity_gt, other.identity_gt)
             and np.array_equal(self.audio, other.audio)
             and np.array_equal(self.visual, other.visual)
-            and self.config == other.config
         )
 
 
@@ -186,7 +164,6 @@ def generate_corpus(config: SynthConfig) -> MultiModalCorpus:
         identity_gt=identity_gt,
         audio=audio.reshape(-1, da).astype(np.float32),
         visual=visual.reshape(-1, dv).astype(np.float32),
-        config=config,
     )
 
 
@@ -249,11 +226,7 @@ def read_embeddings(path) -> np.ndarray:
 
 
 def write_corpus(corpus: MultiModalCorpus, path) -> None:
-    """Write a corpus directory: meta.tsv, audio.emb, visual.emb.
-
-    A config.json sidecar is added when the corpus carries its generation
-    config, so written corpora round-trip field-for-field.
-    """
+    """Write a corpus directory: meta.tsv, audio.emb, visual.emb."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     lines = ["\t".join(_META_COLUMNS)]
@@ -262,10 +235,6 @@ def write_corpus(corpus: MultiModalCorpus, path) -> None:
     (path / "meta.tsv").write_text("\n".join(lines) + "\n")
     write_embeddings(path / "audio.emb", corpus.audio)
     write_embeddings(path / "visual.emb", corpus.visual)
-    if corpus.config is not None:
-        (path / "config.json").write_text(
-            json.dumps(corpus.config.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
 
 
 def read_meta(path) -> tuple[list[str], list[str], np.ndarray]:
@@ -285,7 +254,9 @@ def read_meta(path) -> tuple[list[str], list[str], np.ndarray]:
 
 
 def read_corpus(path) -> MultiModalCorpus:
-    """Read a corpus directory written by :func:`write_corpus`."""
+    """Read a corpus directory written by :func:`write_corpus`; any other
+    file in it (such as the ``config.json`` that older versions wrote) is
+    ignored."""
     path = Path(path)
     sample_ids, group_ids, identity_gt = read_meta(path / "meta.tsv")
     audio = read_embeddings(path / "audio.emb")
@@ -296,20 +267,12 @@ def read_corpus(path) -> MultiModalCorpus:
             raise DataError(
                 f"row count mismatch: meta.tsv has {n} rows, {name}.emb has {matrix.shape[0]}"
             )
-    config = None
-    config_path = path / "config.json"
-    if config_path.exists():
-        try:
-            config = SynthConfig.from_dict(json.loads(config_path.read_text()))
-        except (ValueError, TypeError, ConfigError) as exc:
-            raise DataError(f"invalid config.json in {path}: {exc}") from exc
     return MultiModalCorpus(
         sample_ids=sample_ids,
         group_ids=group_ids,
         identity_gt=identity_gt,
         audio=audio,
         visual=visual,
-        config=config,
     )
 
 
@@ -326,5 +289,4 @@ def randomize_ground_truth(corpus: MultiModalCorpus, seed: int) -> MultiModalCor
         identity_gt=new_gt,
         audio=corpus.audio,
         visual=corpus.visual,
-        config=corpus.config,
     )

@@ -385,12 +385,12 @@ def _small_pipeline(out, seed=61, rounds=2, corpus_path=None, synth_seed=None):
             visual_dim=8,
             within_identity_spread=3.0,
             observation_noise=0.3,
-            augmentation_noise_range=(0.5, 1.0),
             seed=synth_seed if synth_seed is not None else seed,
         ),
         fixed_k=20,
         contrastive=ContrastiveConfig(
-            optimizer="adam", learning_rate=0.003, epochs=3, batch_size=25
+            optimizer="adam", learning_rate=0.003, epochs=3, batch_size=25,
+            aug_low=0.5, aug_high=1.0,
         ),
         classifier=ClassifierConfig(
             optimizer="sgd", learning_rate=0.5, epochs=6, batch_size=25,

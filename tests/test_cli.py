@@ -6,10 +6,10 @@ import json
 import pytest
 
 from selflabel.cli import main
-from selflabel.configio import build_pipeline_config, parse_kv_text
+from selflabel.configio import build_pipeline_config, build_synth_config, parse_kv_text
 from selflabel.errors import ConfigError
 from selflabel.pipeline import _derive_seed
-from selflabel.synthdata import read_corpus
+from selflabel.synthdata import generate_corpus, read_corpus, write_embeddings
 
 def strict_json(text):
     """Parse JSON as the standard has it: no NaN, Infinity or -Infinity."""
@@ -29,8 +29,6 @@ synth.audio_dim = 6
 synth.visual_dim = 6
 synth.within_identity_spread = 3.0
 synth.observation_noise = 0.3
-synth.augmentation_noise_low = 0.4
-synth.augmentation_noise_high = 0.9
 synth.seed = 5
 """
 
@@ -42,6 +40,8 @@ contrastive.epochs = 2
 contrastive.batch_size = 16
 contrastive.optimizer = adam
 contrastive.learning_rate = 0.003
+contrastive.aug_low = 0.4
+contrastive.aug_high = 0.9
 classifier.epochs = 4
 classifier.batch_size = 16
 classifier.learning_rate = 0.5
@@ -103,7 +103,7 @@ class TestConfigParsing:
         assert config.fixed_k == 16
         assert config.classifier.epochs == 4
         assert (config.classifier.aug_low, config.classifier.aug_high) == (0.4, 1.0)
-        assert config.synth.augmentation_noise_range == (0.4, 0.9)
+        assert (config.contrastive.aug_low, config.contrastive.aug_high) == (0.4, 0.9)
 
 
 class TestConfigValueErrors:
@@ -124,6 +124,12 @@ class TestConfigValueErrors:
             ("contrastive.epsilon_smooth = 0.2", "contrastive.epsilon_smooth"),
             ("classifier.aug_prob = abc", "classifier.aug_prob"),
             ("classifier.aug_low = abc\nclassifier.aug_high = 1.0", "classifier.aug_low"),
+            # removed keys: the noise range is a contrastive setting, and
+            # the pipeline derives each loop's seed from ``seed``
+            ("synth.augmentation_noise_low = 0.4", "synth.augmentation_noise_low"),
+            ("synth.augmentation_noise_high = 0.9", "synth.augmentation_noise_high"),
+            ("contrastive.seed = 3", "contrastive.seed"),
+            ("classifier.seed = 3", "classifier.seed"),
         ],
     )
     def test_pipeline_exits_2(self, tmp_path, capsys, line, key):
@@ -146,11 +152,13 @@ class TestConfigValueErrors:
         assert "'classifier.aug_prob'" in capsys.readouterr().err
 
     def test_generate_bad_noise_range_exits_2(self, tmp_path, capsys):
+        # the noise range is no corpus setting: its old keys are unknown
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("synth.augmentation_noise_low = 0.1\nsynth.augmentation_noise_high = x\n")
+        cfg.write_text("synth.augmentation_noise_low = 0.1\nsynth.augmentation_noise_high = 0.5\n")
         code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")])
         assert code == 2
-        assert "'synth.augmentation_noise_high'" in capsys.readouterr().err
+        assert "unknown config key 'synth.augmentation_noise_low'" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_integral_values_still_convert(self, tmp_path):
         config = build_pipeline_config({"rounds": 2.0, "fixed_k": 7}, tmp_path)
@@ -175,12 +183,8 @@ class TestConfigValueErrors:
         settings = getattr(default, section)
         for field in dataclasses.fields(settings):
             value = getattr(settings, field.name)
-            if field.name == "augmentation_noise_range":
-                keys = ("synth.augmentation_noise_low", "synth.augmentation_noise_high")
-                good = dict(zip(keys, value))
-            else:
-                keys = (f"{section}.{field.name}",)
-                good = {keys[0]: value}
+            keys = (f"{section}.{field.name}",)
+            good = {keys[0]: value}
             text = "".join(f"{k} = {v}\n" for k, v in good.items())
             assert build_pipeline_config(parse_kv_text(text), run) == default, text
             if isinstance(value, str):
@@ -202,7 +206,7 @@ class TestGenerate:
     def test_generate_writes_readable_corpus(self, corpus_dir):
         corpus = read_corpus(corpus_dir)
         assert len(corpus) == 16 * 2 * 4
-        assert corpus.config.seed == 5
+        assert corpus == generate_corpus(build_synth_config(parse_kv_text(TINY_SYNTH)))
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -319,6 +323,48 @@ class TestClusterAndMetrics:
             "--out", str(tmp_path / "assign.tsv"),
         ])
         assert code == 3
+
+
+class TestFilesThatDisagreeWithMeta:
+    """A file whose rows do not pair with ``meta.tsv`` is a data error (exit
+    3), as it is in the pipeline; nothing is written."""
+
+    def test_metrics_checks_ids_not_only_row_count(self, corpus_dir, tmp_path, capsys):
+        corpus = read_corpus(corpus_dir)
+        rows = [f"{sid}\t{int(label)}" for sid, label in zip(corpus.sample_ids, corpus.identity_gt)]
+        exact, reordered = tmp_path / "exact.tsv", tmp_path / "reordered.tsv"
+        exact.write_text("\n".join(rows) + "\n")
+        reordered.write_text("\n".join(rows[::-1]) + "\n")
+        argv = ["metrics", "--meta", str(corpus_dir / "meta.tsv"), "--audio"]
+        assert main(argv + [str(exact)]) == 0
+        assert strict_json(capsys.readouterr().out)["nmi_audio"] == pytest.approx(1.0)
+        out = tmp_path / "report.json"
+        assert main(argv + [str(reordered), "--out", str(out)]) == 3
+        assert "does not cover the meta.tsv sample ids in order" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_row_count_and_id_order_exit_3(self, corpus_dir, tmp_path, capsys):
+        meta = str(corpus_dir / "meta.tsv")
+        ids = read_corpus(corpus_dir).sample_ids
+        short = tmp_path / "short.emb"
+        write_embeddings(short, read_corpus(corpus_dir).audio[:-1])
+        (tmp_path / "trials.txt").write_text(f"{ids[0]} {ids[1]} 1\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("".join(f"{sid}\t{i % 4}\n" for i, sid in enumerate(ids[::-1])))
+        out = tmp_path / "out"
+        for argv, named in (
+            (["cluster", "--embeddings", str(short), "--meta", meta, "--k", "4", "--out"],
+             "embedding row count does not match meta.tsv"),
+            (["fuse", "--audio-emb", str(short), "--visual-emb", str(short), "--meta", meta,
+              "--k", "4", "--out-dir"], "embedding row counts do not match meta.tsv"),
+            (["score", "--trials", str(tmp_path / "trials.txt"), "--embeddings", str(short),
+              "--meta", meta, "--out"], "embedding row count does not match meta.tsv"),
+            (["train", "--corpus", str(corpus_dir), "--modality", "audio",
+              "--labels", str(labels), "--out"], "does not cover the corpus sample ids in order"),
+        ):
+            assert main(argv + [str(out)]) == 3, argv[0]
+            assert named in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestScore:
@@ -449,6 +495,15 @@ class TestTrainCommands:
             "--out", str(cls), "--seed", "4",
         ])
         assert code == 0 and cls.is_file()
+
+    def test_negative_seed_exits_2(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "enc.enc"
+        code = main([
+            "pretrain", "--corpus", str(corpus_dir), "--out", str(out), "--seed", "-1",
+        ])
+        assert code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_divergent_training_exits_4(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"

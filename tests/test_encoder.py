@@ -368,7 +368,6 @@ def tiny_corpus():
             visual_dim=6,
             within_identity_spread=1.6,
             observation_noise=0.2,
-            augmentation_noise_range=(0.2, 0.6),
             seed=5,
         )
     )
@@ -377,8 +376,8 @@ def tiny_corpus():
 class TestTrainContrastive:
     def test_zero_epochs_returns_initialization(self):
         corpus = tiny_corpus()
-        cfg = ContrastiveConfig(epochs=0, batch_size=16, seed=3, optimizer="adam")
-        params, log = train_contrastive(corpus.audio.astype(np.float64), cfg, (0.2, 0.6))
+        cfg = ContrastiveConfig(epochs=0, batch_size=16, optimizer="adam")
+        params, log = train_contrastive(corpus.audio.astype(np.float64), cfg, 3)
         expected = init_encoder(6, cfg.hidden_dim, cfg.embed_dim, np.random.default_rng([3, 101]))
         np.testing.assert_array_equal(params.w1, expected.w1)
         np.testing.assert_array_equal(params.b2, expected.b2)
@@ -387,25 +386,34 @@ class TestTrainContrastive:
     def test_determinism_bitwise(self):
         corpus = tiny_corpus()
         cfg = ContrastiveConfig(
-            epochs=3, batch_size=16, seed=9, optimizer="adam", learning_rate=0.003
+            epochs=3, batch_size=16, optimizer="adam", learning_rate=0.003,
+            aug_low=0.2, aug_high=0.6,
         )
         x = corpus.audio.astype(np.float64)
-        p1, _ = train_contrastive(x, cfg, (0.2, 0.6))
-        p2, _ = train_contrastive(x, cfg, (0.2, 0.6))
+        p1, _ = train_contrastive(x, cfg, 9)
+        p2, _ = train_contrastive(x, cfg, 9)
         for a, b in zip(p1.arrays(), p2.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_batch_size_above_corpus_rejected(self):
         corpus = tiny_corpus()
-        cfg = ContrastiveConfig(epochs=1, batch_size=1000, seed=0)
+        cfg = ContrastiveConfig(epochs=1, batch_size=1000)
         with pytest.raises(ConfigError):
-            train_contrastive(corpus.audio.astype(np.float64), cfg, (0.2, 0.6))
+            train_contrastive(corpus.audio.astype(np.float64), cfg, 0)
 
     def test_augmentation_range_validated(self):
-        corpus = tiny_corpus()
-        cfg = ContrastiveConfig(epochs=1, batch_size=16, seed=0)
-        with pytest.raises(ConfigError):
-            train_contrastive(corpus.audio.astype(np.float64), cfg, (0.5, 0.1))
+        for low, high in ((0.5, 0.1), (-0.1, 0.5)):
+            for cls in (ContrastiveConfig, ClassifierConfig):
+                with pytest.raises(ConfigError, match="augmentation range"):
+                    cls(epochs=1, batch_size=16, aug_low=low, aug_high=high)
+
+    def test_negative_seed_rejected(self):
+        x = tiny_corpus().audio.astype(np.float64)
+        cfg = ContrastiveConfig(epochs=1, batch_size=16)
+        with pytest.raises(ConfigError, match="seed"):
+            train_contrastive(x, cfg, -1)
+        with pytest.raises(ConfigError, match="seed"):
+            train_classifier(x, np.arange(len(x)) % 4, 4, ClassifierConfig(epochs=1), -1)
 
 
 @pytest.mark.slow
@@ -415,15 +423,15 @@ class TestContrastiveBeatsRawBaseline:
         corpus = generate_corpus(SynthConfig())
         x = corpus.audio.astype(np.float64)
         truth = corpus.identity_gt
-        k = corpus.config.num_identities
+        k = SynthConfig().num_identities
         _, raw_assign, _ = kmeans(x, k, restarts=10, seed=1)
         raw_nmi = nmi(raw_assign.labels, truth)
 
         cfg = ContrastiveConfig(
             optimizer="adam", learning_rate=0.003, epochs=20, batch_size=128,
-            temperature=0.1, seed=0,
+            temperature=0.1,
         )
-        params, _ = train_contrastive(x, cfg, corpus.config.augmentation_noise_range)
+        params, _ = train_contrastive(x, cfg, 0)
         z = embed(params, x)
         _, learned_assign, _ = kmeans(z, k, restarts=10, seed=1)
         learned_nmi = nmi(learned_assign.labels, truth)
@@ -444,17 +452,17 @@ class TestTrainClassifier:
         assert probe_acc == 1.0
 
         cfg = ClassifierConfig(
-            epochs=50, batch_size=20, seed=4, optimizer="sgd", learning_rate=0.5, aug_prob=0.0
+            epochs=50, batch_size=20, optimizer="sgd", learning_rate=0.5, aug_prob=0.0
         )
-        _, _, log = train_classifier(x, y, 2, cfg)
+        _, _, log = train_classifier(x, y, 2, cfg, 4)
         assert log[-1][2] >= 0.99
 
     def test_zero_epochs_returns_initialization(self):
         corpus = tiny_corpus()
         x = corpus.audio.astype(np.float64)
         labels = np.arange(len(x)) % 4
-        cfg = ClassifierConfig(epochs=0, batch_size=16, seed=2)
-        params, head, log = train_classifier(x, labels, 4, cfg)
+        cfg = ClassifierConfig(epochs=0, batch_size=16)
+        params, head, log = train_classifier(x, labels, 4, cfg, 2)
         rng = np.random.default_rng([2, 201])
         expected = init_encoder(6, cfg.hidden_dim, cfg.embed_dim, rng)
         np.testing.assert_array_equal(params.w1, expected.w1)
@@ -473,10 +481,10 @@ class TestTrainClassifier:
         assert floor > 0
 
         cfg = ClassifierConfig(
-            epochs=60, batch_size=20, seed=4, optimizer="sgd", learning_rate=0.5,
+            epochs=60, batch_size=20, optimizer="sgd", learning_rate=0.5,
             epsilon_smooth=eps, aug_prob=0.0,
         )
-        _, _, log = train_classifier(x, y, k, cfg)
+        _, _, log = train_classifier(x, y, k, cfg, 4)
         assert log[-1][2] == 1.0  # perfect training accuracy
         assert log[-1][1] >= floor
 
@@ -485,17 +493,17 @@ class TestTrainClassifier:
         x = corpus.audio.astype(np.float64)
         labels = np.full(len(x), 7)
         with pytest.raises(ConfigError):
-            train_classifier(x, labels, 4, ClassifierConfig(epochs=1, batch_size=16, seed=0))
+            train_classifier(x, labels, 4, ClassifierConfig(epochs=1, batch_size=16), 0)
 
     def test_determinism_bitwise(self):
         corpus = tiny_corpus()
         x = corpus.audio.astype(np.float64)
         labels = np.arange(len(x)) % 5
         cfg = ClassifierConfig(
-            epochs=3, batch_size=16, seed=6, learning_rate=0.2, aug_low=0.0, aug_high=0.5
+            epochs=3, batch_size=16, learning_rate=0.2, aug_low=0.0, aug_high=0.5
         )
-        p1, h1, _ = train_classifier(x, labels, 5, cfg)
-        p2, h2, _ = train_classifier(x, labels, 5, cfg)
+        p1, h1, _ = train_classifier(x, labels, 5, cfg, 6)
+        p2, h2, _ = train_classifier(x, labels, 5, cfg, 6)
         for a, b in zip(p1.arrays() + h1.arrays(), p2.arrays() + h2.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -505,10 +513,10 @@ class TestTrainClassifier:
         x = corpus.audio.astype(np.float64)
         labels = np.arange(len(x)) % 4
         cfg = ClassifierConfig(
-            epochs=20, batch_size=16, seed=0, optimizer="sgd", learning_rate=1e18, aug_prob=0.0
+            epochs=20, batch_size=16, optimizer="sgd", learning_rate=1e18, aug_prob=0.0
         )
         with pytest.raises(TrainingError) as excinfo:
-            train_classifier(x, labels, 4, cfg)
+            train_classifier(x, labels, 4, cfg, 0)
         assert excinfo.value.epoch >= 0
 
 
@@ -523,15 +531,15 @@ class TestNonFiniteFeatures:
 
     def test_classifier_names_first_bad_row(self):
         labels = np.arange(80) % 4
-        cfg = ClassifierConfig(epochs=1, batch_size=16, seed=0)
+        cfg = ClassifierConfig(epochs=1, batch_size=16)
         with pytest.raises(NumericError, match="row 41") as excinfo:
-            train_classifier(self.bad_features(), labels, 4, cfg)
+            train_classifier(self.bad_features(), labels, 4, cfg, 0)
         assert not isinstance(excinfo.value, TrainingError)
 
     def test_contrastive_names_first_bad_row(self):
-        cfg = ContrastiveConfig(epochs=1, batch_size=16, seed=0)
+        cfg = ContrastiveConfig(epochs=1, batch_size=16, aug_low=0.2, aug_high=0.6)
         with pytest.raises(NumericError, match="row 41") as excinfo:
-            train_contrastive(self.bad_features(), cfg, (0.2, 0.6))
+            train_contrastive(self.bad_features(), cfg, 0)
         assert not isinstance(excinfo.value, TrainingError)
 
 

@@ -131,12 +131,12 @@ def ref_lr_at(config, epoch):
     return config.learning_rate
 
 
-def ref_train_contrastive(x, config, augmentation_range):
+def ref_train_contrastive(x, config, seed):
     n = x.shape[0]
-    low, high = augmentation_range
+    low, high = config.aug_low, config.aug_high
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim,
-                          np.random.default_rng([config.seed, 101]))
-    rng = np.random.default_rng([config.seed, 102])
+                          np.random.default_rng([seed, 101]))
+    rng = np.random.default_rng([seed, 102])
     opt = ref_optimizer(config, params.arrays())
     log = []
     for epoch in range(config.epochs):
@@ -156,12 +156,12 @@ def ref_train_contrastive(x, config, augmentation_range):
     return params, log
 
 
-def ref_train_classifier(x, labels, num_classes, config):
+def ref_train_classifier(x, labels, num_classes, config, seed):
     n = x.shape[0]
-    init_rng = np.random.default_rng([config.seed, 201])
+    init_rng = np.random.default_rng([seed, 201])
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
     head = init_head(num_classes, config.embed_dim, init_rng)
-    rng = np.random.default_rng([config.seed, 202])
+    rng = np.random.default_rng([seed, 202])
     opt = ref_optimizer(config, params.arrays() + head.arrays())
     log = []
     for epoch in range(config.epochs):
@@ -230,11 +230,11 @@ def test_train_classifier_matches_reference(n, d, k, batch, epochs, optimizer, l
     labels = np.random.default_rng(k).integers(0, k, size=n)
     aug_settings = {"aug_low": aug[0], "aug_high": aug[1]} if aug else {"aug_prob": 0.0}
     cfg = ClassifierConfig(
-        epochs=epochs, batch_size=batch, seed=17, optimizer=optimizer, learning_rate=lr,
+        epochs=epochs, batch_size=batch, optimizer=optimizer, learning_rate=lr,
         **aug_settings,
     )
-    params, head, log = train_classifier(x, labels, k, cfg)
-    ref_params, ref_head, ref_log = ref_train_classifier(x, labels, k, cfg)
+    params, head, log = train_classifier(x, labels, k, cfg, 17)
+    ref_params, ref_head, ref_log = ref_train_classifier(x, labels, k, cfg, 17)
     assert_bitwise(params.arrays() + head.arrays(), ref_params.arrays() + ref_head.arrays())
     assert_same_log(log, ref_log)
 
@@ -253,10 +253,10 @@ CONTRASTIVE_CASES = [
 def test_train_contrastive_matches_reference(n, d, batch, epochs, optimizer, lr, tau):
     x = features(n, d, seed=n + d)
     cfg = ContrastiveConfig(
-        epochs=epochs, batch_size=batch, seed=23, optimizer=optimizer, learning_rate=lr,
-        temperature=tau,
+        epochs=epochs, batch_size=batch, optimizer=optimizer, learning_rate=lr,
+        temperature=tau, aug_low=0.2, aug_high=0.6,
     )
-    params, log = train_contrastive(x, cfg, (0.2, 0.6))
-    ref_params, ref_log = ref_train_contrastive(x, cfg, (0.2, 0.6))
+    params, log = train_contrastive(x, cfg, 23)
+    ref_params, ref_log = ref_train_contrastive(x, cfg, 23)
     assert_bitwise(params.arrays(), ref_params.arrays())
     assert_same_log(log, ref_log)

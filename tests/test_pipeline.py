@@ -55,12 +55,12 @@ def tiny_config(out, seed=31, rounds=2, **overrides):
             visual_dim=8,
             within_identity_spread=3.0,
             observation_noise=0.3,
-            augmentation_noise_range=(0.5, 1.0),
             seed=seed,
         ),
         fixed_k=24,
         contrastive=ContrastiveConfig(
-            optimizer="adam", learning_rate=0.003, epochs=3, batch_size=32
+            optimizer="adam", learning_rate=0.003, epochs=3, batch_size=32,
+            aug_low=0.5, aug_high=1.0,
         ),
         classifier=ClassifierConfig(
             optimizer="sgd", learning_rate=0.5, epochs=8, batch_size=32,
@@ -170,17 +170,16 @@ class TestRounds:
     def test_failed_round_leaves_no_partial_artifacts(self, tmp_path):
         from selflabel.errors import TrainingError
 
-        config = tiny_config(tmp_path / "run", rounds=0)
-        art = run_stage1(config)
-        broken = tiny_config(
+        config = tiny_config(
             tmp_path / "run", rounds=1,
             classifier=ClassifierConfig(
                 optimizer="sgd", learning_rate=1e18, epochs=20, batch_size=32,
                 aug_low=0.5, aug_high=1.2,
             ),
         )
+        art = run_stage1(config)
         with pytest.raises(TrainingError):
-            run_round(broken, 1, art)
+            run_round(config, 1, art)
         assert not (config.output_dir / "round_001").exists()
         assert not list(config.output_dir.glob(".tmp_*"))
 
@@ -285,19 +284,14 @@ class TestDeterminismAndResume:
         with pytest.raises(ConfigError, match="different configuration"):
             run_pipeline(other)
 
-    def test_loop_seeds_are_outside_the_fingerprint(self, tmp_path):
-        # the pipeline derives both loops' seeds from ``seed``, so setting
-        # one changes no file, and a resume over a default run goes through
-        run_pipeline(tiny_config(tmp_path / "fresh", rounds=1))
-        run_pipeline(tiny_config(tmp_path / "resumed", rounds=0))
-        default = tiny_config(tmp_path / "resumed", rounds=1)
-        seeded = replace(
-            default,
-            contrastive=replace(default.contrastive, seed=99),
-            classifier=replace(default.classifier, seed=99),
-        )
-        run_pipeline(seeded)
-        assert tree_bytes(tmp_path / "resumed") == tree_bytes(tmp_path / "fresh")
+    def test_round_checks_the_fingerprint(self, tmp_path):
+        # a round written under another config would mix two experiments
+        config = tiny_config(tmp_path / "run", rounds=1)
+        run_pipeline(config)
+        last = pipeline._load_round(config, 1)
+        with pytest.raises(ConfigError, match="different configuration"):
+            run_round(replace(config, seed=99), 2, last)
+        assert not (tmp_path / "run" / "round_002").exists()
 
     def test_artifact_format_change_rejects_resume(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path / "run", rounds=0)
@@ -422,6 +416,32 @@ eval.nontarget_trials = 20
         assert cli.main(argv) == 3
         assert f"error: cannot read round metrics {metrics}" in capsys.readouterr().err
         assert sorted(metrics.parent.iterdir()) == left  # nothing rebuilt
+
+
+class TestCorpusHoldsNoTrainingSetting:
+    """A corpus directory is meta.tsv and two embedding files: the noise of
+    contrastive pretraining is a ``contrastive.*`` setting, whatever else the
+    directory holds."""
+
+    def encoder(self, tmp_path, name, **contrastive):
+        config = tiny_config(tmp_path / name, rounds=0, corpus_path=tmp_path / "corpus")
+        config = replace(config, contrastive=replace(config.contrastive, **contrastive))
+        run_stage1(config)
+        assert not (config.output_dir / "corpus" / "config.json").exists()
+        return (config.output_dir / "round_000" / "encoder_audio.enc").read_bytes()
+
+    def test_sidecar_is_ignored_and_settings_are_read(self, tmp_path):
+        synth = tiny_config(tmp_path / "x").synth
+        write_corpus(generate_corpus(synth), tmp_path / "corpus")
+        sidecar = tmp_path / "corpus" / "config.json"
+        plain = self.encoder(tmp_path, "plain")
+        # the sidecar older versions wrote, with another noise range
+        sidecar.write_text(json.dumps({"augmentation_noise_range": [0.1, 0.2]}))
+        assert self.encoder(tmp_path, "sidecar") == plain
+        sidecar.unlink()
+        assert self.encoder(tmp_path, "deleted") == plain
+        assert self.encoder(tmp_path, "low", aug_low=0.1) != plain
+        assert self.encoder(tmp_path, "high", aug_high=2.0) != plain
 
 
 class TestGroundTruthFirewall:

@@ -26,7 +26,6 @@ def small_config(**overrides):
         visual_dim=5,
         within_identity_spread=1.0,
         observation_noise=0.2,
-        augmentation_noise_range=(0.1, 0.5),
         seed=77,
     )
     base.update(overrides)
@@ -43,14 +42,6 @@ class TestSynthConfig:
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
             small_config(observation_noise=-0.1)
-
-    def test_inverted_augmentation_range_rejected(self):
-        with pytest.raises(ConfigError):
-            small_config(augmentation_noise_range=(0.5, 0.1))
-
-    def test_dict_round_trip(self):
-        cfg = small_config()
-        assert SynthConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestGenerateCorpus:
@@ -148,6 +139,15 @@ class TestCorpusFiles:
         write_corpus(corpus, tmp_path / "corpus")
         again = read_corpus(tmp_path / "corpus")
         assert again == corpus
+
+    def test_directory_is_meta_and_two_embedding_files(self, tmp_path):
+        corpus = generate_corpus(small_config())
+        write_corpus(corpus, tmp_path / "corpus")
+        names = sorted(p.name for p in (tmp_path / "corpus").iterdir())
+        assert names == ["audio.emb", "meta.tsv", "visual.emb"]
+        # the config.json sidecar of older versions is ignored, even torn
+        (tmp_path / "corpus" / "config.json").write_text("{not json")
+        assert read_corpus(tmp_path / "corpus") == corpus
 
     def test_embedding_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
