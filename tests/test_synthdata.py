@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from selflabel.configio import build_synth_config
+from selflabel.encoder import ContrastiveConfig
 from selflabel.errors import ConfigError, DataError
 from selflabel.synthdata import (
     MultiModalCorpus,
@@ -42,6 +44,16 @@ class TestSynthConfig:
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
             small_config(observation_noise=-0.1)
+
+    def test_inverted_augmentation_range_rejected(self):
+        # the noise range is a contrastive setting: the corpus settings refuse
+        # its old keys, and the loop's settings check the range itself
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_synth_config(
+                {"synth.augmentation_noise_low": 0.5, "synth.augmentation_noise_high": 0.1}
+            )
+        with pytest.raises(ConfigError, match="augmentation range"):
+            ContrastiveConfig(aug_low=0.5, aug_high=0.1)
 
 
 class TestGenerateCorpus:
