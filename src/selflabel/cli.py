@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, ensemble, pipeline, scoring, synthdata
 from ._textio import json_text, read_rows
-from .configio import build_pipeline_config, build_synth_config, parse_kv_file
+from .configio import build_pipeline_config, parse_kv_file
 from .encoder import (
     train_classifier,
     train_contrastive,
@@ -57,7 +58,9 @@ def _emit(report: dict, out_path) -> None:
 
 
 def _cmd_generate(args) -> int:
-    config = build_synth_config(_load_mapping(args), seed_override=args.seed)
+    config = _stage_settings(args).synth
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     corpus = synthdata.generate_corpus(config)
     synthdata.write_corpus(corpus, args.out)
     print(f"wrote corpus with {len(corpus)} samples to {args.out}")

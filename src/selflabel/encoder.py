@@ -18,6 +18,9 @@ arguments and call the same cores the loops call. Every random draw and
 every elementwise operation has the operands it had when each step built
 fresh arrays, so the trained weights and logs are bitwise those of that
 formulation (``tests/test_encoder_reference.py`` keeps it as the oracle).
+The contrastive loss computes only the cross-view half of its score matrix
+elementwise and still matches that formulation's loss and gradient bit for
+bit on every call.
 """
 
 from __future__ import annotations
@@ -246,33 +249,36 @@ def _backward(w2, x2d, hidden, dz, dhidden, grads) -> None:
 class _NtXent:
     """Contrastive loss over (2M, d) batches of one shape.
 
-    Holds the denominator mask, the positive-pair indices and the work
-    buffers, all built once; see :func:`contrastive_loss` for the formula.
+    Only the two cross-view blocks of the (2M, 2M) score matrix enter the
+    loss; the masked same-view blocks contribute exactly 0. The elementwise
+    steps run on one (2M, M) stack of the two blocks (first views against
+    second views, then the reverse), so anchor r's positive sits in column
+    r mod M. Three steps stay full-size because smaller ones round
+    differently: the cosines are ``u @ u.T`` (numpy's symmetric product),
+    and both row sums and ``g @ u`` run over a (2M, 2M) buffer whose
+    same-view blocks stay 0 (numpy's pairwise sum groups a row by its
+    length). The buffers are built once; see :func:`contrastive_loss` for
+    the formula.
     """
 
     def __init__(self, m: int, d: int, tau: float):
         n2 = 2 * m
-        pair = np.concatenate([np.arange(m) + m, np.arange(m)])
-        sample = np.concatenate([np.arange(m), np.arange(m)])
-        view = np.repeat(np.array([0, 1]), m)
-        mask = (sample[:, None] != sample[None, :]) & (view[:, None] != view[None, :])
         self.tau = tau
-        self._excluded = ~mask
-        self._rows = np.arange(n2)
-        self._pair = pair
-        self._positive = self._rows * n2 + pair  # flat index of each anchor's positive
+        self._m = m
+        rows = np.arange(n2)
+        self._positive = rows * m + rows % m  # flat index of each anchor's positive
         self._norms, self._row_max, self._denom, self._lse, self._s_pos, self._row_coef = (
             np.empty((6, n2))
         )
         self._u = np.empty((n2, d))
-        self._cosines, self._s, self._a, self._g = np.empty((4, n2, n2))
+        self._cosines = np.empty((n2, n2))
+        self._full = np.zeros((n2, n2))  # only its cross-view blocks are ever written
+        self._live = np.empty((n2, m))
 
     def __call__(self, z: np.ndarray, grad: np.ndarray) -> float:
         """Mean per-anchor loss of ``z``; writes d loss / d z into ``grad``."""
-        tau, n2 = self.tau, z.shape[0]
-        norms, u, cosines, s, a_mat, g = (
-            self._norms, self._u, self._cosines, self._s, self._a, self._g
-        )
+        tau, m, n2 = self.tau, self._m, z.shape[0]
+        norms, u, cosines, full, s = self._norms, self._u, self._cosines, self._full, self._live
         # row norms as np.linalg.norm(z, axis=1) computes them
         np.multiply(z, z, out=u)
         np.add.reduce(u, axis=1, out=norms)
@@ -281,26 +287,31 @@ class _NtXent:
             raise NumericError("zero-norm embedding in contrastive batch")
         np.divide(z, norms[:, None], out=u)
         np.matmul(u, u.T, out=cosines)
-        np.divide(cosines, tau, out=s)
+        top, bottom = full[:m, m:], full[m:, :m]
+        np.divide(cosines[:m, m:], tau, out=s[:m])
+        np.divide(cosines[m:, :m], tau, out=s[m:])
         s_pos = s.take(self._positive, out=self._s_pos)
-        np.copyto(s, -np.inf, where=self._excluded)
+        s.put(self._positive, -np.inf)
         row_max = np.max(s, axis=1, out=self._row_max)
-        np.subtract(s, row_max[:, None], out=a_mat)
-        np.exp(a_mat, out=a_mat)
-        denom = np.sum(a_mat, axis=1, out=self._denom)
+        s -= row_max[:, None]
+        np.exp(s, out=s)
+        top[...], bottom[...] = s[:m], s[m:]
+        denom = np.sum(full, axis=1, out=self._denom)
         lse = np.log(denom, out=self._lse)
         lse += row_max
         lse -= s_pos
         loss = float(np.mean(lse))
 
         # Sensitivities w.r.t. each cosine, then chain rule through the cosine.
-        a_mat /= denom[:, None]
-        a_mat[self._rows, self._pair] -= 1.0
-        a_mat /= tau
-        np.add(a_mat, a_mat.T, out=g)
-        np.multiply(g, cosines, out=a_mat)
-        row_coef = np.sum(a_mat, axis=1, out=self._row_coef)
-        np.matmul(g, u, out=grad)
+        s /= denom[:, None]
+        s.put(self._positive, s.take(self._positive) - 1.0)
+        s /= tau
+        np.add(s[:m], s[m:].T, out=top)  # g = a + a^T, block by block
+        np.add(s[m:], s[:m].T, out=bottom)
+        np.matmul(full, u, out=grad)
+        top *= cosines[:m, m:]
+        bottom *= cosines[m:, :m]
+        row_coef = np.sum(full, axis=1, out=self._row_coef)
         u *= row_coef[:, None]
         grad -= u
         grad /= norms[:, None]

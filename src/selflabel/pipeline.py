@@ -337,6 +337,11 @@ def compute_round_metrics(round_path, corpus: MultiModalCorpus, trials, k: int, 
     return report
 
 
+def _call(fn, *args):
+    """``fn(*args)``: lets one ``ordered_map`` run two different functions."""
+    return fn(*args)
+
+
 def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundArtifacts:
     """Build round ``index`` unless its directory exists, and load it.
 
@@ -344,18 +349,25 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
     ``make_labels(tmp, corpus, z)`` writes the round's assignments from the
     read-back embeddings ``z`` and returns K. Everything else a round holds
     (checkpoints, logs, embeddings, scores, metrics) is written here, into
-    a run directory pinned to ``config``.
+    a run directory pinned to ``config``. Training runs in this process;
+    the trial list is staged and read back beside it, in a forked worker
+    when ``cluster.workers`` and the corpus size allow one.
     """
     _prepare_run(config)
     if _round_dir(config, index).is_dir():
         logger.info("round %d already complete, skipping", index)
         return _load_round(config, index)
     corpus = _ensure_corpus(config)
-    trials, _ = _ensure_eval_material(config, corpus)
+    trained, (trials, _) = ordered_map(
+        _call,
+        [(train, corpus), (_ensure_eval_material, config, corpus)],
+        config.cluster.workers,
+        rows=len(corpus),
+    )
     with _staged(_round_dir(config, index)) as tmp:
         tmp.mkdir()
         z = {}
-        for modality, (params, head, log) in train(corpus).items():
+        for modality, (params, head, log) in trained.items():
             write_checkpoint(tmp / f"encoder_{modality}.enc", params, head)
             write_train_log(tmp / f"train_log_{modality}.tsv", log)
             emb = embed(params, corpus.features(modality).astype(np.float64))

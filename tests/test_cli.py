@@ -215,6 +215,32 @@ class TestGenerate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("nonsense = 1", "nonsense"),
+        ("classifier.epochs = abc", "classifier.epochs"),
+        ("fixed_k = 2.5", "fixed_k"),
+    ])
+    def test_every_key_is_checked(self, tmp_path, capsys, line, key):
+        # the file is read as ``selflabel pipeline`` reads it, not its
+        # synth.* keys alone
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_SYNTH + line + "\n")
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_pipeline_file_and_seed_flag(self, tmp_path):
+        # a whole pipeline file generates the corpus of its synth.* keys,
+        # and --seed replaces synth.seed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_PIPELINE)
+        synth = build_pipeline_config(parse_kv_text(TINY_SYNTH), tmp_path).synth
+        for seed_args, seed in (([], synth.seed), (["--seed", "9"], 9)):
+            out = tmp_path / f"c{seed}"
+            assert main(["generate", "--config", str(cfg), *seed_args, "--out", str(out)]) == 0
+            assert read_corpus(out) == generate_corpus(dataclasses.replace(synth, seed=seed))
+
 
 class TestClusterAndMetrics:
     def test_cluster_then_metrics(self, corpus_dir, tmp_path):

@@ -4,7 +4,9 @@ The reference below is the training code as it stood before the loops moved
 onto flat parameter/gradient vectors and preallocated buffers: each step
 builds fresh arrays, `_backward` returns an `EncoderParams` of gradients and
 the optimizers loop over the arrays one by one. The production loops must
-reproduce its parameters, head and per-epoch logs bit for bit.
+reproduce its parameters, head and per-epoch logs bit for bit, and the
+contrastive loss, which works on the cross-view blocks only, must reproduce
+the reference's full-matrix loss and gradient bit for bit on every call.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from selflabel.encoder import (
     EncoderParams,
     init_encoder,
     init_head,
+    contrastive_loss,
     train_classifier,
     train_contrastive,
 )
@@ -260,3 +263,18 @@ def test_train_contrastive_matches_reference(n, d, batch, epochs, optimizer, lr,
     ref_params, ref_log = ref_train_contrastive(x, cfg, 23)
     assert_bitwise(params.arrays(), ref_params.arrays())
     assert_same_log(log, ref_log)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 9, 12, 13, 16, 31, 64, 100, 127, 128, 129])
+def test_contrastive_loss_matches_reference_per_call(m):
+    # every numpy summation grouping that depends on the batch size, the
+    # embedding width or the row scale
+    for d in (2, 16, 17, 32):
+        for tau in (0.1, 0.5):
+            z = np.random.default_rng([m, d]).standard_normal((2 * m, d))
+            z[0::3] *= 1e-3
+            z[1::3] *= 1e3
+            loss, grad = contrastive_loss(z, tau)
+            ref_loss, ref_grad = ref_contrastive_loss(z, tau)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes(), (d, tau)
+            assert grad.tobytes() == ref_grad.tobytes(), (d, tau)

@@ -335,9 +335,10 @@ class TestDeterminismAndResume:
             run_pipeline(tiny_config(tmp_path / f"w{n}", cluster=cluster))
             if n == 1:
                 assert not forks
-        # one fork in round 0's k-means; per round, one for the classifier pair
-        # and one for each of the three k-means calls
-        assert len(forks) == 1 + 2 * 4
+        # in each of the three round routines, one for the trial list beside
+        # the training; one in round 0's k-means; per supervised round, one
+        # for the classifier pair and one for each of the three k-means calls
+        assert len(forks) == 3 + 1 + 2 * 4
         assert tree_bytes(tmp_path / "w2") == tree_bytes(tmp_path / "w1")
 
     def test_small_inputs_run_in_process(self, tmp_path, forks):
@@ -374,6 +375,32 @@ class TestCrashSafeRunFiles:
             patch.setattr(Path, "write_text", write_half_then_fail)
             with pytest.raises(OSError, match="simulated crash"):
                 run_pipeline(crashed)
+        run_pipeline(crashed)
+        assert tree_bytes(tmp_path / "crashed") == tree_bytes(tmp_path / "full")
+
+    def test_trial_write_failing_in_worker_then_resume_equals_uninterrupted(
+        self, tmp_path, monkeypatch
+    ):
+        # the trial list is written by a forked worker while round 0 trains
+        monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
+        cluster = ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50, workers=2)
+        run_pipeline(tiny_config(tmp_path / "full", rounds=1, cluster=cluster))
+
+        crashed = tiny_config(tmp_path / "crashed", rounds=1, cluster=cluster)
+        caller = os.getpid()
+
+        def fail(*args):
+            where = "a worker" if os.getpid() != caller else "the caller"
+            raise OSError(f"simulated crash in {where}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline.scoring, "write_trials", fail)
+            with pytest.raises(OSError, match="simulated crash in a worker"):
+                run_pipeline(crashed)
+        # no trials.txt, no cohort file, no round_000/, no staging leftovers
+        assert sorted(p.name for p in crashed.output_dir.iterdir()) == [
+            "corpus", "run_config.json",
+        ]
         run_pipeline(crashed)
         assert tree_bytes(tmp_path / "crashed") == tree_bytes(tmp_path / "full")
 
