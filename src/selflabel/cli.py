@@ -24,7 +24,7 @@ from .encoder import (
     write_checkpoint,
     write_train_log,
 )
-from .errors import ConfigError, DataError, SelfLabelError
+from .errors import ConfigError, SelfLabelError
 from .metrics import DcfParams, nmi, verification_metrics
 from .scoring import Cohort, as_norm, cosine_score, fuse_scores
 
@@ -81,9 +81,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_cluster(args) -> int:
     sample_ids, _, _ = synthdata.read_meta(args.meta)
-    x = synthdata.read_embeddings(args.embeddings).astype(np.float64)
-    if x.shape[0] != len(sample_ids):
-        raise DataError("embedding row count does not match meta.tsv")
+    x = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
     choices = [args.k is not None, args.k_grid is not None, args.from_curve is not None]
     if sum(choices) != 1:
         raise ConfigError("give exactly one of --k, --k-grid or --from-curve")
@@ -118,9 +116,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_train(args) -> int:
     config = _stage_settings(args).classifier
     corpus, features = _read_corpus_features(args.corpus, args.modality)
-    ids, assignment = clustering.read_assignment(args.labels, k=args.num_classes)
-    if ids != corpus.sample_ids:
-        raise DataError("label file does not cover the corpus sample ids in order")
+    assignment = clustering.read_assignment(args.labels, corpus.sample_ids, k=args.num_classes)
     params, head, log = train_classifier(
         features, assignment.labels, assignment.k, config, args.seed
     )
@@ -136,10 +132,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_fuse(args) -> int:
     sample_ids, _, _ = synthdata.read_meta(args.meta)
-    za = synthdata.read_embeddings(args.audio_emb).astype(np.float64)
-    zv = synthdata.read_embeddings(args.visual_emb).astype(np.float64)
-    if za.shape[0] != len(sample_ids) or zv.shape[0] != len(sample_ids):
-        raise DataError("embedding row counts do not match meta.tsv")
+    za = synthdata.read_embeddings(args.audio_emb, len(sample_ids)).astype(np.float64)
+    zv = synthdata.read_embeddings(args.visual_emb, len(sample_ids)).astype(np.float64)
     fused_set = ensemble.fuse_pseudo_labels(
         za, zv, args.k, restarts=args.restarts, max_iters=args.max_iters,
         seed=args.seed, workers=args.workers,
@@ -166,9 +160,7 @@ def _cmd_score(args) -> int:
         if not args.embeddings or not args.meta:
             raise ConfigError("--embeddings and --meta are required unless fusing")
         sample_ids, _, _ = synthdata.read_meta(args.meta)
-        z = synthdata.read_embeddings(args.embeddings).astype(np.float64)
-        if z.shape[0] != len(sample_ids):
-            raise DataError("embedding row count does not match meta.tsv")
+        z = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
         trials = trials.reindex(sample_ids)
         result = cosine_score(trials, z)
         if args.cohort:
@@ -188,10 +180,7 @@ def _cmd_metrics(args) -> int:
     for name, path in (("nmi_audio", args.audio), ("nmi_visual", args.visual),
                        ("nmi_fused", args.fused)):
         if path:
-            ids, assignment = clustering.read_assignment(path)
-            if ids != sample_ids:
-                raise DataError(f"{path} does not cover the meta.tsv sample ids in order")
-            report[name] = nmi(assignment.labels, identity_gt)
+            report[name] = nmi(clustering.read_assignment(path, sample_ids).labels, identity_gt)
     if args.scores:
         if not args.trials:
             raise ConfigError("--trials is required with --scores")

@@ -355,18 +355,19 @@ def write_assignment(path, sample_ids: Sequence[str], assignment: Assignment) ->
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_assignment(path, k: int | None = None) -> tuple[list[str], Assignment]:
-    """Read an assignment TSV. ``k`` defaults to max label + 1."""
-    sample_ids, labels = [], []
+def read_assignment(path, sample_ids: list[str], k: int | None = None) -> Assignment:
+    """Read an assignment TSV whose id column must be ``sample_ids`` in
+    order, the corpus it labels. ``k`` defaults to max label + 1."""
+    ids, labels = [], []
     for sample_id, label in read_rows(path, "assignment", (str, int), "\t"):
-        sample_ids.append(sample_id)
+        ids.append(sample_id)
         labels.append(label)
     if not labels:
         raise DataError(f"assignment file {path} is empty")
+    if ids != sample_ids:
+        raise DataError(f"{path} does not cover the corpus sample ids in order")
     arr = np.asarray(labels, dtype=np.int64)
-    if k is None:
-        k = int(arr.max()) + 1
-    return sample_ids, Assignment(labels=arr, k=k)
+    return Assignment(labels=arr, k=int(arr.max()) + 1 if k is None else k)
 
 
 def write_wss_curve(path, curve: WssCurve) -> None:

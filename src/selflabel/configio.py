@@ -120,13 +120,6 @@ def _fields(cls, section: str, mapping: dict) -> dict:
     return kwargs
 
 
-def build_synth_config(mapping: dict, seed_override: int | None = None) -> SynthConfig:
-    kwargs = _fields(SynthConfig, "synth", mapping)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return SynthConfig(**kwargs)
-
-
 # top-level key -> (PipelineConfig field, conversion); an absent or empty
 # value keeps the field's default
 _TOP_LEVEL_KEYS = {

@@ -14,6 +14,11 @@ a re-run leaves no file of an earlier run's ``final/``. Hence a ``corpus/``
 or ``round_*`` directory exists only when complete: a resume skips it
 without loading anything, and a round damaged by hand is a ``DataError``.
 
+The reader of each per-sample file checks it against the corpus on every
+path, resume included: ``read_assignment`` takes the corpus ids, which the
+file must list in order, and ``read_embeddings`` the corpus's row count.
+No caller compares ids or row counts itself.
+
 Stage 1 and the supervised rounds are one routine, ``_run_round``; each
 passes only what it trains and how it makes K and the labels.
 
@@ -140,12 +145,11 @@ class RoundArtifacts:
     k: int
     metrics: dict
 
-    def assignment(self, name: str) -> Assignment:
-        _, assign = read_assignment(self.path / f"assign_{name}.tsv", k=self.k)
-        return assign
+    def assignment(self, name: str, sample_ids: list[str]) -> Assignment:
+        return read_assignment(self.path / f"assign_{name}.tsv", sample_ids, k=self.k)
 
-    def embeddings(self, modality: str) -> np.ndarray:
-        return synthdata.read_embeddings(self.path / f"{modality}.emb")
+    def embeddings(self, modality: str, rows: int) -> np.ndarray:
+        return synthdata.read_embeddings(self.path / f"{modality}.emb", rows)
 
 
 def _derive_seed(*parts: int) -> int:
@@ -156,13 +160,19 @@ def _round_dir(config: PipelineConfig, index: int) -> Path:
     return config.output_dir / f"round_{index:03d}"
 
 
+def _read_json(path: Path, what: str, key: str, kind):
+    """The JSON object in ``path`` and its ``key`` as ``kind``. A file that
+    cannot be read, parsed or converted is a DataError naming it."""
+    try:
+        obj = json.loads(path.read_text())
+        return obj, kind(obj[key])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _load_round(config: PipelineConfig, index: int) -> RoundArtifacts:
     path = _round_dir(config, index) / "metrics.json"
-    try:
-        metrics = json.loads(path.read_text())
-        k = int(metrics["k"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"cannot read round metrics {path}: {exc}") from None
+    metrics, k = _read_json(path, "round metrics", "k", int)
     return RoundArtifacts(index=index, path=path.parent, k=k, metrics=metrics)
 
 
@@ -211,8 +221,8 @@ def _prepare_run(config: PipelineConfig) -> None:
     marker = out / "run_config.json"
     payload = {"fingerprint": config.fingerprint()}
     if marker.exists():
-        stored = json.loads(marker.read_text())
-        if stored.get("fingerprint") != payload["fingerprint"]:
+        _, stored = _read_json(marker, "run config", "fingerprint", str)
+        if stored != payload["fingerprint"]:
             raise ConfigError(
                 f"output directory {out} was produced by a different configuration; "
                 "use a fresh directory or delete the old run"
@@ -320,9 +330,7 @@ def compute_round_metrics(round_path, corpus: MultiModalCorpus, trials, k: int, 
     for name in ("audio", "visual", "joint", "fused"):
         path = round_path / f"assign_{name}.tsv"
         if path.is_file():
-            ids, assign = read_assignment(path, k=k)
-            if ids != corpus.sample_ids:
-                raise DataError(f"{path} does not cover the corpus sample ids in order")
+            assign = read_assignment(path, corpus.sample_ids, k=k)
             report[f"nmi_{name}"] = nmi(assign.labels, truth)
         else:
             report[f"nmi_{name}"] = None
@@ -371,9 +379,10 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
             write_checkpoint(tmp / f"encoder_{modality}.enc", params, head)
             write_train_log(tmp / f"train_log_{modality}.tsv", log)
             emb = embed(params, corpus.features(modality).astype(np.float64))
-            synthdata.write_embeddings(tmp / f"{modality}.emb", emb)
+            emb_path = tmp / f"{modality}.emb"
+            synthdata.write_embeddings(emb_path, emb)
             # read back: all downstream math runs on the stored float32 values
-            z[modality] = synthdata.read_embeddings(tmp / f"{modality}.emb").astype(np.float64)
+            z[modality] = synthdata.read_embeddings(emb_path, len(corpus)).astype(np.float64)
         k = make_labels(tmp, corpus, z)
         for modality in z:
             scoring.write_scores(tmp / f"scores_{modality}.tsv", cosine_score(trials, z[modality]))
@@ -442,7 +451,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
     cl = config.cluster
 
     def train(corpus):
-        labels = previous.assignment(label_name)
+        labels = previous.assignment(label_name, corpus.sample_ids)
         logger.info(
             "round %d: training the audio and visual classifiers on %s labels (K=%d)",
             round_index, label_name, k,
@@ -505,7 +514,7 @@ def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: Rou
                     for suffix in ("", "_norm")
                 }
             else:
-                z = last.embeddings(system).astype(np.float64)
+                z = last.embeddings(system, len(corpus)).astype(np.float64)
                 stored[system] = scoring.read_scores(last.path / f"scores_{system}.tsv", trials)
                 cohort = Cohort(z[cohort_rows])
                 to_write = {f"{system}_norm": as_norm(stored[system], z, cohort, config.eval.top_n)}

@@ -206,8 +206,9 @@ def write_embeddings(path, array: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def read_embeddings(path) -> np.ndarray:
-    """Read an EMB1 file back into a float32 matrix."""
+def read_embeddings(path, rows: int) -> np.ndarray:
+    """Read an EMB1 file back into a float32 matrix of ``rows`` rows, one
+    per sample of the corpus it embeds."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -215,7 +216,9 @@ def read_embeddings(path) -> np.ndarray:
         raise DataError(f"cannot read embedding file {path}: {exc}") from exc
     if len(blob) < 12 or blob[:4] != _EMB_MAGIC:
         raise DataError(f"malformed header in {path}")
-    rows, dim = struct.unpack("<II", blob[4:12])
+    stored, dim = struct.unpack("<II", blob[4:12])
+    if stored != rows:
+        raise DataError(f"row count mismatch: {path} has {stored} rows, the corpus has {rows}")
     expected = 12 + rows * dim * 4
     if len(blob) < expected:
         raise DataError(f"truncated payload in {path}")
@@ -259,20 +262,12 @@ def read_corpus(path) -> MultiModalCorpus:
     ignored."""
     path = Path(path)
     sample_ids, group_ids, identity_gt = read_meta(path / "meta.tsv")
-    audio = read_embeddings(path / "audio.emb")
-    visual = read_embeddings(path / "visual.emb")
-    n = len(sample_ids)
-    for name, matrix in (("audio", audio), ("visual", visual)):
-        if matrix.shape[0] != n:
-            raise DataError(
-                f"row count mismatch: meta.tsv has {n} rows, {name}.emb has {matrix.shape[0]}"
-            )
     return MultiModalCorpus(
         sample_ids=sample_ids,
         group_ids=group_ids,
         identity_gt=identity_gt,
-        audio=audio,
-        visual=visual,
+        audio=read_embeddings(path / "audio.emb", len(sample_ids)),
+        visual=read_embeddings(path / "visual.emb", len(sample_ids)),
     )
 
 

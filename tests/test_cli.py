@@ -6,7 +6,7 @@ import json
 import pytest
 
 from selflabel.cli import main
-from selflabel.configio import build_pipeline_config, build_synth_config, parse_kv_text
+from selflabel.configio import build_pipeline_config, parse_kv_text
 from selflabel.errors import ConfigError
 from selflabel.pipeline import _derive_seed
 from selflabel.synthdata import generate_corpus, read_corpus, write_embeddings
@@ -206,7 +206,8 @@ class TestGenerate:
     def test_generate_writes_readable_corpus(self, corpus_dir):
         corpus = read_corpus(corpus_dir)
         assert len(corpus) == 16 * 2 * 4
-        assert corpus == generate_corpus(build_synth_config(parse_kv_text(TINY_SYNTH)))
+        synth = build_pipeline_config(parse_kv_text(TINY_SYNTH), ".").synth
+        assert corpus == generate_corpus(synth)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -353,7 +354,7 @@ class TestClusterAndMetrics:
 
 class TestFilesThatDisagreeWithMeta:
     """A file whose rows do not pair with ``meta.tsv`` is a data error (exit
-    3), as it is in the pipeline; nothing is written."""
+    3), raised by the file's reader; nothing is written."""
 
     def test_metrics_checks_ids_not_only_row_count(self, corpus_dir, tmp_path, capsys):
         corpus = read_corpus(corpus_dir)
@@ -366,7 +367,7 @@ class TestFilesThatDisagreeWithMeta:
         assert strict_json(capsys.readouterr().out)["nmi_audio"] == pytest.approx(1.0)
         out = tmp_path / "report.json"
         assert main(argv + [str(reordered), "--out", str(out)]) == 3
-        assert "does not cover the meta.tsv sample ids in order" in capsys.readouterr().err
+        assert "does not cover the corpus sample ids in order" in capsys.readouterr().err
         assert not out.exists()
 
     def test_row_count_and_id_order_exit_3(self, corpus_dir, tmp_path, capsys):
@@ -380,11 +381,11 @@ class TestFilesThatDisagreeWithMeta:
         out = tmp_path / "out"
         for argv, named in (
             (["cluster", "--embeddings", str(short), "--meta", meta, "--k", "4", "--out"],
-             "embedding row count does not match meta.tsv"),
+             "row count mismatch"),
             (["fuse", "--audio-emb", str(short), "--visual-emb", str(short), "--meta", meta,
-              "--k", "4", "--out-dir"], "embedding row counts do not match meta.tsv"),
+              "--k", "4", "--out-dir"], "row count mismatch"),
             (["score", "--trials", str(tmp_path / "trials.txt"), "--embeddings", str(short),
-              "--meta", meta, "--out"], "embedding row count does not match meta.tsv"),
+              "--meta", meta, "--out"], "row count mismatch"),
             (["train", "--corpus", str(corpus_dir), "--modality", "audio",
               "--labels", str(labels), "--out"], "does not cover the corpus sample ids in order"),
         ):

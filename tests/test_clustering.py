@@ -23,7 +23,7 @@ from selflabel.clustering import (
     wss,
 )
 from selflabel.ensemble import fuse_pseudo_labels
-from selflabel.errors import ConfigError
+from selflabel.errors import ConfigError, DataError
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -324,10 +324,12 @@ class TestAssignmentFiles:
         ids = [f"s{i}" for i in range(6)]
         a = Assignment(labels=np.array([0, 1, 2, 1, 0, 2]), k=3)
         write_assignment(tmp_path / "a.tsv", ids, a)
-        ids2, a2 = read_assignment(tmp_path / "a.tsv", k=3)
-        assert ids2 == ids
+        a2 = read_assignment(tmp_path / "a.tsv", ids, k=3)
         np.testing.assert_array_equal(a2.labels, a.labels)
         assert a2.k == 3
+        # the file must list the given ids, in their order
+        with pytest.raises(DataError, match="does not cover the corpus sample ids in order"):
+            read_assignment(tmp_path / "a.tsv", ids[::-1], k=3)
 
     def test_curve_round_trip(self, tmp_path):
         curve = WssCurve(ks=np.array([2, 3, 5]), wss=np.array([10.5, 7.25, 1.125]))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +30,9 @@ from selflabel.synthdata import (
     generate_corpus,
     randomize_ground_truth,
     read_corpus,
+    read_embeddings,
     write_corpus,
+    write_embeddings,
 )
 
 
@@ -406,8 +409,10 @@ class TestCrashSafeRunFiles:
 
 
 class TestDamagedRound:
-    """A round directory exists only when complete, so a hand-damaged one is
-    a DataError naming the file (exit 3), not a traceback or a rebuild."""
+    """A run file damaged by hand is a DataError naming it (exit 3), not a
+    traceback, a rebuild or a silent misreading: a round directory exists
+    only when complete, and each per-sample file's reader checks it against
+    the corpus."""
 
     CONFIG = """
 seed = 31
@@ -427,22 +432,45 @@ eval.target_trials = 20
 eval.nontarget_trials = 20
 """
 
-    @pytest.mark.parametrize("damage", ["torn", "deleted"])
-    def test_damaged_metrics_exit_3(self, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("damage", [
+        "metrics_torn", "metrics_deleted", "config_not_object", "config_torn",
+        "labels_permuted", "embeddings_short",
+    ])
+    def test_damaged_file_exit_3(self, tmp_path, capsys, damage):
+        # each file's reader checks it, on a resume too, and nothing is written
         cfg = tmp_path / "run.cfg"
         cfg.write_text(self.CONFIG)
-        argv = ["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        run = tmp_path / "run"
+        argv = ["pipeline", "--config", str(cfg), "--out", str(run)]
         assert cli.main(argv) == 0
-        metrics = tmp_path / "run" / "round_001" / "metrics.json"
-        if damage == "torn":
-            metrics.write_text(metrics.read_text()[:40])
+        if damage.startswith("metrics"):
+            path = run / "round_001" / "metrics.json"
+            if damage == "metrics_torn":
+                path.write_text(path.read_text()[:40])
+            else:
+                path.unlink()
+            named = f"cannot read round metrics {path}"
+        elif damage.startswith("config"):
+            path = run / "run_config.json"
+            path.write_text("[1, 2]\n" if damage == "config_not_object" else '{"fingerprint": ')
+            named = f"cannot read run config {path}"
+        elif damage == "labels_permuted":
+            # a run stopped after round 0, whose labels were then reordered
+            shutil.rmtree(run / "round_001")
+            path = run / "round_000" / "assign_audio.tsv"
+            path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))
+            named = f"{path} does not cover the corpus sample ids in order"
         else:
-            metrics.unlink()
-        left = sorted(metrics.parent.iterdir())
+            # the last round's embeddings lost 3 of their 120 rows
+            path = run / "round_001" / "audio.emb"
+            write_embeddings(path, read_embeddings(path, 120)[:-3])
+            named = f"row count mismatch: {path} has 117 rows"
+            argv = ["report", "--config", str(cfg), "--run", str(run)]
+        before = tree_bytes(run)
         capsys.readouterr()
         assert cli.main(argv) == 3
-        assert f"error: cannot read round metrics {metrics}" in capsys.readouterr().err
-        assert sorted(metrics.parent.iterdir()) == left  # nothing rebuilt
+        assert f"error: {named}" in capsys.readouterr().err
+        assert tree_bytes(run) == before  # nothing written, nothing rebuilt
 
 
 class TestCorpusHoldsNoTrainingSetting:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from selflabel.configio import build_synth_config
+from selflabel.configio import build_pipeline_config
 from selflabel.encoder import ContrastiveConfig
 from selflabel.errors import ConfigError, DataError
 from selflabel.synthdata import (
@@ -49,9 +49,9 @@ class TestSynthConfig:
         # the noise range is a contrastive setting: the corpus settings refuse
         # its old keys, and the loop's settings check the range itself
         with pytest.raises(ConfigError, match="unknown config key"):
-            build_synth_config(
-                {"synth.augmentation_noise_low": 0.5, "synth.augmentation_noise_high": 0.1}
-            )
+            build_pipeline_config(
+                {"synth.augmentation_noise_low": 0.5, "synth.augmentation_noise_high": 0.1}, "."
+            ).synth
         with pytest.raises(ConfigError, match="augmentation range"):
             ContrastiveConfig(aug_low=0.5, aug_high=0.1)
 
@@ -165,7 +165,7 @@ class TestCorpusFiles:
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((17, 4)).astype(np.float32)
         write_embeddings(tmp_path / "x.emb", arr)
-        back = read_embeddings(tmp_path / "x.emb")
+        back = read_embeddings(tmp_path / "x.emb", 17)
         assert back.dtype == np.float32
         np.testing.assert_array_equal(back, arr)
 
