@@ -25,7 +25,7 @@ from .encoder import (
     write_train_log,
 )
 from .errors import ConfigError, SelfLabelError
-from .metrics import DcfParams, nmi, verification_metrics
+from .metrics import nmi, verification_metrics
 from .scoring import Cohort, as_norm, cosine_score, fuse_scores
 
 
@@ -80,6 +80,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    settings = _stage_settings(args).cluster
     sample_ids, _, _ = synthdata.read_meta(args.meta)
     x = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
     choices = [args.k is not None, args.k_grid is not None, args.from_curve is not None]
@@ -92,8 +93,8 @@ def _cmd_cluster(args) -> int:
     elif args.k_grid is not None:
         grid = clustering.elbow_grid(args.k_grid.split(","), "--k-grid")
         curve = clustering.sweep_k(
-            x, grid, restarts=args.restarts, seed=args.seed,
-            max_iters=args.max_iters, workers=args.workers,
+            x, grid, restarts=settings.restarts, seed=args.seed,
+            max_iters=settings.max_iters, workers=settings.workers,
         )
         if args.curve_out:
             clustering.write_wss_curve(args.curve_out, curve)
@@ -105,8 +106,8 @@ def _cmd_cluster(args) -> int:
     else:
         k = args.k
     _, assignment, w = clustering.kmeans(
-        x, k, restarts=args.restarts, max_iters=args.max_iters,
-        seed=args.seed, workers=args.workers,
+        x, k, restarts=settings.restarts, max_iters=settings.max_iters,
+        seed=args.seed, workers=settings.workers,
     )
     clustering.write_assignment(args.out, sample_ids, assignment)
     print(f"wrote assignment (K={k}, W={w:.6g}) to {args.out}")
@@ -131,12 +132,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    settings = _stage_settings(args).cluster
     sample_ids, _, _ = synthdata.read_meta(args.meta)
     za = synthdata.read_embeddings(args.audio_emb, len(sample_ids)).astype(np.float64)
     zv = synthdata.read_embeddings(args.visual_emb, len(sample_ids)).astype(np.float64)
     fused_set = ensemble.fuse_pseudo_labels(
-        za, zv, args.k, restarts=args.restarts, max_iters=args.max_iters,
-        seed=args.seed, workers=args.workers,
+        za, zv, args.k, restarts=settings.restarts, max_iters=settings.max_iters,
+        seed=args.seed, workers=settings.workers,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,6 +148,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    top_n = _stage_settings(args).eval.top_n
     trials = scoring.read_trials(args.trials)
     if args.fuse:
         if not args.weights:
@@ -166,7 +169,6 @@ def _cmd_score(args) -> int:
         if args.cohort:
             cohort_ids = [cid for cid, in read_rows(args.cohort, "cohort", (str,))]
             cohort = Cohort(z[scoring.rows_of(cohort_ids, sample_ids, "cohort")])
-            top_n = args.top_n if args.top_n is not None else cohort.size
             result = as_norm(result, z, cohort, top_n)
     scoring.write_scores(args.out, result)
     print(f"wrote {len(result)} scores to {args.out}")
@@ -174,6 +176,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    dcf = _stage_settings(args).dcf
     sample_ids, _, identity_gt = synthdata.read_meta(args.meta)
     report = {"nmi_audio": None, "nmi_visual": None, "nmi_fused": None,
               "eer": None, "min_dcf": None, "threshold": None}
@@ -186,7 +189,6 @@ def _cmd_metrics(args) -> int:
             raise ConfigError("--trials is required with --scores")
         trials = scoring.read_trials(args.trials)
         score_set = scoring.read_scores(args.scores, trials)
-        dcf = DcfParams(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
         report.update(verification_metrics(score_set, dcf))
     _emit(report, args.out)
     return 0
@@ -210,19 +212,10 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, config=True, seed=True):
-    if config:
-        sub.add_argument("--config", help="key = value config file")
+def _add_common(sub, seed=True):
+    sub.add_argument("--config", help="key = value config file")
     if seed:
         sub.add_argument("--seed", type=int, default=None, help="seed override")
-
-
-def _add_cluster_flags(sub):
-    defaults = clustering.ClusterSettings
-    sub.add_argument("--restarts", type=int, default=defaults.restarts)
-    sub.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    sub.add_argument("--workers", type=int, default=defaults.workers)
-    sub.add_argument("--seed", type=int, default=0, help="k-means seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,16 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pretrain, seed=0)
 
     p = sub.add_parser("cluster", help="k-means over an embedding file")
-    _add_common(p, config=False, seed=False)
+    _add_common(p)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--meta", required=True, help="meta.tsv supplying sample ids")
     p.add_argument("--k", type=int)
     p.add_argument("--k-grid", help="comma list; the elbow picks K")
     p.add_argument("--from-curve", help="run the elbow on a stored WSS curve")
     p.add_argument("--curve-out", help="write the WSS curve here")
-    _add_cluster_flags(p)
     p.add_argument("--out", required=True, help="assignment TSV path")
-    p.set_defaults(func=_cmd_cluster)
+    p.set_defaults(func=_cmd_cluster, seed=0)
 
     p = sub.add_parser("train", help="classifier training on pseudo-labels")
     _add_common(p)
@@ -270,38 +262,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train, seed=0)
 
     p = sub.add_parser("fuse", help="cluster two modalities and fuse pseudo-labels")
-    _add_common(p, config=False, seed=False)
+    _add_common(p)
     p.add_argument("--audio-emb", required=True)
     p.add_argument("--visual-emb", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_cluster_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_fuse)
+    p.set_defaults(func=_cmd_fuse, seed=0)
 
     p = sub.add_parser("score", help="cosine scores for a trial list; optional AS-Norm or fusion")
-    _add_common(p, config=False, seed=False)
+    _add_common(p, seed=False)
     p.add_argument("--trials", required=True)
     p.add_argument("--embeddings")
     p.add_argument("--meta")
-    p.add_argument("--cohort", help="file of cohort sample ids enables AS-Norm")
-    p.add_argument("--top-n", type=int, default=None)
+    p.add_argument("--cohort", help="file of cohort sample ids enables AS-Norm over eval.top_n")
     p.add_argument("--fuse", nargs="+", help="score files to fuse instead of scoring")
     p.add_argument("--weights", help="comma list of fusion weights")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("metrics", help="clustering/verification metrics report")
-    _add_common(p, config=False, seed=False)
+    _add_common(p, seed=False)
     p.add_argument("--meta", required=True)
     p.add_argument("--audio", help="audio assignment TSV")
     p.add_argument("--visual", help="visual assignment TSV")
     p.add_argument("--fused", help="fused assignment TSV")
     p.add_argument("--trials")
     p.add_argument("--scores")
-    p.add_argument("--p-target", type=float, default=DcfParams.p_target)
-    p.add_argument("--c-miss", type=float, default=DcfParams.c_miss)
-    p.add_argument("--c-fa", type=float, default=DcfParams.c_fa)
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=_cmd_metrics)
 

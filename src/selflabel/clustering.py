@@ -89,8 +89,8 @@ class WssCurve:
             raise ConfigError("curve requires matching 1-d ks and wss vectors")
         if ks.size and np.any(np.diff(ks) <= 0):
             raise ConfigError("ks must be strictly ascending")
-        if np.any(wss < 0):
-            raise ConfigError("wss values must be nonnegative")
+        if not np.all(wss >= 0):
+            raise ConfigError("wss values must be finite and nonnegative")
         ks.setflags(write=False)
         wss.setflags(write=False)
         object.__setattr__(self, "ks", ks)
@@ -357,7 +357,9 @@ def write_assignment(path, sample_ids: Sequence[str], assignment: Assignment) ->
 
 def read_assignment(path, sample_ids: list[str], k: int | None = None) -> Assignment:
     """Read an assignment TSV whose id column must be ``sample_ids`` in
-    order, the corpus it labels. ``k`` defaults to max label + 1."""
+    order and whose labels lie in [0, k); ``k`` defaults to max label + 1."""
+    if k is not None and k < 1:
+        raise ConfigError(f"assignment needs k >= 1, got {k}")
     ids, labels = [], []
     for sample_id, label in read_rows(path, "assignment", (str, int), "\t"):
         ids.append(sample_id)
@@ -367,7 +369,12 @@ def read_assignment(path, sample_ids: list[str], k: int | None = None) -> Assign
     if ids != sample_ids:
         raise DataError(f"{path} does not cover the corpus sample ids in order")
     arr = np.asarray(labels, dtype=np.int64)
-    return Assignment(labels=arr, k=int(arr.max()) + 1 if k is None else k)
+    k = int(arr.max()) + 1 if k is None else k
+    outside = np.flatnonzero((arr < 0) | (arr >= k))
+    if outside.size:
+        i = outside[0]
+        raise DataError(f"{path}: label {arr[i]} of sample {ids[i]} lies outside [0, {k})")
+    return Assignment(labels=arr, k=k)
 
 
 def write_wss_curve(path, curve: WssCurve) -> None:
@@ -380,4 +387,7 @@ def read_wss_curve(path) -> WssCurve:
     for k, w in read_rows(path, "curve", (int, float), "\t"):
         ks.append(k)
         ws.append(w)
-    return WssCurve(ks=np.asarray(ks), wss=np.asarray(ws))
+    try:
+        return WssCurve(ks=np.asarray(ks), wss=np.asarray(ws))
+    except ConfigError as exc:
+        raise DataError(f"curve file {path}: {exc}") from None

@@ -118,10 +118,6 @@ class Cohort:
             raise NumericError("cohort embeddings contain non-finite values")
         object.__setattr__(self, "embeddings", emb)
 
-    @property
-    def size(self) -> int:
-        return self.embeddings.shape[0]
-
 
 def _unit_rows(trials: Trials, embeddings) -> np.ndarray:
     """The embedding matrix with each row that a trial uses scaled to unit
@@ -324,4 +320,8 @@ def read_scores(path, trials: Trials) -> ScoreSet:
     count = len(scores) + sum(1 for _ in rows)
     if count != len(trials):
         raise DataError(f"score file {path} has {count} rows but trial list has {len(trials)}")
+    scores = np.asarray(scores)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise DataError(f"score row {bad[0]} of {path} is not finite: {scores[bad[0]]}")
     return ScoreSet(trials=trials, scores=scores)

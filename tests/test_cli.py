@@ -5,10 +5,24 @@ import json
 
 import pytest
 
+import numpy as np
+
+from selflabel import ensemble
 from selflabel.cli import main
+from selflabel.clustering import kmeans, write_assignment
 from selflabel.configio import build_pipeline_config, parse_kv_text
 from selflabel.errors import ConfigError
+from selflabel.metrics import DcfParams, verification_metrics
 from selflabel.pipeline import _derive_seed
+from selflabel.scoring import (
+    Cohort,
+    as_norm,
+    cosine_score,
+    read_scores,
+    read_trials,
+    rows_of,
+    write_scores,
+)
 from selflabel.synthdata import generate_corpus, read_corpus, write_embeddings
 
 def strict_json(text):
@@ -18,6 +32,13 @@ def strict_json(text):
         raise ValueError(f"{constant} is not JSON")
 
     return json.loads(text, parse_constant=reject)
+
+
+def config_file(tmp_path, text):
+    """A ``--config`` argument: a file holding ``text``."""
+    path = tmp_path / "stage.cfg"
+    path.write_text(text)
+    return str(path)
 
 
 TINY_SYNTH = """
@@ -251,7 +272,7 @@ class TestClusterAndMetrics:
             "cluster",
             "--embeddings", str(corpus_dir / "audio.emb"),
             "--meta", str(corpus_dir / "meta.tsv"),
-            "--k", "16", "--restarts", "3",
+            "--k", "16", "--config", config_file(tmp_path, "cluster.restarts = 3\n"),
             "--out", str(assign_path),
         ])
         assert code == 0 and assign_path.is_file()
@@ -290,7 +311,7 @@ class TestClusterAndMetrics:
             "cluster",
             "--embeddings", str(corpus_dir / "audio.emb"),
             "--meta", str(corpus_dir / "meta.tsv"),
-            "--k-grid", "4,8,12,16", "--restarts", "2",
+            "--k-grid", "4,8,12,16", "--config", config_file(tmp_path, "cluster.restarts = 2\n"),
             "--curve-out", str(tmp_path / "wss.tsv"),
             "--out", str(tmp_path / "assign.tsv"),
         ])
@@ -302,7 +323,7 @@ class TestClusterAndMetrics:
             "cluster",
             "--embeddings", str(corpus_dir / "audio.emb"),
             "--meta", str(corpus_dir / "meta.tsv"),
-            "--from-curve", str(tmp_path / "wss.tsv"), "--restarts", "2",
+            "--from-curve", str(tmp_path / "wss.tsv"), "--config", str(tmp_path / "stage.cfg"),
             "--out", str(tmp_path / "assign2.tsv"),
         ])
         assert code == 0
@@ -313,7 +334,7 @@ class TestClusterAndMetrics:
             "cluster",
             "--embeddings", str(corpus_dir / "audio.emb"),
             "--meta", str(corpus_dir / "meta.tsv"),
-            "--k-grid", "6,8", "--restarts", "2",
+            "--k-grid", "6,8", "--config", config_file(tmp_path, "cluster.restarts = 2\n"),
             "--curve-out", str(tmp_path / "wss.tsv"),
             "--out", str(tmp_path / "assign.tsv"),
         ])
@@ -323,18 +344,18 @@ class TestClusterAndMetrics:
         assert not (tmp_path / "assign.tsv").exists()
 
     @pytest.mark.parametrize(
-        "flags, named",
+        "flags, config, named",
         [
-            (["--k-grid", "4,x,8"], "'--k-grid'"),
-            (["--k", "4", "--workers", "0"], "workers"),
+            pytest.param(["--k-grid", "4,x,8"], "", "'--k-grid'", id="flags0-'--k-grid'"),
+            pytest.param(["--k", "4"], "cluster.workers = 0\n", "workers", id="flags1-workers"),
         ],
     )
-    def test_bad_flag_value_exits_2(self, corpus_dir, tmp_path, capsys, flags, named):
+    def test_bad_flag_value_exits_2(self, corpus_dir, tmp_path, capsys, flags, config, named):
         code = main([
             "cluster",
             "--embeddings", str(corpus_dir / "audio.emb"),
             "--meta", str(corpus_dir / "meta.tsv"),
-            *flags,
+            *flags, "--config", config_file(tmp_path, config),
             "--out", str(tmp_path / "assign.tsv"),
         ])
         assert code == 2
@@ -353,8 +374,9 @@ class TestClusterAndMetrics:
 
 
 class TestFilesThatDisagreeWithMeta:
-    """A file whose rows do not pair with ``meta.tsv`` is a data error (exit
-    3), raised by the file's reader; nothing is written."""
+    """A file whose rows do not pair with ``meta.tsv``, or that holds a value
+    its reader rejects, is a data error (exit 3) naming the file, raised by
+    the file's reader; nothing is written."""
 
     def test_metrics_checks_ids_not_only_row_count(self, corpus_dir, tmp_path, capsys):
         corpus = read_corpus(corpus_dir)
@@ -391,6 +413,35 @@ class TestFilesThatDisagreeWithMeta:
         ):
             assert main(argv + [str(out)]) == 3, argv[0]
             assert named in capsys.readouterr().err
+            assert not out.exists()
+
+
+    def test_rejected_values_exit_3(self, corpus_dir, tmp_path, capsys):
+        meta = str(corpus_dir / "meta.tsv")
+        ids = read_corpus(corpus_dir).sample_ids
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("".join(f"{sid}\t{-1 if i == 3 else i % 4}\n" for i, sid in enumerate(ids)))
+        curve, nan_curve = tmp_path / "wss.tsv", tmp_path / "nan_wss.tsv"
+        curve.write_text("4\t9.0\n8\t4.0\n6\t2.0\n")
+        nan_curve.write_text("4\t9.0\n6\tnan\n8\t2.0\n")
+        trials, scores = tmp_path / "trials.txt", tmp_path / "scores.txt"
+        trials.write_text(f"{ids[0]} {ids[1]} 1\n{ids[0]} {ids[40]} 0\n")
+        scores.write_text(f"{ids[0]} {ids[1]} 0.5\n{ids[0]} {ids[40]} nan\n")
+        out = tmp_path / "out"
+        for argv, named in (
+            (["metrics", "--meta", meta, "--audio", str(labels), "--out"],
+             f"{labels}: label -1 of sample {ids[3]} lies outside [0, 4)"),
+            (["cluster", "--embeddings", str(corpus_dir / "audio.emb"), "--meta", meta,
+              "--from-curve", str(curve), "--out"],
+             f"curve file {curve}: ks must be strictly ascending"),
+            (["cluster", "--embeddings", str(corpus_dir / "audio.emb"), "--meta", meta,
+              "--from-curve", str(nan_curve), "--out"],
+             f"curve file {nan_curve}: wss values must be finite and nonnegative"),
+            (["metrics", "--meta", meta, "--trials", str(trials), "--scores", str(scores),
+              "--out"], f"score row 1 of {scores} is not finite: nan"),
+        ):
+            assert main(argv + [str(out)]) == 3, argv
+            assert f"error: {named}" in capsys.readouterr().err
             assert not out.exists()
 
 
@@ -458,10 +509,18 @@ class TestScore:
             "score", "--trials", str(trials_path),
             "--embeddings", str(corpus_dir / "audio.emb"),
             "--meta", str(corpus_dir / "meta.tsv"),
-            "--cohort", str(cohort_path), "--top-n", "5",
+            "--cohort", str(cohort_path), "--config", config_file(tmp_path, "eval.top_n = 5\n"),
             "--out", str(out),
         ])
         assert code == 0 and out.is_file()
+        # eval.top_n, not the cohort size, is the normalization's top-N
+        z = corpus.audio.astype(np.float64)
+        cohort = Cohort(z[rows_of(ids[100:110], ids, "cohort")])
+        raw = cosine_score(read_trials(trials_path).reindex(ids), z)
+        write_scores(tmp_path / "want.txt", as_norm(raw, z, cohort, top_n=5))
+        assert out.read_bytes() == (tmp_path / "want.txt").read_bytes()
+        write_scores(tmp_path / "all.txt", as_norm(raw, z, cohort, top_n=10))
+        assert out.read_bytes() != (tmp_path / "all.txt").read_bytes()
 
     def test_missing_cohort_file_exits_3(self, corpus_dir, tmp_path, capsys):
         ids = read_corpus(corpus_dir).sample_ids
@@ -626,13 +685,104 @@ class TestFuseCommand:
             "--audio-emb", str(corpus_dir / "audio.emb"),
             "--visual-emb", str(corpus_dir / "visual.emb"),
             "--meta", str(corpus_dir / "meta.tsv"),
-            "--k", "8", "--restarts", "2",
+            "--k", "8", "--config", config_file(tmp_path, "cluster.restarts = 2\n"),
             "--out-dir", str(out_dir),
         ])
         assert code == 0
         for name in ("fused", "audio", "visual", "joint"):
             assert (out_dir / f"assign_{name}.tsv").is_file()
         assert (out_dir / "fusion_report.json").is_file()
+        # the files of the library call at the config file's restarts
+        corpus = read_corpus(corpus_dir)
+        fused = ensemble.fuse_pseudo_labels(
+            corpus.audio.astype(np.float64), corpus.visual.astype(np.float64), 8,
+            restarts=2, seed=0,
+        )
+        (tmp_path / "want").mkdir()
+        ensemble.write_fusion(tmp_path / "want", corpus.sample_ids, fused)
+        for path in (tmp_path / "want").iterdir():
+            assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+class TestStageCommandsReadTheConfig:
+    """``cluster``, ``fuse``, ``score`` and ``metrics`` take their settings
+    from the pipeline's config file, read before any other file; only the
+    per-call inputs are flags. (``fuse`` and ``score --cohort`` are checked
+    in ``TestFuseCommand`` and ``TestScore``.)"""
+
+    def test_cluster_takes_cluster_keys(self, corpus_dir, tmp_path):
+        out = tmp_path / "assign.tsv"
+        code = main([
+            "cluster", "--embeddings", str(corpus_dir / "audio.emb"),
+            "--meta", str(corpus_dir / "meta.tsv"), "--k", "8",
+            "--config", config_file(tmp_path, "cluster.restarts = 2\n"), "--out", str(out),
+        ])
+        assert code == 0
+        corpus = read_corpus(corpus_dir)
+        x = corpus.audio.astype(np.float64)
+        for restarts, want in ((2, tmp_path / "want.tsv"), (10, tmp_path / "default.tsv")):
+            write_assignment(want, corpus.sample_ids, kmeans(x, 8, restarts=restarts, seed=0)[1])
+        assert out.read_bytes() == (tmp_path / "want.tsv").read_bytes()
+        assert out.read_bytes() != (tmp_path / "default.tsv").read_bytes()
+
+    def test_metrics_takes_dcf_keys(self, corpus_dir, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        trials, scores = tmp_path / "trials.txt", tmp_path / "scores.txt"
+        trials.write_text("".join(f"e{i} t{i} {int(i < 20)}\n" for i in range(60)))
+        scores.write_text("".join(
+            f"e{i} t{i} {rng.normal(1.0 if i < 20 else 0.0):.6f}\n" for i in range(60)
+        ))
+        code = main([
+            "metrics", "--meta", str(corpus_dir / "meta.tsv"),
+            "--trials", str(trials), "--scores", str(scores),
+            "--config", config_file(tmp_path, "dcf.p_target = 0.01\n"),
+        ])
+        assert code == 0
+        report = strict_json(capsys.readouterr().out)
+        score_set = read_scores(scores, read_trials(trials))
+        want = verification_metrics(score_set, DcfParams(p_target=0.01))
+        assert {key: report[key] for key in want} == want
+        assert verification_metrics(score_set, DcfParams()) != want
+
+    @pytest.mark.parametrize("command, args, line", [
+        ("cluster", ["--embeddings", "x.emb", "--meta", "meta.tsv", "--k", "4", "--out"],
+         "cluster.restarts = abc"),
+        ("fuse", ["--audio-emb", "a.emb", "--visual-emb", "v.emb", "--meta", "meta.tsv",
+                  "--k", "4", "--out-dir"], "cluster.max_iters = 2.5"),
+        ("score", ["--trials", "trials.txt", "--embeddings", "x.emb", "--meta", "meta.tsv",
+                   "--out"], "eval.top_n = abc"),
+        ("metrics", ["--meta", "meta.tsv", "--trials", "trials.txt", "--scores", "s.txt",
+                     "--out"], "dcf.p_target = abc"),
+    ])
+    def test_malformed_key_exits_2_before_any_file_is_read(
+        self, tmp_path, capsys, command, args, line
+    ):
+        # the inputs do not exist: reading any of them first would exit 3
+        out = tmp_path / "out"
+        argv = [command, *(str(tmp_path / a) if "." in a else a for a in args), str(out)]
+        code = main(argv + ["--config", config_file(tmp_path, line + "\n")])
+        assert code == 2
+        assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("cluster", "--restarts"), ("cluster", "--max-iters"), ("cluster", "--workers"),
+        ("fuse", "--restarts"), ("fuse", "--max-iters"), ("fuse", "--workers"),
+        ("score", "--top-n"),
+        ("metrics", "--p-target"), ("metrics", "--c-miss"), ("metrics", "--c-fa"),
+    ])
+    def test_removed_flag_exits_2(self, capsys, command, flag):
+        required = {
+            "cluster": ["--embeddings", "x.emb", "--meta", "meta.tsv", "--out", "o"],
+            "fuse": ["--audio-emb", "a.emb", "--visual-emb", "v.emb", "--meta", "meta.tsv",
+                     "--k", "4", "--out-dir", "o"],
+            "score": ["--trials", "trials.txt", "--out", "o"],
+            "metrics": ["--meta", "meta.tsv"],
+        }
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestPipelineCommand:

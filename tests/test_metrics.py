@@ -87,7 +87,39 @@ def min_dcf_oracle(scores, is_target, params):
     return best
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def labelings(draw, n):
+    """``n`` labels over a palette of up to 8 arbitrary int64 values:
+    negative, sparse and beyond 2**40 as often as small."""
+    palette = draw(st.lists(_INT64, min_size=1, max_size=8, unique=True))
+    return np.array(draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)),
+                    dtype=np.int64)
+
+
+@st.composite
+def relabeled(draw, labels):
+    """``labels`` under an arbitrary injective map into int64."""
+    old = np.unique(labels)
+    new = draw(st.lists(_INT64, min_size=old.size, max_size=old.size, unique=True))
+    return np.array(new, dtype=np.int64)[np.searchsorted(old, labels)]
+
+
 class TestNmi:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_properties_over_arbitrary_int64_labels(self, data):
+        n = data.draw(st.integers(1, 40))
+        a, b = data.draw(labelings(n)), data.draw(labelings(n))
+        value = nmi(a, b)
+        assert 0.0 <= value <= 1.0
+        assert nmi(b, a) == value
+        assert nmi(data.draw(relabeled(a)), b) == value
+        assert nmi(a, data.draw(relabeled(b))) == value
+        assert nmi(a, a) == 1.0
+
     def test_self_agreement_exactly_one(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

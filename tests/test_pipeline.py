@@ -434,7 +434,7 @@ eval.nontarget_trials = 20
 
     @pytest.mark.parametrize("damage", [
         "metrics_torn", "metrics_deleted", "config_not_object", "config_torn",
-        "labels_permuted", "embeddings_short",
+        "labels_permuted", "labels_out_of_range", "embeddings_short",
     ])
     def test_damaged_file_exit_3(self, tmp_path, capsys, damage):
         # each file's reader checks it, on a resume too, and nothing is written
@@ -460,6 +460,15 @@ eval.nontarget_trials = 20
             path = run / "round_000" / "assign_audio.tsv"
             path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))
             named = f"{path} does not cover the corpus sample ids in order"
+        elif damage == "labels_out_of_range":
+            # the same stopped run, with one label set to K = fixed_k = 12
+            shutil.rmtree(run / "round_001")
+            path = run / "round_000" / "assign_audio.tsv"
+            lines = path.read_text().splitlines(keepends=True)
+            sample_id = lines[5].split("\t")[0]
+            lines[5] = f"{sample_id}\t12\n"
+            path.write_text("".join(lines))
+            named = f"{path}: label 12 of sample {sample_id} lies outside [0, 12)"
         else:
             # the last round's embeddings lost 3 of their 120 rows
             path = run / "round_001" / "audio.emb"
