@@ -163,13 +163,17 @@ def _cmd_score(args) -> int:
         if not args.embeddings or not args.meta:
             raise ConfigError("--embeddings and --meta are required unless fusing")
         sample_ids, _, _ = synthdata.read_meta(args.meta)
-        z = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
         trials = trials.reindex(sample_ids)
-        result = cosine_score(trials, z)
         if args.cohort:
             cohort_ids = [cid for cid, in read_rows(args.cohort, "cohort", (str,))]
-            cohort = Cohort(z[scoring.rows_of(cohort_ids, sample_ids, "cohort")])
-            result = as_norm(result, z, cohort, top_n)
+            cohort_rows = scoring.rows_of(cohort_ids, sample_ids, "cohort")
+            if len(cohort_ids) < top_n:
+                raise ConfigError(f"'eval.top_n' is {top_n}, more than the {len(cohort_ids)} "
+                                  f"ids of cohort file {args.cohort}")
+        z = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
+        result = cosine_score(trials, z)
+        if args.cohort:
+            result = as_norm(result, z, Cohort(z[cohort_rows]), top_n)
     scoring.write_scores(args.out, result)
     print(f"wrote {len(result)} scores to {args.out}")
     return 0

@@ -220,11 +220,11 @@ def kmeans(
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
 
     Returns ``(centroids, assignment, w)`` where ``centroids`` has shape
-    (k, d) and ``w`` is the chosen restart's final W, which equals
-    ``wss(x, centroids, assignment)`` exactly (the same expression on the
-    same arrays). With ``return_history=True`` a fourth element
-    is appended: one list of per-iteration WSS values per restart, each
-    recorded after the assignment+update step.
+    (k, d) and ``w`` is the chosen restart's final W, the sum of
+    ``_kernels.sq_residuals(x, centroids, assignment.labels)``. With
+    ``return_history=True`` a fourth element is appended: one list of
+    per-iteration WSS values per restart, each recorded after the
+    assignment+update step.
 
     Restart r uses its own deterministic stream derived from (seed, r); the
     best restart is the one with the smallest final W (first wins ties).
@@ -254,20 +254,6 @@ def kmeans(
     if return_history:
         return centroids, assignment, w, [run[3] for run in runs]
     return centroids, assignment, w
-
-
-def wss(x: np.ndarray, centroids: np.ndarray, assignment: Assignment) -> float:
-    """Total within-cluster sum of squared distances."""
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-    centroids = np.ascontiguousarray(np.asarray(centroids, dtype=np.float64))
-    labels = assignment.labels
-    if labels.size != x.shape[0]:
-        raise ConfigError("assignment length does not match data")
-    if centroids.ndim != 2 or centroids.shape[1] != x.shape[1]:
-        raise ConfigError("centroid matrix shape does not match data")
-    if assignment.k > centroids.shape[0]:
-        raise ConfigError("assignment refers to more clusters than centroids given")
-    return float(sq_residuals(x, centroids, labels).sum())
 
 
 def sweep_k(

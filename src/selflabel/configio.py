@@ -83,12 +83,6 @@ def _as_int(value, key: str) -> int:
     return value
 
 
-def _as_text(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} must be a name, got {value!r}")
-    return value
-
-
 def _as_path(value, key: str) -> Path:
     if isinstance(value, tuple):
         raise ConfigError(f"config key {key!r} must be one path, got {value!r}")
@@ -100,7 +94,7 @@ def _as_int_tuple(value, key: str) -> tuple[int, ...]:
 
 
 # conversion of a section key's value, by the type of its field's default
-_CONVERTERS = {int: _as_int, float: _as_float, str: _as_text}
+_CONVERTERS = {int: _as_int, float: _as_float}
 
 
 def _fields(cls, section: str, mapping: dict) -> dict:

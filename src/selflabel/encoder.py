@@ -8,12 +8,14 @@ metadata, which keeps ground truth structurally out of the training path.
 All gradients are hand-derived and checked against central finite
 differences (see :func:`grad_check`).
 
-The training loops keep the parameters and their gradient each in one flat
-float64 vector in :func:`pack_params` order (``w1, b1, w2, b2`` and, for the
-classifier, ``head.w, head.b``); every array is a view into it, the
-optimizer updates the whole vector in one pass, and activations and loss
-work arrays are ``(batch_size, ·)`` buffers allocated once per run. The
-losses :func:`classifier_loss` and :func:`contrastive_loss` validate their
+Contrastive pretraining runs Adam at a flat rate; classifier training runs
+SGD whose rate drops 10x for the last third of its epochs. The loops keep
+the parameters and their gradient each in one flat float64 vector in
+:func:`pack_params` order (``w1, b1, w2, b2`` and, for the classifier,
+``head.w, head.b``); every array is a view into it, each update covers the
+whole vector in one pass, and activations and loss work arrays are
+``(batch_size, ·)`` buffers allocated once per run. The losses
+:func:`classifier_loss` and :func:`contrastive_loss` validate their
 arguments and call the same cores the loops call. Every random draw and
 every elementwise operation has the operands it had when each step built
 fresh arrays, so the trained weights and logs are bitwise those of that
@@ -111,7 +113,6 @@ class _LoopConfig:
     batch_size: int = 128
     learning_rate: float
     epochs: int
-    optimizer: str
     hidden_dim: int = 64
     embed_dim: int = 16
     aug_low: float = 1.0
@@ -124,8 +125,6 @@ class _LoopConfig:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ConfigError("hidden_dim and embed_dim must be >= 1")
         if self.aug_low < 0 or self.aug_high < self.aug_low:
@@ -134,11 +133,11 @@ class _LoopConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class ContrastiveConfig(_LoopConfig):
-    """Settings of :func:`train_contrastive`."""
+    """Settings of :func:`train_contrastive`, which runs Adam at the flat
+    rate ``learning_rate``."""
 
     learning_rate: float = 0.003
     epochs: int = 8
-    optimizer: str = "adam"
     aug_high: float = 1.8
     temperature: float = 0.1
 
@@ -150,13 +149,14 @@ class ContrastiveConfig(_LoopConfig):
 
 @dataclass(frozen=True, kw_only=True)
 class ClassifierConfig(_LoopConfig):
-    """Settings of :func:`train_classifier`. Its input noise reaches further
-    than the contrastive loop's (``aug_high`` 2.4, not 1.8), and hits each
-    sample at probability ``aug_prob``."""
+    """Settings of :func:`train_classifier`, which runs SGD at
+    ``learning_rate`` and at a tenth of it for the last third of the epochs.
+    Its input noise reaches further than the contrastive loop's
+    (``aug_high`` 2.4, not 1.8), and hits each sample at probability
+    ``aug_prob``."""
 
     learning_rate: float = 0.5
     epochs: int = 40
-    optimizer: str = "sgd"
     aug_high: float = 2.4
     epsilon_smooth: float = 0.1
     aug_prob: float = 0.6
@@ -466,21 +466,6 @@ def _contrastive_step(arrays, grads, bufs, batch, loss_fn: _NtXent) -> float:
     return loss
 
 
-# ---------------------------------------------------------------------------
-# optimizers
-# ---------------------------------------------------------------------------
-
-
-class _Sgd:
-    def __init__(self, theta):
-        self.theta = theta
-        self._work = np.empty_like(theta)
-
-    def step(self, grad, lr):
-        np.multiply(grad, lr, out=self._work)
-        self.theta -= self._work
-
-
 class _Adam:
     def __init__(self, theta, beta1=0.9, beta2=0.999, eps=1e-8):
         self.theta = theta
@@ -511,17 +496,6 @@ class _Adam:
         w2 += self.eps
         w /= w2
         self.theta -= w
-
-
-def _make_optimizer(config: _LoopConfig, theta):
-    return _Adam(theta) if config.optimizer == "adam" else _Sgd(theta)
-
-
-def _lr_at(config: _LoopConfig, epoch: int) -> float:
-    # SGD drops by 10x at two thirds of the run; Adam stays flat.
-    if config.optimizer == "sgd" and config.epochs > 0 and epoch >= (2 * config.epochs) // 3:
-        return config.learning_rate * 0.1
-    return config.learning_rate
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +531,12 @@ def train_contrastive(
     size = config.batch_size
     theta, grad, arrays, grads, bufs = _flat(params, None, 2 * size)
     loss_fn = _NtXent(size, params.embed_dim, config.temperature)
-    opt = _make_optimizer(config, theta)
+    opt = _Adam(theta)
     xb = np.empty((size, x.shape[1]))
     batch = np.empty((2 * size, x.shape[1]))
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        lr = _lr_at(config, epoch)
         losses = []
         for start in range(0, n - size + 1, size):
             np.take(x, order[start : start + size], axis=0, out=xb)
@@ -571,7 +544,7 @@ def train_contrastive(
             loss = _contrastive_step(arrays, grads, bufs, batch, loss_fn)
             if not (np.isfinite(loss) and np.isfinite(grad).all()):
                 raise TrainingError(f"contrastive training diverged at epoch {epoch}", epoch)
-            opt.step(grad, lr)
+            opt.step(grad, config.learning_rate)
             losses.append(loss)
         log.append((epoch, float(np.mean(losses)), float("nan")))
     return EncoderParams(*arrays), log
@@ -619,13 +592,14 @@ def train_classifier(
     rng = np.random.default_rng([seed, 202])
     size = config.batch_size
     theta, grad, arrays, grads, bufs = _flat(params, head, size)
-    opt = _make_optimizer(config, theta)
+    step = np.empty_like(theta)
     x_buf = np.empty((size, x.shape[1]))
     noise_buf = np.empty_like(x_buf)
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        lr = _lr_at(config, epoch)
+        last_third = epoch >= (2 * config.epochs) // 3
+        lr = config.learning_rate * 0.1 if last_third else config.learning_rate
         loss_sum = 0.0
         hits = 0
         for start in range(0, n, size):
@@ -644,7 +618,7 @@ def train_classifier(
             )
             if not (np.isfinite(batch_loss) and np.isfinite(grad).all()):
                 raise TrainingError(f"classifier training diverged at epoch {epoch}", epoch)
-            opt.step(grad, lr)
+            theta -= np.multiply(grad, lr, out=step)
             loss_sum += batch_loss * m
             hits += batch_hits
         log.append((epoch, loss_sum / n, hits / n))

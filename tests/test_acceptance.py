@@ -389,11 +389,11 @@ def _small_pipeline(out, seed=61, rounds=2, corpus_path=None, synth_seed=None):
         ),
         fixed_k=20,
         contrastive=ContrastiveConfig(
-            optimizer="adam", learning_rate=0.003, epochs=3, batch_size=25,
+            learning_rate=0.003, epochs=3, batch_size=25,
             aug_low=0.5, aug_high=1.0,
         ),
         classifier=ClassifierConfig(
-            optimizer="sgd", learning_rate=0.5, epochs=6, batch_size=25,
+            learning_rate=0.5, epochs=6, batch_size=25,
             aug_low=0.5, aug_high=1.2,
         ),
         cluster=ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50),

@@ -59,7 +59,6 @@ rounds = 1
 fixed_k = 16
 contrastive.epochs = 2
 contrastive.batch_size = 16
-contrastive.optimizer = adam
 contrastive.learning_rate = 0.003
 contrastive.aug_low = 0.4
 contrastive.aug_high = 0.9
@@ -145,12 +144,15 @@ class TestConfigValueErrors:
             ("contrastive.epsilon_smooth = 0.2", "contrastive.epsilon_smooth"),
             ("classifier.aug_prob = abc", "classifier.aug_prob"),
             ("classifier.aug_low = abc\nclassifier.aug_high = 1.0", "classifier.aug_low"),
-            # removed keys: the noise range is a contrastive setting, and
-            # the pipeline derives each loop's seed from ``seed``
+            # removed keys: the noise range is a contrastive setting, the
+            # pipeline derives each loop's seed from ``seed``, and each loop
+            # runs one optimizer
             ("synth.augmentation_noise_low = 0.4", "synth.augmentation_noise_low"),
             ("synth.augmentation_noise_high = 0.9", "synth.augmentation_noise_high"),
             ("contrastive.seed = 3", "contrastive.seed"),
             ("classifier.seed = 3", "classifier.seed"),
+            ("contrastive.optimizer = adam", "contrastive.optimizer"),
+            ("classifier.optimizer = sgd", "classifier.optimizer"),
         ],
     )
     def test_pipeline_exits_2(self, tmp_path, capsys, line, key):
@@ -187,7 +189,7 @@ class TestConfigValueErrors:
 
     def test_empty_value_keeps_the_default_everywhere(self, tmp_path):
         # one rule for top-level and section keys: empty or ``none`` is unset
-        text = "rounds =\nclassifier.epochs =\ncontrastive.optimizer = none\neval.top_n =\n"
+        text = "rounds =\nclassifier.epochs =\ncontrastive.temperature = none\neval.top_n =\n"
         config = build_pipeline_config(parse_kv_text(text), tmp_path)
         assert config == build_pipeline_config({}, tmp_path)
         with pytest.raises(ConfigError, match="'classifier.foo'"):
@@ -536,6 +538,25 @@ class TestScore:
         assert code == 3
         assert "error: cannot read cohort file" in capsys.readouterr().err
 
+    def test_cohort_smaller_than_top_n_exits_2_before_the_embeddings(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        ids = read_corpus(corpus_dir).sample_ids
+        trials_path = tmp_path / "trials.txt"
+        trials_path.write_text(f"{ids[0]} {ids[1]} 1\n{ids[0]} {ids[50]} 0\n")
+        cohort_path = tmp_path / "cohort.txt"
+        cohort_path.write_text("\n".join(ids[100:110]) + "\n")
+        code = main([
+            "score", "--trials", str(trials_path),
+            "--embeddings", str(tmp_path / "missing.emb"),
+            "--meta", str(corpus_dir / "meta.tsv"),
+            "--cohort", str(cohort_path), "--out", str(tmp_path / "scores.txt"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'eval.top_n' is 50" in err
+        assert f"10 ids of cohort file {cohort_path}" in err
+        assert not (tmp_path / "scores.txt").exists()
 
     def test_unknown_trial_or_cohort_id_exits_3(self, corpus_dir, tmp_path, capsys):
         ids = read_corpus(corpus_dir).sample_ids

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selflabel import _parallel, clustering
+from selflabel._kernels import sq_residuals
 from selflabel.clustering import (
     Assignment,
     ClusterSettings,
@@ -20,7 +21,6 @@ from selflabel.clustering import (
     sweep_k,
     write_assignment,
     write_wss_curve,
-    wss,
 )
 from selflabel.ensemble import fuse_pseudo_labels
 from selflabel.errors import ConfigError, DataError
@@ -86,7 +86,7 @@ class TestKmeansContracts:
     def test_returned_w_equals_wss_recomputation(self):
         x, _ = blobs(5, 30, 4, 1.5, seed=9)
         c, a, w = kmeans(x, 5, restarts=4, seed=2)
-        assert w == wss(x, c, a)
+        assert w == float(sq_residuals(x, c, a.labels).sum())
 
     def test_worker_count_invariance_bitwise(self, monkeypatch):
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
@@ -213,7 +213,7 @@ class TestKmeansProperties:
         x, k = data
         c, a, w = kmeans(x, k, restarts=2, max_iters=20, seed=seed)
         assert a.labels.min() >= 0 and a.labels.max() < k
-        assert w == wss(x, c, a)
+        assert w == float(sq_residuals(x, c, a.labels).sum())
         assert w >= 0.0
         # chunks of 4 rows, and forked restarts at any row count, so the two
         # workers really split the restarts over chunked assignments
@@ -236,16 +236,16 @@ def test_library_defaults_come_from_cluster_settings():
 
 
 class TestWss:
+    """The squared residuals whose sum is k-means' W."""
+
     def test_exact_points_zero(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        a = Assignment(labels=np.array([0, 1]), k=2)
-        assert wss(x, x.copy(), a) == 0.0
+        assert sq_residuals(x, x.copy(), np.array([0, 1])).sum() == 0.0
 
     def test_single_offset_point(self):
         x = np.array([[0.0, 0.0], [2.0, 0.0]])
         c = np.array([[0.0, 0.0], [0.0, 0.0]])
-        a = Assignment(labels=np.array([0, 1]), k=2)
-        assert wss(x, c, a) == pytest.approx(4.0)
+        np.testing.assert_array_equal(sq_residuals(x, c, np.array([0, 1])), [0.0, 4.0])
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(4)
@@ -256,7 +256,7 @@ class TestWss:
         for i in range(40):
             for j in range(3):
                 naive += (x[i, j] - c[labels[i], j]) ** 2
-        assert wss(x, c, Assignment(labels=labels, k=5)) == pytest.approx(naive, rel=1e-12)
+        assert sq_residuals(x, c, labels).sum() == pytest.approx(naive, rel=1e-12)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ConfigError):

@@ -376,7 +376,7 @@ def tiny_corpus():
 class TestTrainContrastive:
     def test_zero_epochs_returns_initialization(self):
         corpus = tiny_corpus()
-        cfg = ContrastiveConfig(epochs=0, batch_size=16, optimizer="adam")
+        cfg = ContrastiveConfig(epochs=0, batch_size=16)
         params, log = train_contrastive(corpus.audio.astype(np.float64), cfg, 3)
         expected = init_encoder(6, cfg.hidden_dim, cfg.embed_dim, np.random.default_rng([3, 101]))
         np.testing.assert_array_equal(params.w1, expected.w1)
@@ -386,7 +386,7 @@ class TestTrainContrastive:
     def test_determinism_bitwise(self):
         corpus = tiny_corpus()
         cfg = ContrastiveConfig(
-            epochs=3, batch_size=16, optimizer="adam", learning_rate=0.003,
+            epochs=3, batch_size=16, learning_rate=0.003,
             aug_low=0.2, aug_high=0.6,
         )
         x = corpus.audio.astype(np.float64)
@@ -428,7 +428,7 @@ class TestContrastiveBeatsRawBaseline:
         raw_nmi = nmi(raw_assign.labels, truth)
 
         cfg = ContrastiveConfig(
-            optimizer="adam", learning_rate=0.003, epochs=20, batch_size=128,
+            learning_rate=0.003, epochs=20, batch_size=128,
             temperature=0.1,
         )
         params, _ = train_contrastive(x, cfg, 0)
@@ -452,7 +452,7 @@ class TestTrainClassifier:
         assert probe_acc == 1.0
 
         cfg = ClassifierConfig(
-            epochs=50, batch_size=20, optimizer="sgd", learning_rate=0.5, aug_prob=0.0
+            epochs=50, batch_size=20, learning_rate=0.5, aug_prob=0.0
         )
         _, _, log = train_classifier(x, y, 2, cfg, 4)
         assert log[-1][2] >= 0.99
@@ -481,7 +481,7 @@ class TestTrainClassifier:
         assert floor > 0
 
         cfg = ClassifierConfig(
-            epochs=60, batch_size=20, optimizer="sgd", learning_rate=0.5,
+            epochs=60, batch_size=20, learning_rate=0.5,
             epsilon_smooth=eps, aug_prob=0.0,
         )
         _, _, log = train_classifier(x, y, k, cfg, 4)
@@ -513,7 +513,7 @@ class TestTrainClassifier:
         x = corpus.audio.astype(np.float64)
         labels = np.arange(len(x)) % 4
         cfg = ClassifierConfig(
-            epochs=20, batch_size=16, optimizer="sgd", learning_rate=1e18, aug_prob=0.0
+            epochs=20, batch_size=16, learning_rate=1e18, aug_prob=0.0
         )
         with pytest.raises(TrainingError) as excinfo:
             train_classifier(x, labels, 4, cfg, 0)

@@ -62,11 +62,11 @@ def tiny_config(out, seed=31, rounds=2, **overrides):
         ),
         fixed_k=24,
         contrastive=ContrastiveConfig(
-            optimizer="adam", learning_rate=0.003, epochs=3, batch_size=32,
+            learning_rate=0.003, epochs=3, batch_size=32,
             aug_low=0.5, aug_high=1.0,
         ),
         classifier=ClassifierConfig(
-            optimizer="sgd", learning_rate=0.5, epochs=8, batch_size=32,
+            learning_rate=0.5, epochs=8, batch_size=32,
             aug_low=0.5, aug_high=1.2,
         ),
         cluster=ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50),
@@ -176,7 +176,7 @@ class TestRounds:
         config = tiny_config(
             tmp_path / "run", rounds=1,
             classifier=ClassifierConfig(
-                optimizer="sgd", learning_rate=1e18, epochs=20, batch_size=32,
+                learning_rate=1e18, epochs=20, batch_size=32,
                 aug_low=0.5, aug_high=1.2,
             ),
         )
