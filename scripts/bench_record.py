@@ -2,7 +2,8 @@
 """Summarize perfbench result records into one committed BENCH_<n>.json.
 
     python3 scripts/bench_record.py --out BENCH_8.json \
-        --side parent=../parent/.perfbench/results --side change=.perfbench/results
+        --side parent=../parent/.perfbench/results --side change=.perfbench/results \
+        --tier1 parent=61.4 --tier1 change=42.4
 
 Each ``--side NAME=DIR`` names a ``.perfbench/results/`` directory written by
 ``perfbench/run.py`` in one checkout. For every workload found there, the
@@ -10,7 +11,8 @@ output holds the median of each end-to-end metric over the untraced records
 (one per seed) with the per-seed values, and the median of each per-layer
 metric over the traced records with their seeds: a single traced run of
 unchanged code can read up to 30% off in one layer. ``src_lines`` comes from
-the records' provenance.
+the records' provenance. Each ``--tier1 NAME=SECONDS`` records the wall time
+of that side's tier-1 test suite as ``tier1_s``.
 """
 
 from __future__ import annotations
@@ -58,12 +60,18 @@ def summarize(results: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="scripts/bench_record.py")
     parser.add_argument("--side", action="append", required=True, metavar="NAME=DIR")
+    parser.add_argument("--tier1", action="append", default=[], metavar="NAME=SECONDS")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     out = {}
     for side in args.side:
         name, _, directory = side.partition("=")
         out[name] = summarize(Path(directory))
+    for side in args.tier1:
+        name, _, seconds = side.partition("=")
+        if name not in out:
+            parser.error(f"--tier1 names {name!r}, which no --side names")
+        out[name]["tier1_s"] = float(seconds)
     args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0

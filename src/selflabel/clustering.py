@@ -4,8 +4,11 @@
 reuses them in every seeding step and assignment pass, where squared
 distances are ``x_sq + c.c - 2 x.c`` around one GEMV or GEMM. Seeding snaps
 distances within rounding of 0 to exactly 0 (see ``_kmeanspp_init``), so it
-picks the rows the direct ``((x - c) ** 2).sum()`` form picks; the
-assignment kernel's values are bitwise those of the same expression.
+picks the rows the direct ``((x - c) ** 2).sum()`` form picks. The
+assignment passes run in float32, on float32 copies of ``x``, ``x_sq`` and
+the centroids, and the kernel's values are bitwise those of the same
+expression evaluated in float32. Seeding, the centroid sums, the returned
+centroids and W stay float64.
 
 The restarts run in ``workers`` forked processes (``_parallel.ordered_map``)
 and the best is chosen in restart order, so every result is bitwise
@@ -189,13 +192,15 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng, x_sq: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _restart(x, x_sq, k, seed, max_iters, return_history):
-    """One k-means++ seeding and Lloyd run from the stream ``seed``."""
+def _restart(x, x_sq, x32, x_sq32, k, seed, max_iters, return_history):
+    """One k-means++ seeding and Lloyd run from the stream ``seed``; the
+    assignment passes read ``x32`` and ``x_sq32``, the float32 copies of
+    ``x`` and ``x_sq``."""
     c = x[_kmeanspp_init(x, k, np.random.default_rng(seed), x_sq)]
     labels = None
     history = []
     for _ in range(max_iters):
-        new_labels = _assign(x, x_sq, c)
+        new_labels = _assign(x32, x_sq32, c.astype(np.float32))
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -203,7 +208,7 @@ def _restart(x, x_sq, k, seed, max_iters, return_history):
         if return_history:
             history.append(float(sq_residuals(x, c, labels).sum()))
     else:
-        labels = _assign(x, x_sq, c)
+        labels = _assign(x32, x_sq32, c.astype(np.float32))
     w = float(sq_residuals(x, c, labels).sum())
     return c, labels, w, history
 
@@ -229,6 +234,7 @@ def kmeans(
     Restart r uses its own deterministic stream derived from (seed, r); the
     best restart is the one with the smallest final W (first wins ties).
     The restarts run in up to ``workers`` processes, which changes no result.
+    The assignment passes run in float32; the centroids and W are float64.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[0] == 0:
@@ -246,7 +252,11 @@ def kmeans(
 
     prefix = _seed_list(seed)
     x_sq = (x * x).sum(axis=1)
-    calls = [(x, x_sq, k, prefix + [r], max_iters, return_history) for r in range(restarts)]
+    x32, x_sq32 = x.astype(np.float32), x_sq.astype(np.float32)
+    calls = [
+        (x, x_sq, x32, x_sq32, k, prefix + [r], max_iters, return_history)
+        for r in range(restarts)
+    ]
     runs = ordered_map(_restart, calls, workers, rows=x.shape[0])
     # min() keeps the first of equal values: first restart wins ties
     centroids, labels, w, _ = min(runs, key=lambda run: run[2])

@@ -10,16 +10,21 @@ differences (see :func:`grad_check`).
 
 Contrastive pretraining runs Adam at a flat rate; classifier training runs
 SGD whose rate drops 10x for the last third of its epochs. The loops keep
-the parameters and their gradient each in one flat float64 vector in
+the parameters and their gradient each in one flat vector in
 :func:`pack_params` order (``w1, b1, w2, b2`` and, for the classifier,
 ``head.w, head.b``); every array is a view into it, each update covers the
 whole vector in one pass, and activations and loss work arrays are
-``(batch_size, ·)`` buffers allocated once per run. The losses
+``(batch_size, ·)`` buffers allocated once per run. Contrastive training
+runs in float64. Classifier training runs in float32, the precision the
+features, embeddings and checkpoints are stored in: its initialization and
+input noise are drawn in float64 and rounded once. The step functions and
+loss cores work in the dtype of the buffers they are given. The losses
 :func:`classifier_loss` and :func:`contrastive_loss` validate their
-arguments and call the same cores the loops call. Every random draw and
-every elementwise operation has the operands it had when each step built
-fresh arrays, so the trained weights and logs are bitwise those of that
-formulation (``tests/test_encoder_reference.py`` keeps it as the oracle).
+arguments and call the same cores the loops call, in float64. Every random
+draw and every elementwise operation has the operands it had when each step
+built fresh arrays, so the trained weights and logs are bitwise those of
+that formulation run in the loop's dtype (``tests/test_encoder_reference.py``
+keeps it as the oracle).
 The contrastive loss computes only the cross-view half of its score matrix
 elementwise and still matches that formulation's loss and gradient bit for
 bit on every call.
@@ -418,17 +423,18 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _flat(params: EncoderParams, head: ClassifierHead | None, rows: int):
+def _flat(params: EncoderParams, head: ClassifierHead | None, rows: int, dtype=np.float64):
     """The flat parameter vector of ``params`` (and ``head``) in pack_params
-    order, a gradient vector of its length, one view per array of each, and
-    the buffers of the matching step function for up to ``rows`` rows."""
+    order, rounded to ``dtype``, a gradient vector of its length, one view
+    per array of each, and the buffers of the matching step function for up
+    to ``rows`` rows, all of ``dtype``."""
     k = head.num_classes if head is not None else None
     h, e = params.hidden_dim, params.embed_dim
     shapes = _shapes(params.in_dim, h, e, k)
-    theta = pack_params(params, head)
+    theta = pack_params(params, head).astype(dtype, copy=False)
     grad = np.empty_like(theta)
     widths = (h, h, e, e) + ((k, k, k, 1) if k is not None else ())
-    bufs = [np.empty((rows, w)) for w in widths]
+    bufs = [np.empty((rows, w), dtype) for w in widths]
     return theta, grad, _views(theta, shapes), _views(grad, shapes), bufs
 
 
@@ -568,6 +574,11 @@ def train_classifier(
     Returns the trained encoder, the head, and a per-epoch (epoch,
     mean_loss, accuracy) log where accuracy is the training accuracy against
     the pseudo-labels.
+
+    Training runs in float32: the features, the float64 initialization and
+    each batch's float64 noise are rounded to float32 once, and parameters,
+    gradients and buffers stay float32. At zero epochs the float64
+    initialization is returned as drawn.
     """
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
@@ -589,12 +600,15 @@ def train_classifier(
     init_rng = np.random.default_rng([seed, 201])
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
     head = init_head(num_classes, config.embed_dim, init_rng)
+    if config.epochs == 0:
+        return params, head, []
     rng = np.random.default_rng([seed, 202])
     size = config.batch_size
-    theta, grad, arrays, grads, bufs = _flat(params, head, size)
+    theta, grad, arrays, grads, bufs = _flat(params, head, size, np.float32)
     step = np.empty_like(theta)
-    x_buf = np.empty((size, x.shape[1]))
-    noise_buf = np.empty_like(x_buf)
+    x = x.astype(np.float32)
+    x_buf = np.empty((size, x.shape[1]), np.float32)
+    noise_buf = np.empty(x_buf.shape)
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -612,7 +626,7 @@ def train_classifier(
                 mag *= hit[:, None]
                 noise = rng.standard_normal(out=noise_buf[:m])
                 noise *= mag
-                xb += noise
+                xb += noise  # summed in float64, rounded once
             batch_loss, batch_hits = _classifier_step(
                 arrays, grads, bufs, xb, labels[idx], config.epsilon_smooth
             )

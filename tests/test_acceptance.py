@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selflabel._parallel import FORK_MIN_ROWS, ordered_map
 from selflabel.clustering import WssCurve, kmeans, select_k_elbow
 from selflabel.encoder import (
     ClassifierConfig,
@@ -61,22 +62,27 @@ def report_line(num: int, name: str, ok: bool, detail: str = "") -> None:
 SEEDS = (101, 202, 303)
 
 
+def _timed_run(root: Path, seed: int) -> dict:
+    config = PipelineConfig(
+        output_dir=root / f"seed_{seed}",
+        seed=seed,
+        rounds=3,
+        synth=SynthConfig(seed=seed),
+    )
+    start = time.perf_counter()
+    report = run_pipeline(config)
+    wall = time.perf_counter() - start
+    return {"seed": seed, "report": report, "wall": wall}
+
+
 @pytest.fixture(scope="session")
 def default_runs(tmp_path_factory):
+    # The three runs go side by side, one process each (rows=FORK_MIN_ROWS
+    # makes ordered_map fork); each run is timed in its own process, and no
+    # output depends on the process it ran in.
     root = tmp_path_factory.mktemp("acceptance_runs")
-    runs = []
-    for seed in SEEDS:
-        config = PipelineConfig(
-            output_dir=root / f"seed_{seed}",
-            seed=seed,
-            rounds=3,
-            synth=SynthConfig(seed=seed),
-        )
-        start = time.perf_counter()
-        report = run_pipeline(config)
-        wall = time.perf_counter() - start
-        runs.append({"seed": seed, "report": report, "wall": wall})
-    return runs
+    calls = [(root, seed) for seed in SEEDS]
+    return ordered_map(_timed_run, calls, len(calls), rows=FORK_MIN_ROWS)
 
 
 class TestCriterion01IterativeImprovement:

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 
 
@@ -41,3 +43,18 @@ def test_traced_layers_are_the_median_over_every_traced_seed(tmp_path):
         "problems": ["slow span"],
         "median": {"encoder.train_classifier.s": 3.5, "encoder.train_classifier.calls": 3},
     }
+
+
+def test_tier1_time_goes_to_its_side(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "fixed_k-seed7-trace1.json").write_text(json.dumps(fake_record(7, 3.0, [])))
+    out = tmp_path / "BENCH.json"
+    script = load_script()
+    assert script.main(["--side", f"change={results}", "--tier1", "change=42.5",
+                        "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["change"]
+    assert summary["tier1_s"] == 42.5 and summary["src_lines"] == 100
+    with pytest.raises(SystemExit):  # no --side names it
+        script.main(["--side", f"change={results}", "--tier1", "parent=60",
+                     "--out", str(out)])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selflabel import _parallel, clustering
-from selflabel._kernels import sq_residuals
+from selflabel._kernels import assign_points, sq_residuals
 from selflabel.clustering import (
     Assignment,
     ClusterSettings,
@@ -87,6 +87,16 @@ class TestKmeansContracts:
         x, _ = blobs(5, 30, 4, 1.5, seed=9)
         c, a, w = kmeans(x, 5, restarts=4, seed=2)
         assert w == float(sq_residuals(x, c, a.labels).sum())
+
+    def test_float32_assignment_keeps_float64_centroids_and_w(self):
+        # the assignment passes run in float32; the outputs are float64 and
+        # the labels are those of a float64 pass over the final centroids
+        x, _ = blobs(6, 400, 16, 1.0, seed=12)  # two assignment chunks
+        c, a, w = kmeans(x, 6, restarts=2, seed=5)
+        assert c.dtype == np.float64
+        assert w == float(sq_residuals(x, c, a.labels).sum())
+        labels64, _ = assign_points(x, c)
+        np.testing.assert_array_equal(a.labels, labels64)
 
     def test_worker_count_invariance_bitwise(self, monkeypatch):
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)

@@ -20,6 +20,7 @@ from selflabel.encoder import (
     embed,
     grad_check,
     init_encoder,
+    init_head,
     pack_params,
     read_checkpoint,
     train_classifier,
@@ -340,6 +341,29 @@ class TestGradCheckHarness:
             return loss, grad.copy()
 
         assert grad_check(f, theta) < 1e-4
+
+    def test_classifier_step_in_float32(self):
+        # the step classifier training runs: float32 buffers stay float32,
+        # and the gradient is the float64 step's to float32 precision
+        rng = np.random.default_rng(16)
+        in_dim, hidden, embed_dim, k, batch = 6, 8, 4, 5, 12
+        x = rng.standard_normal((batch, in_dim))
+        labels = rng.integers(0, k, size=batch)
+        params = init_encoder(in_dim, hidden, embed_dim, rng)
+        head = init_head(k, embed_dim, rng)
+        results = {}
+        for dtype in (np.float64, np.float32):
+            flat, grad, arrays, grads, bufs = _flat(params, head, batch, dtype)
+            loss, hits = _classifier_step(arrays, grads, bufs, x.astype(dtype), labels, 0.1)
+            for a in [flat, grad] + arrays + grads + bufs:
+                assert a.dtype == dtype
+            results[dtype] = loss, hits, grad
+        loss64, hits64, grad64 = results[np.float64]
+        loss32, hits32, grad32 = results[np.float32]
+        assert hits32 == hits64
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        scale = np.abs(grad64).max()
+        np.testing.assert_allclose(grad32, grad64, rtol=0, atol=scale * 1e-5)
 
     def test_production_contrastive_step(self):
         rng = np.random.default_rng(15)

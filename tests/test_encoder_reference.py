@@ -2,18 +2,24 @@
 
 The reference below is the training code as it stood before the loops moved
 onto flat parameter/gradient vectors and preallocated buffers: each step
-builds fresh arrays, `_backward` returns an `EncoderParams` of gradients and
-the optimizers loop over the arrays one by one. The production loops must
-reproduce its parameters, head and per-epoch logs bit for bit, and the
-contrastive loss, which works on the cross-view blocks only, must reproduce
-the reference's full-matrix loss and gradient bit for bit on every call.
+builds fresh arrays, `_backward` returns a list of gradients and the
+optimizers loop over the arrays one by one. It runs in each loop's dtype:
+float64 for contrastive training, float32 for classifier training, whose
+initialization and noise are drawn in float64 and rounded once. The
+production loops must reproduce its parameters, head and per-epoch logs bit
+for bit, and the contrastive loss, which works on the cross-view blocks
+only, must reproduce the reference's full-matrix loss and gradient bit for
+bit on every call.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from selflabel.encoder import (
     ClassifierConfig,
+    ClassifierHead,
     ContrastiveConfig,
     EncoderParams,
     init_encoder,
@@ -41,7 +47,7 @@ def ref_backward(params, x2d, hidden, dz):
     dpre = dhidden * (1.0 - hidden * hidden)
     dw1 = dpre.T @ x2d
     db1 = dpre.sum(axis=0)
-    return EncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return [dw1, db1, dw2, db2]
 
 
 def ref_perturb_two_views(x, low, high, rng):
@@ -87,7 +93,7 @@ def ref_log_softmax(logits):
 
 def ref_classifier_loss(logits, labels, epsilon):
     n, k = logits.shape
-    target = np.full((n, k), epsilon / k, dtype=np.float64)
+    target = np.full((n, k), epsilon / k, dtype=logits.dtype)
     target[np.arange(n), labels] += 1.0 - epsilon
     logp = ref_log_softmax(logits)
     loss = float(-(target * logp).sum() / n)
@@ -148,7 +154,7 @@ def ref_train_contrastive(x, config, seed):
             hidden, z = ref_forward(params, batch)
             loss, dz = ref_contrastive_loss(z, config.temperature)
             grads = ref_backward(params, batch, hidden, dz)
-            opt.step(grads.arrays(), config.learning_rate)
+            opt.step(grads, config.learning_rate)
             losses.append(loss)
         log.append((epoch, float(np.mean(losses)), float("nan")))
     return params, log
@@ -156,11 +162,14 @@ def ref_train_contrastive(x, config, seed):
 
 def ref_train_classifier(x, labels, num_classes, config, seed):
     n = x.shape[0]
+    x = x.astype(np.float32)
     init_rng = np.random.default_rng([seed, 201])
-    params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
-    head = init_head(num_classes, config.embed_dim, init_rng)
+    init = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
+    init_h = init_head(num_classes, config.embed_dim, init_rng)
+    w1, b1, w2, b2, hw, hb = (a.astype(np.float32) for a in init.arrays() + init_h.arrays())
+    params = SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2)
     rng = np.random.default_rng([seed, 202])
-    opt = RefSgd(params.arrays() + head.arrays())
+    opt = RefSgd([w1, b1, w2, b2, hw, hb])
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -174,19 +183,19 @@ def ref_train_classifier(x, labels, num_classes, config, seed):
                 hit = rng.random(len(idx)) < config.aug_prob
                 mag = rng.uniform(config.aug_low, config.aug_high, size=(len(idx), 1))
                 mag = mag * hit[:, None]
-                xb = xb + mag * rng.standard_normal(xb.shape)
+                xb = (xb + mag * rng.standard_normal(xb.shape)).astype(np.float32)
             hidden, z = ref_forward(params, xb)
-            logits = z @ head.w.T + head.b
+            logits = z @ hw.T + hb
             batch_loss, dlogits = ref_classifier_loss(logits, yb, config.epsilon_smooth)
             dhead_w = dlogits.T @ z
             dhead_b = dlogits.sum(axis=0)
-            dz = dlogits @ head.w
+            dz = dlogits @ hw
             enc_grads = ref_backward(params, xb, hidden, dz)
-            opt.step(enc_grads.arrays() + [dhead_w, dhead_b], lr)
+            opt.step(enc_grads + [dhead_w, dhead_b], lr)
             loss_sum += batch_loss * len(idx)
             hits += int((np.argmax(logits, axis=1) == yb).sum())
         log.append((epoch, loss_sum / n, hits / n))
-    return params, head, log
+    return EncoderParams(w1, b1, w2, b2), ClassifierHead(hw, hb), log
 
 
 # ---------------------------------------------------------------------------
