@@ -5,7 +5,7 @@
 
 For each seed, each checkout writes the workload's run tree with its own
 ``scripts/workload_tree.py``: a fresh process that imports that checkout's
-``src/``, with one BLAS thread. The two runs of a seed go back to back, and
+``src/``, with one BLAS thread and one k-means worker per usable CPU. The two runs of a seed go back to back, and
 the side that goes first alternates from seed to seed. Per seed it prints
 each side's wall time and their ratio (change over parent), the per-round
 ``nmi_audio``, ``nmi_fused`` and ``eer_audio``, the final fusion
@@ -33,6 +33,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 ROUND_KEYS = ("nmi_audio", "nmi_fused", "eer_audio")
+WORKERS = str(len(os.sched_getaffinity(0)))
 FINAL_KEYS = ("eer_norm", "min_dcf_norm")
 
 
@@ -45,10 +46,10 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_side(checkout: Path, workload: str, seed: int, workers: int, out: Path) -> float:
+def run_side(checkout: Path, workload: str, seed: int, out: Path) -> float:
     """Wall seconds of one run of ``checkout``'s pipeline into ``out``."""
     cmd = [sys.executable, str(checkout / "scripts" / "workload_tree.py"),
-           "--workload", workload, "--seed", str(seed), "--workers", str(workers),
+           "--workload", workload, "--seed", str(seed), "--workers", WORKERS,
            "--out", str(out)]
     start = time.perf_counter()
     result = subprocess.run(cmd, capture_output=True, text=True)
@@ -77,7 +78,7 @@ def differing_files(a: Path, b: Path) -> list[str]:
                                    if (a / rel).read_bytes() != (b / rel).read_bytes()})
 
 
-def run_pairs(checkouts: dict, workload: str, seeds: list[int], workers: int, out: Path):
+def run_pairs(checkouts: dict, workload: str, seeds: list[int], out: Path):
     """Yield one record per seed: each side's wall time and quality, and the
     run-tree files that differ. Even-numbered pairs run the parent first."""
     for i, seed in enumerate(seeds):
@@ -85,7 +86,7 @@ def run_pairs(checkouts: dict, workload: str, seeds: list[int], workers: int, ou
         wall, trees = {}, {}
         for side in order:
             trees[side] = out / side / f"seed_{seed}"
-            wall[side] = run_side(checkouts[side], workload, seed, workers, trees[side])
+            wall[side] = run_side(checkouts[side], workload, seed, trees[side])
         yield {"seed": seed, "first": order[0], "wall": wall,
                "quality": {side: quality(trees[side]) for side in SIDES},
                "differ": differing_files(trees["parent"], trees["change"])}
@@ -135,8 +136,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout under test")
     parser.add_argument("--workload", required=True, help="perfbench workload, or tiny")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 11-14")
-    parser.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
-                        help="cluster.workers of every run (default: usable CPUs)")
     parser.add_argument("--out", type=Path, help="keep the run trees in this directory")
     args = parser.parse_args(argv)
     if args.out is not None and args.out.exists() and any(args.out.iterdir()):
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         out = args.out if args.out is not None else Path(scratch)
         pairs = []
-        for pair in run_pairs(checkouts, args.workload, args.seeds, args.workers, out):
+        for pair in run_pairs(checkouts, args.workload, args.seeds, out):
             print_pair(pair)
             pairs.append(pair)
     print_summary(pairs)

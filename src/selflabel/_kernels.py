@@ -24,8 +24,10 @@ def assign_points(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None 
 
     Returns ``(labels, mind2)`` where ``mind2[i]`` is the squared distance of
     row i to its winning centroid. Ties go to the lowest centroid index.
-    ``x_sq`` is ``(x * x).sum(axis=1)`` when the caller has it cached. The
-    arithmetic runs in the inputs' dtype (``kmeans`` passes float32).
+    ``x_sq`` holds the squared row norms of ``x`` when the caller has them
+    cached. The arithmetic runs in the inputs' dtype: ``kmeans`` passes
+    float32 ``x`` and centroids, with ``x_sq`` the float64 norms rounded to
+    float32.
     """
     if x_sq is None:
         x_sq = (x * x).sum(axis=1)

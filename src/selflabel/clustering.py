@@ -5,10 +5,9 @@ reuses them in every seeding step and assignment pass, where squared
 distances are ``x_sq + c.c - 2 x.c`` around one GEMV or GEMM. Seeding snaps
 distances within rounding of 0 to exactly 0 (see ``_kmeanspp_init``), so it
 picks the rows the direct ``((x - c) ** 2).sum()`` form picks. The
-assignment passes run in float32, on float32 copies of ``x``, ``x_sq`` and
-the centroids, and the kernel's values are bitwise those of the same
-expression evaluated in float32. Seeding, the centroid sums, the returned
-centroids and W stay float64.
+assignment passes run in float32, on float32 copies of ``x`` and the
+centroids, with ``x_sq`` the float64 row norms rounded once to float32.
+Seeding, the centroid sums, the returned centroids and W stay float64.
 
 The restarts run in ``workers`` forked processes (``_parallel.ordered_map``)
 and the best is chosen in restart order, so every result is bitwise

@@ -22,7 +22,7 @@ def test_seed_ranges():
 def test_checkout_against_itself_differs_nowhere(tmp_path, capsys):
     ab = load_script()
     assert ab.main(["--parent", str(ROOT), "--change", str(ROOT), "--workload", "tiny",
-                    "--seeds", "3-4", "--workers", "1", "--out", str(tmp_path)]) == 0
+                    "--seeds", "3-4", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.count("files differing: 0") == 2
     assert "seed 3 (parent first)" in out and "seed 4 (change first)" in out
