@@ -5,8 +5,8 @@
 
 For each seed, each checkout writes the workload's run tree with its own
 ``scripts/workload_tree.py``: a fresh process that imports that checkout's
-``src/``, with one BLAS thread and one k-means worker per usable CPU. The two runs of a seed go back to back, and
-the side that goes first alternates from seed to seed. Per seed it prints
+``src/``, with one BLAS thread. The two runs of a seed go back to back,
+and the side that goes first alternates from seed to seed. Per seed it prints
 each side's wall time and their ratio (change over parent), the per-round
 ``nmi_audio``, ``nmi_fused`` and ``eer_audio``, the final fusion
 ``eer_norm`` and ``min_dcf_norm`` (each as parent/change), and the run-tree
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -33,7 +32,6 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 ROUND_KEYS = ("nmi_audio", "nmi_fused", "eer_audio")
-WORKERS = str(len(os.sched_getaffinity(0)))
 FINAL_KEYS = ("eer_norm", "min_dcf_norm")
 
 
@@ -49,8 +47,7 @@ def parse_seeds(text: str) -> list[int]:
 def run_side(checkout: Path, workload: str, seed: int, out: Path) -> float:
     """Wall seconds of one run of ``checkout``'s pipeline into ``out``."""
     cmd = [sys.executable, str(checkout / "scripts" / "workload_tree.py"),
-           "--workload", workload, "--seed", str(seed), "--workers", WORKERS,
-           "--out", str(out)]
+           "--workload", workload, "--seed", str(seed), "--out", str(out)]
     start = time.perf_counter()
     result = subprocess.run(cmd, capture_output=True, text=True)
     wall = time.perf_counter() - start

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Write the run tree of one perfbench workload, for byte-identity checks.
 
-    python3 scripts/workload_tree.py --workload fixed_k --seed 7 --workers 2 --out /tmp/new
+    python3 scripts/workload_tree.py --workload fixed_k --seed 7 --out /tmp/new
     diff -r /tmp/old /tmp/new
 
 The run takes the settings perfbench gives the workload at that seed
-(``perfbench.workloads.config_mapping``), with ``cluster.workers`` set to
-``--workers``; ``tiny`` is the warm-up run's mapping. Run it in two
-checkouts and compare the trees with ``diff -r``: a change that claims to
-leave every output byte alone leaves them equal. The program is imported
-from this checkout's ``src/``, with one BLAS thread as in perfbench.
+(``perfbench.workloads.config_mapping``); ``tiny`` is the warm-up run's
+mapping. Run it in two checkouts and compare the trees with ``diff -r``: a
+change that claims to leave every output byte alone leaves them equal. The
+program is imported from this checkout's ``src/``, with one BLAS thread as
+in perfbench.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="scripts/workload_tree.py")
     parser.add_argument("--workload", required=True, choices=sorted(overrides))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--workers", type=int, required=True)
     parser.add_argument("--out", required=True, help="run directory to write")
     args = parser.parse_args(argv)
 
     mapping = config_mapping(overrides[args.workload], args.seed)
-    mapping["cluster.workers"] = args.workers
     pipeline.run_pipeline(build_pipeline_config(mapping, args.out))
     return 0
 

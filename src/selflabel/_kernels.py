@@ -19,30 +19,21 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def assign_points(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None):
-    """Nearest centroid per row of ``x``.
+def assign_points(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row of ``x``, given the squared row norms ``x_sq``
+    of ``x``. Ties go to the lowest centroid index.
 
-    Returns ``(labels, mind2)`` where ``mind2[i]`` is the squared distance of
-    row i to its winning centroid. Ties go to the lowest centroid index.
-    ``x_sq`` holds the squared row norms of ``x`` when the caller has them
-    cached. The arithmetic runs in the inputs' dtype: ``kmeans`` passes
-    float32 ``x`` and centroids, with ``x_sq`` the float64 norms rounded to
-    float32.
+    The arithmetic runs in the inputs' dtype: ``kmeans`` passes float32 ``x``
+    and centroids, with ``x_sq`` the float64 norms rounded to float32.
     """
-    if x_sq is None:
-        x_sq = (x * x).sum(axis=1)
     # ||x||^2 - 2 x.c + ||c||^2 built in the GEMM's output buffer. Scaling by
     # -2 is exact and a - b == a + (-b), so the values are bitwise those of
-    # the textbook expression. Cancellation can leave a tiny negative residue,
-    # which is clamped so downstream sums stay nonnegative.
+    # the textbook expression.
     d2 = x @ centroids.T
     d2 *= -2.0
     d2 += x_sq[:, None]
     d2 += (centroids * centroids).sum(axis=1)
-    labels = np.argmin(d2, axis=1).astype(np.int64, copy=False)
-    mind2 = d2[np.arange(x.shape[0]), labels]
-    np.maximum(mind2, 0.0, out=mind2)
-    return labels, mind2
+    return np.argmin(d2, axis=1).astype(np.int64, copy=False)
 
 
 def sq_residuals(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):

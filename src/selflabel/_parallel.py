@@ -1,5 +1,5 @@
 """Ordered map over forked worker processes. Results are merged in call
-order, so every output is bitwise independent of the worker count."""
+order, so every output is bitwise independent of the process count."""
 
 from __future__ import annotations
 
@@ -13,11 +13,13 @@ import signal
 # costs 2.4-3 ms: forked k-means broke even at 500 rows (K=20, 4 restarts),
 # and forking the benchmark's 120-row warm-up took it from 40 to 70 ms.
 FORK_MIN_ROWS = 1000
+# The CPUs this process may run on; ``taskset -c 0`` makes it 1.
+CPUS = len(os.sched_getaffinity(0))
 
 
-def ordered_map(fn, calls: list, workers: int, rows: int) -> list:
+def ordered_map(fn, calls: list, rows: int) -> list:
     """``[fn(*a) for a in calls]``, call i run by process ``i % n`` of
-    ``n = min(workers, len(calls))`` when the input has ``FORK_MIN_ROWS`` rows.
+    ``n = min(CPUS, len(calls))`` when the input has ``FORK_MIN_ROWS`` rows.
 
     Process 0 is the caller. The others are forked children that pickle
     their results, or the exception that stopped them, into a pipe and end in
@@ -26,7 +28,7 @@ def ordered_map(fn, calls: list, workers: int, rows: int) -> list:
     thread per process meanwhile: two processes of two BLAS threads on two
     cores made k-means slower than serial (2.9 against 1.8 s, 6000 rows).
     """
-    n = min(workers, len(calls)) if rows >= FORK_MIN_ROWS else 1
+    n = min(CPUS, len(calls)) if rows >= FORK_MIN_ROWS else 1
     if n <= 1:
         return [fn(*a) for a in calls]
     get_threads, set_threads = _openblas()

@@ -93,8 +93,7 @@ def _cmd_cluster(args) -> int:
     elif args.k_grid is not None:
         grid = clustering.elbow_grid(args.k_grid.split(","), "--k-grid")
         curve = clustering.sweep_k(
-            x, grid, restarts=settings.restarts, seed=args.seed,
-            max_iters=settings.max_iters, workers=settings.workers,
+            x, grid, restarts=settings.restarts, seed=args.seed, max_iters=settings.max_iters
         )
         if args.curve_out:
             clustering.write_wss_curve(args.curve_out, curve)
@@ -106,8 +105,7 @@ def _cmd_cluster(args) -> int:
     else:
         k = args.k
     _, assignment, w = clustering.kmeans(
-        x, k, restarts=settings.restarts, max_iters=settings.max_iters,
-        seed=args.seed, workers=settings.workers,
+        x, k, restarts=settings.restarts, max_iters=settings.max_iters, seed=args.seed
     )
     clustering.write_assignment(args.out, sample_ids, assignment)
     print(f"wrote assignment (K={k}, W={w:.6g}) to {args.out}")
@@ -137,8 +135,7 @@ def _cmd_fuse(args) -> int:
     za = synthdata.read_embeddings(args.audio_emb, len(sample_ids)).astype(np.float64)
     zv = synthdata.read_embeddings(args.visual_emb, len(sample_ids)).astype(np.float64)
     fused_set = ensemble.fuse_pseudo_labels(
-        za, zv, args.k, restarts=settings.restarts, max_iters=settings.max_iters,
-        seed=args.seed, workers=settings.workers,
+        za, zv, args.k, restarts=settings.restarts, max_iters=settings.max_iters, seed=args.seed
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

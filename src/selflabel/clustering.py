@@ -9,14 +9,13 @@ assignment passes run in float32, on float32 copies of ``x`` and the
 centroids, with ``x_sq`` the float64 row norms rounded once to float32.
 Seeding, the centroid sums, the returned centroids and W stay float64.
 
-The restarts run in ``workers`` forked processes (``_parallel.ordered_map``)
-and the best is chosen in restart order, so every result is bitwise
-independent of the worker count.
+The restarts run in forked processes, up to one per usable CPU
+(``_parallel.ordered_map``), and the best is chosen in restart order, so
+every result is bitwise independent of the process count.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -35,21 +34,18 @@ _CHUNK_ROWS = 2048
 @dataclass(frozen=True)
 class ClusterSettings:
     """k-means settings; the library's defaults for ``kmeans``, ``sweep_k``
-    and ``fuse_pseudo_labels``."""
+    and ``fuse_pseudo_labels``. The process count is not among them: it
+    changes no result, and ``_parallel.CPUS`` sets it."""
 
     restarts: int = 10
     sweep_restarts: int = 4
     max_iters: int = 100
-    # result-neutral, so outside PipelineConfig.fingerprint()
-    workers: int = len(os.sched_getaffinity(0))
 
     def __post_init__(self):
         if self.restarts < 1 or self.sweep_restarts < 1:
             raise ConfigError("restart counts must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -116,8 +112,9 @@ def _chunk_slices(n: int) -> list[slice]:
 
 
 def _assign(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    parts = [assign_points(x[s], centroids, x_sq[s]) for s in _chunk_slices(x.shape[0])]
-    return np.concatenate([p[0] for p in parts])
+    return np.concatenate(
+        [assign_points(x[s], centroids, x_sq[s]) for s in _chunk_slices(x.shape[0])]
+    )
 
 
 def _update_centroids(x: np.ndarray, labels: np.ndarray, k: int, c_old: np.ndarray) -> np.ndarray:
@@ -218,7 +215,6 @@ def kmeans(
     restarts: int = ClusterSettings.restarts,
     max_iters: int = ClusterSettings.max_iters,
     seed=0,
-    workers: int = ClusterSettings.workers,
     return_history: bool = False,
 ):
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
@@ -232,7 +228,8 @@ def kmeans(
 
     Restart r uses its own deterministic stream derived from (seed, r); the
     best restart is the one with the smallest final W (first wins ties).
-    The restarts run in up to ``workers`` processes, which changes no result.
+    The restarts run in up to ``_parallel.CPUS`` processes, which changes
+    no result.
     The assignment passes run in float32; the centroids and W are float64.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
@@ -246,8 +243,6 @@ def kmeans(
         raise ConfigError("restarts must be >= 1")
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
 
     prefix = _seed_list(seed)
     x_sq = (x * x).sum(axis=1)
@@ -256,7 +251,7 @@ def kmeans(
         (x, x_sq, x32, x_sq32, k, prefix + [r], max_iters, return_history)
         for r in range(restarts)
     ]
-    runs = ordered_map(_restart, calls, workers, rows=x.shape[0])
+    runs = ordered_map(_restart, calls, rows=x.shape[0])
     # min() keeps the first of equal values: first restart wins ties
     centroids, labels, w, _ = min(runs, key=lambda run: run[2])
     assignment = Assignment(labels=labels, k=k)
@@ -271,7 +266,6 @@ def sweep_k(
     restarts: int = ClusterSettings.restarts,
     seed=0,
     max_iters: int = ClusterSettings.max_iters,
-    workers: int = ClusterSettings.workers,
 ) -> WssCurve:
     """Best-of-restarts WSS for each candidate K, in ascending K order."""
     ks = [int(k) for k in k_grid]
@@ -282,9 +276,7 @@ def sweep_k(
     prefix = _seed_list(seed)
     values = []
     for k in ks:
-        _, _, w = kmeans(
-            x, k, restarts=restarts, max_iters=max_iters, seed=prefix + [k], workers=workers
-        )
+        _, _, w = kmeans(x, k, restarts=restarts, max_iters=max_iters, seed=prefix + [k])
         values.append(w)
     return WssCurve(ks=np.asarray(ks), wss=np.asarray(values))
 

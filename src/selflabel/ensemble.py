@@ -145,7 +145,6 @@ def fuse_pseudo_labels(
     restarts: int = ClusterSettings.restarts,
     max_iters: int = ClusterSettings.max_iters,
     seed=0,
-    workers: int = ClusterSettings.workers,
 ) -> FusedLabels:
     """Cluster both modalities and their joint representation at the same K,
     align audio and visual to the joint reference, and vote.
@@ -155,9 +154,9 @@ def fuse_pseudo_labels(
     """
     prefix = _seed_list(seed)
     zj = joint_embeddings(za, zv)
-    _, assign_audio, _ = kmeans(za, k, restarts, max_iters, prefix + [1], workers)
-    _, assign_visual, _ = kmeans(zv, k, restarts, max_iters, prefix + [2], workers)
-    _, assign_joint, _ = kmeans(zj, k, restarts, max_iters, prefix + [3], workers)
+    _, assign_audio, _ = kmeans(za, k, restarts, max_iters, prefix + [1])
+    _, assign_visual, _ = kmeans(zv, k, restarts, max_iters, prefix + [2])
+    _, assign_joint, _ = kmeans(zj, k, restarts, max_iters, prefix + [3])
 
     audio_aligned = relabel(assign_audio, correspond(contingency(assign_joint, assign_audio)))
     visual_aligned = relabel(assign_visual, correspond(contingency(assign_joint, assign_visual)))

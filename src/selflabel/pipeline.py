@@ -122,12 +122,10 @@ class PipelineConfig:
 
     def fingerprint(self) -> str:
         """Hash of the settings that shape the run's files. ``rounds`` is out,
-        so raising it extends a finished run, and so is ``cluster.workers``:
-        every result is bitwise the same for every worker count."""
+        so raising it extends a finished run."""
         payload = asdict(self)
         payload.pop("output_dir")
         payload.pop("rounds")
-        payload["cluster"].pop("workers")
         payload["artifact_format"] = ARTIFACT_FORMAT
         payload["corpus_path"] = (
             str(self.corpus_path) if self.corpus_path is not None else None
@@ -359,7 +357,7 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
     (checkpoints, logs, embeddings, scores, metrics) is written here, into
     a run directory pinned to ``config``. Training runs in this process;
     the trial list is staged and read back beside it, in a forked worker
-    when ``cluster.workers`` and the corpus size allow one.
+    when the CPU count and the corpus size allow one.
     """
     _prepare_run(config)
     if _round_dir(config, index).is_dir():
@@ -369,7 +367,6 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
     trained, (trials, _) = ordered_map(
         _call,
         [(train, corpus), (_ensure_eval_material, config, corpus)],
-        config.cluster.workers,
         rows=len(corpus),
     )
     with _staged(_round_dir(config, index)) as tmp:
@@ -422,7 +419,6 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
                 restarts=cl.sweep_restarts,
                 seed=[config.seed, 0, 2],
                 max_iters=cl.max_iters,
-                workers=cl.workers,
             )
             write_wss_curve(tmp / "wss_curve.tsv", curve)
             k, _ = select_k_elbow(curve)
@@ -433,7 +429,6 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
             restarts=cl.restarts,
             max_iters=cl.max_iters,
             seed=[config.seed, 0, 3],
-            workers=cl.workers,
         )
         write_assignment(tmp / "assign_audio.tsv", corpus.sample_ids, assign_audio)
         return k
@@ -467,7 +462,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
             )
             for stream, modality in enumerate(_MODALITIES, start=4)
         ]
-        trained = ordered_map(train_classifier, calls, cl.workers, rows=len(corpus))
+        trained = ordered_map(train_classifier, calls, rows=len(corpus))
         return dict(zip(_MODALITIES, trained))
 
     def make_labels(tmp, corpus, z):
@@ -478,7 +473,6 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
             restarts=cl.restarts,
             max_iters=cl.max_iters,
             seed=[config.seed, round_index, 6],
-            workers=cl.workers,
         )
         ensemble.write_fusion(tmp, corpus.sample_ids, fused_set)
         return k

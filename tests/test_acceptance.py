@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selflabel import _parallel
 from selflabel._parallel import FORK_MIN_ROWS, ordered_map
 from selflabel.clustering import WssCurve, kmeans, select_k_elbow
 from selflabel.encoder import (
@@ -77,12 +78,12 @@ def _timed_run(root: Path, seed: int) -> dict:
 
 @pytest.fixture(scope="session")
 def default_runs(tmp_path_factory):
-    # The three runs go side by side, one process each (rows=FORK_MIN_ROWS
-    # makes ordered_map fork); each run is timed in its own process, and no
-    # output depends on the process it ran in.
+    # The three runs go side by side, one process per usable CPU
+    # (rows=FORK_MIN_ROWS makes ordered_map fork); each run is timed on its
+    # own, and no output depends on the process it ran in.
     root = tmp_path_factory.mktemp("acceptance_runs")
     calls = [(root, seed) for seed in SEEDS]
-    return ordered_map(_timed_run, calls, len(calls), rows=FORK_MIN_ROWS)
+    return ordered_map(_timed_run, calls, rows=FORK_MIN_ROWS)
 
 
 class TestCriterion01IterativeImprovement:
@@ -282,7 +283,7 @@ class TestCriterion06ClosedFormContrastive:
 
 
 class TestCriterion07KmeansContracts:
-    def test_monotonicity_degenerate_and_worker_invariance(self):
+    def test_monotonicity_degenerate_and_worker_invariance(self, monkeypatch):
         rng = np.random.default_rng(9)
         centers = rng.standard_normal((6, 5)) * 5
         x = np.repeat(centers, 400, axis=0) + rng.standard_normal((2400, 5))
@@ -300,10 +301,13 @@ class TestCriterion07KmeansContracts:
         four = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
         _, _, w_four = kmeans(four, 2, restarts=8, seed=0)
 
-        base = kmeans(x, 6, restarts=3, seed=4, workers=1)
+        # the same restarts in 1, 2 and 4 processes
+        monkeypatch.setattr(_parallel, "CPUS", 1)
+        base = kmeans(x, 6, restarts=3, seed=4)
         bitwise = True
-        for workers in (2, 4):
-            other = kmeans(x, 6, restarts=3, seed=4, workers=workers)
+        for cpus in (2, 4):
+            monkeypatch.setattr(_parallel, "CPUS", cpus)
+            other = kmeans(x, 6, restarts=3, seed=4)
             bitwise &= np.array_equal(base[0], other[0])
             bitwise &= np.array_equal(base[1].labels, other[1].labels)
             bitwise &= base[2] == other[2]
@@ -311,7 +315,7 @@ class TestCriterion07KmeansContracts:
         ok = monotone and w_kn == 0.0 and abs(w_four - 1.0) < 1e-12 and bitwise
         report_line(
             7, "k-means contracts", ok,
-            f"monotone={monotone} W(K=N)={w_kn} W(4pt)={w_four} workers-bitwise={bitwise}",
+            f"monotone={monotone} W(K=N)={w_kn} W(4pt)={w_four} processes-bitwise={bitwise}",
         )
         assert ok
 

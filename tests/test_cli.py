@@ -349,7 +349,10 @@ class TestClusterAndMetrics:
         "flags, config, named",
         [
             pytest.param(["--k-grid", "4,x,8"], "", "'--k-grid'", id="flags0-'--k-grid'"),
-            pytest.param(["--k", "4"], "cluster.workers = 0\n", "workers", id="flags1-workers"),
+            # a config that sets the process count fails loudly instead of
+            # being ignored
+            pytest.param(["--k", "4"], "cluster.workers = 2\n",
+                         "unknown config key 'cluster.workers'", id="flags1-workers"),
         ],
     )
     def test_bad_flag_value_exits_2(self, corpus_dir, tmp_path, capsys, flags, config, named):

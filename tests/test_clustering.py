@@ -70,10 +70,6 @@ class TestKmeansWorkedExamples:
         with pytest.raises(ConfigError):
             kmeans(FOUR_POINTS, 5, seed=0)
 
-    def test_worker_count_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="workers"):
-            kmeans(FOUR_POINTS, 2, seed=0, workers=0)
-
 
 class TestKmeansContracts:
     def test_lloyd_monotone_wss(self):
@@ -95,13 +91,16 @@ class TestKmeansContracts:
         c, a, w = kmeans(x, 6, restarts=2, seed=5)
         assert c.dtype == np.float64
         assert w == float(sq_residuals(x, c, a.labels).sum())
-        labels64, _ = assign_points(x, c)
+        labels64 = assign_points(x, c, (x * x).sum(axis=1))
         np.testing.assert_array_equal(a.labels, labels64)
 
     def test_worker_count_invariance_bitwise(self, monkeypatch):
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
         x, _ = blobs(7, 500, 8, 2.0, seed=5)  # several chunks worth of rows
-        results = [kmeans(x, 7, restarts=3, seed=6, workers=workers) for workers in (1, 2, 4)]
+        results = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(_parallel, "CPUS", cpus)
+            results.append(kmeans(x, 7, restarts=3, seed=6))
         for c, a, w in results[1:]:
             np.testing.assert_array_equal(c, results[0][0])
             np.testing.assert_array_equal(a.labels, results[0][1].labels)
@@ -226,12 +225,14 @@ class TestKmeansProperties:
         assert w == float(sq_residuals(x, c, a.labels).sum())
         assert w >= 0.0
         # chunks of 4 rows, and forked restarts at any row count, so the two
-        # workers really split the restarts over chunked assignments
+        # processes really split the restarts over chunked assignments
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering, "_CHUNK_ROWS", 4)
             mp.setattr(_parallel, "FORK_MIN_ROWS", 0)
-            chunked = kmeans(x, k, restarts=2, max_iters=20, seed=seed, workers=1)
-            pooled = kmeans(x, k, restarts=2, max_iters=20, seed=seed, workers=2)
+            mp.setattr(_parallel, "CPUS", 1)
+            chunked = kmeans(x, k, restarts=2, max_iters=20, seed=seed)
+            mp.setattr(_parallel, "CPUS", 2)
+            pooled = kmeans(x, k, restarts=2, max_iters=20, seed=seed)
         for got in (chunked, pooled):
             assert got[0].tobytes() == c.tobytes()
             np.testing.assert_array_equal(got[1].labels, a.labels)
@@ -241,7 +242,7 @@ class TestKmeansProperties:
 def test_library_defaults_come_from_cluster_settings():
     for fn in (kmeans, sweep_k, fuse_pseudo_labels):
         params = inspect.signature(fn).parameters
-        for name in ("restarts", "max_iters", "workers"):
+        for name in ("restarts", "max_iters"):
             assert params[name].default == getattr(ClusterSettings(), name), (fn, name)
 
 

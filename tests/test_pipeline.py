@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from selflabel import _parallel, cli, pipeline
+from selflabel.configio import build_pipeline_config
 from selflabel.encoder import ClassifierConfig, ContrastiveConfig
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams
@@ -287,6 +288,17 @@ class TestDeterminismAndResume:
         with pytest.raises(ConfigError, match="different configuration"):
             run_pipeline(other)
 
+    def test_fingerprints_are_pinned(self):
+        # a run directory resumes only under its fingerprint, so these
+        # values are those of the run directories already written
+        assert PipelineConfig(output_dir="run").fingerprint() == (
+            "3ce092e56c7aa3bb7938caa0272e15dc0be6e8810172bab71708a9a48734f909"
+        )
+        config = build_pipeline_config({"fixed_k": 200, "cluster.restarts": 1}, "run")
+        assert config.fingerprint() == (
+            "93b75f0e86bf7be8c7fd5f59ccc41c99c11b2c6669502e51ece1f718526d31df"
+        )
+
     def test_round_checks_the_fingerprint(self, tmp_path):
         # a round written under another config would mix two experiments
         config = tiny_config(tmp_path / "run", rounds=1)
@@ -320,22 +332,18 @@ class TestDeterminismAndResume:
     def test_resume_with_another_worker_count_equals_uninterrupted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
         run_pipeline(tiny_config(tmp_path / "full", rounds=1))
-
-        def workers(n):
-            return tiny_config(
-                tmp_path / "resumed", rounds=1,
-                cluster=ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50, workers=n),
-            )
-
-        run_stage1(workers(1))
-        run_pipeline(workers(2))
+        resumed = tiny_config(tmp_path / "resumed", rounds=1)
+        monkeypatch.setattr(_parallel, "CPUS", 1)
+        run_stage1(resumed)
+        monkeypatch.setattr(_parallel, "CPUS", 2)
+        run_pipeline(resumed)
         assert tree_bytes(tmp_path / "resumed") == tree_bytes(tmp_path / "full")
 
     def test_forked_run_equals_in_process_run(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
         for n in (1, 2):
-            cluster = ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50, workers=n)
-            run_pipeline(tiny_config(tmp_path / f"w{n}", cluster=cluster))
+            monkeypatch.setattr(_parallel, "CPUS", n)
+            run_pipeline(tiny_config(tmp_path / f"w{n}"))
             if n == 1:
                 assert not forks
         # in each of the three round routines, one for the trial list beside
@@ -344,11 +352,11 @@ class TestDeterminismAndResume:
         assert len(forks) == 3 + 1 + 2 * 4
         assert tree_bytes(tmp_path / "w2") == tree_bytes(tmp_path / "w1")
 
-    def test_small_inputs_run_in_process(self, tmp_path, forks):
+    def test_small_inputs_run_in_process(self, tmp_path, monkeypatch, forks):
         # smaller than FORK_MIN_ROWS, as is the benchmark's warm-up run
-        config = tiny_config(tmp_path / "run", rounds=1)
-        assert config.cluster.workers == len(os.sched_getaffinity(0))
-        run_pipeline(replace(config, cluster=replace(config.cluster, workers=2)))
+        assert _parallel.CPUS == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(_parallel, "CPUS", 2)
+        run_pipeline(tiny_config(tmp_path / "run", rounds=1))
         assert not forks
 
 
@@ -386,10 +394,10 @@ class TestCrashSafeRunFiles:
     ):
         # the trial list is written by a forked worker while round 0 trains
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
-        cluster = ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50, workers=2)
-        run_pipeline(tiny_config(tmp_path / "full", rounds=1, cluster=cluster))
+        monkeypatch.setattr(_parallel, "CPUS", 2)
+        run_pipeline(tiny_config(tmp_path / "full", rounds=1))
 
-        crashed = tiny_config(tmp_path / "crashed", rounds=1, cluster=cluster)
+        crashed = tiny_config(tmp_path / "crashed", rounds=1)
         caller = os.getpid()
 
         def fail(*args):
