@@ -80,7 +80,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    settings = _stage_settings(args).cluster
+    restarts = _stage_settings(args).cluster.restarts
     sample_ids, _, _ = synthdata.read_meta(args.meta)
     x = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
     choices = [args.k is not None, args.k_grid is not None, args.from_curve is not None]
@@ -92,9 +92,7 @@ def _cmd_cluster(args) -> int:
         print(f"elbow selected K={k} from stored curve {args.from_curve}")
     elif args.k_grid is not None:
         grid = clustering.elbow_grid(args.k_grid.split(","), "--k-grid")
-        curve = clustering.sweep_k(
-            x, grid, restarts=settings.restarts, seed=args.seed, max_iters=settings.max_iters
-        )
+        curve = clustering.sweep_k(x, grid, seed=args.seed)
         if args.curve_out:
             clustering.write_wss_curve(args.curve_out, curve)
         # print the curve so a human can override the pick with --k
@@ -104,9 +102,7 @@ def _cmd_cluster(args) -> int:
         print(f"elbow selected K={k} from grid {list(grid)}")
     else:
         k = args.k
-    _, assignment, w = clustering.kmeans(
-        x, k, restarts=settings.restarts, max_iters=settings.max_iters, seed=args.seed
-    )
+    _, assignment, w = clustering.kmeans(x, k, restarts=restarts, seed=args.seed)
     clustering.write_assignment(args.out, sample_ids, assignment)
     print(f"wrote assignment (K={k}, W={w:.6g}) to {args.out}")
     return 0
@@ -130,13 +126,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    settings = _stage_settings(args).cluster
+    restarts = _stage_settings(args).cluster.restarts
     sample_ids, _, _ = synthdata.read_meta(args.meta)
     za = synthdata.read_embeddings(args.audio_emb, len(sample_ids)).astype(np.float64)
     zv = synthdata.read_embeddings(args.visual_emb, len(sample_ids)).astype(np.float64)
-    fused_set = ensemble.fuse_pseudo_labels(
-        za, zv, args.k, restarts=settings.restarts, max_iters=settings.max_iters, seed=args.seed
-    )
+    fused_set = ensemble.fuse_pseudo_labels(za, zv, args.k, restarts=restarts, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     breakdown = ensemble.write_fusion(out_dir, sample_ids, fused_set)

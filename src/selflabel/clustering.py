@@ -29,23 +29,24 @@ from .errors import ConfigError, DataError
 
 # Assignment runs over row chunks of this height; see _chunk_slices.
 _CHUNK_ROWS = 2048
+# Restarts per candidate K in a K sweep, in the pipeline and the CLI alike.
+SWEEP_RESTARTS = 4
+# Lloyd stops at convergence or after this many iterations.
+MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
 class ClusterSettings:
-    """k-means settings; the library's defaults for ``kmeans``, ``sweep_k``
-    and ``fuse_pseudo_labels``. The process count is not among them: it
-    changes no result, and ``_parallel.CPUS`` sets it."""
+    """k-means settings; ``restarts`` is the library's default for
+    ``kmeans`` and ``fuse_pseudo_labels``. The sweep's restart count and the
+    iteration cap are the constants ``SWEEP_RESTARTS`` and ``MAX_ITERS``,
+    and ``_parallel.CPUS`` sets the process count, which changes no result."""
 
     restarts: int = 10
-    sweep_restarts: int = 4
-    max_iters: int = 100
 
     def __post_init__(self):
-        if self.restarts < 1 or self.sweep_restarts < 1:
-            raise ConfigError("restart counts must be >= 1")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
+        if self.restarts < 1:
+            raise ConfigError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,10 @@ class WssCurve:
 
 
 def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
+    parts = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    if any(part < 0 for part in parts):
+        raise ConfigError("seed must be nonnegative")
+    return parts
 
 
 def _chunk_slices(n: int) -> list[slice]:
@@ -188,14 +190,14 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng, x_sq: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _restart(x, x_sq, x32, x_sq32, k, seed, max_iters, return_history):
+def _restart(x, x_sq, x32, x_sq32, k, seed, return_history):
     """One k-means++ seeding and Lloyd run from the stream ``seed``; the
     assignment passes read ``x32`` and ``x_sq32``, the float32 copies of
     ``x`` and ``x_sq``."""
     c = x[_kmeanspp_init(x, k, np.random.default_rng(seed), x_sq)]
     labels = None
     history = []
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         new_labels = _assign(x32, x_sq32, c.astype(np.float32))
         if labels is not None and np.array_equal(new_labels, labels):
             break
@@ -213,11 +215,11 @@ def kmeans(
     x: np.ndarray,
     k: int,
     restarts: int = ClusterSettings.restarts,
-    max_iters: int = ClusterSettings.max_iters,
     seed=0,
     return_history: bool = False,
 ):
-    """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
+    """Best-of-restarts Lloyd's algorithm with k-means++ seeding; each
+    restart stops at convergence or after ``MAX_ITERS`` iterations.
 
     Returns ``(centroids, assignment, w)`` where ``centroids`` has shape
     (k, d) and ``w`` is the chosen restart's final W, the sum of
@@ -241,14 +243,12 @@ def kmeans(
         raise ConfigError(f"k must be in [1, {x.shape[0]}], got {k}")
     if restarts < 1:
         raise ConfigError("restarts must be >= 1")
-    if max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
 
     prefix = _seed_list(seed)
     x_sq = (x * x).sum(axis=1)
     x32, x_sq32 = x.astype(np.float32), x_sq.astype(np.float32)
     calls = [
-        (x, x_sq, x32, x_sq32, k, prefix + [r], max_iters, return_history)
+        (x, x_sq, x32, x_sq32, k, prefix + [r], return_history)
         for r in range(restarts)
     ]
     runs = ordered_map(_restart, calls, rows=x.shape[0])
@@ -263,11 +263,12 @@ def kmeans(
 def sweep_k(
     x: np.ndarray,
     k_grid: Sequence[int],
-    restarts: int = ClusterSettings.restarts,
+    restarts: int = SWEEP_RESTARTS,
     seed=0,
-    max_iters: int = ClusterSettings.max_iters,
 ) -> WssCurve:
-    """Best-of-restarts WSS for each candidate K, in ascending K order."""
+    """Best-of-restarts WSS for each candidate K, in ascending K order; the
+    pipeline and ``selflabel cluster --k-grid`` both run ``SWEEP_RESTARTS``
+    restarts per K."""
     ks = [int(k) for k in k_grid]
     if not ks:
         raise ConfigError("k_grid must be nonempty")
@@ -276,7 +277,7 @@ def sweep_k(
     prefix = _seed_list(seed)
     values = []
     for k in ks:
-        _, _, w = kmeans(x, k, restarts=restarts, max_iters=max_iters, seed=prefix + [k])
+        _, _, w = kmeans(x, k, restarts=restarts, seed=prefix + [k])
         values.append(w)
     return WssCurve(ks=np.asarray(ks), wss=np.asarray(values))
 

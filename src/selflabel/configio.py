@@ -10,6 +10,7 @@ other mapping. Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -69,8 +70,9 @@ def parse_kv_file(path) -> dict:
 
 
 def _as_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    # NaN passes every range check (each comparison with it is False)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -143,20 +143,20 @@ def fuse_pseudo_labels(
     zv: np.ndarray,
     k: int,
     restarts: int = ClusterSettings.restarts,
-    max_iters: int = ClusterSettings.max_iters,
     seed=0,
 ) -> FusedLabels:
     """Cluster both modalities and their joint representation at the same K,
-    align audio and visual to the joint reference, and vote.
+    each with ``kmeans`` at ``restarts`` restarts, align audio and visual to
+    the joint reference, and vote.
 
     Returns all four assignments (audio and visual already relabeled into the
     joint label space) so per-round quality can be reported for each.
     """
     prefix = _seed_list(seed)
     zj = joint_embeddings(za, zv)
-    _, assign_audio, _ = kmeans(za, k, restarts, max_iters, prefix + [1])
-    _, assign_visual, _ = kmeans(zv, k, restarts, max_iters, prefix + [2])
-    _, assign_joint, _ = kmeans(zj, k, restarts, max_iters, prefix + [3])
+    _, assign_audio, _ = kmeans(za, k, restarts, prefix + [1])
+    _, assign_visual, _ = kmeans(zv, k, restarts, prefix + [2])
+    _, assign_joint, _ = kmeans(zj, k, restarts, prefix + [3])
 
     audio_aligned = relabel(assign_audio, correspond(contingency(assign_joint, assign_audio)))
     visual_aligned = relabel(assign_visual, correspond(contingency(assign_joint, assign_visual)))

@@ -43,6 +43,8 @@ from . import ensemble, scoring, synthdata
 from ._parallel import ordered_map
 from ._textio import json_text, read_rows
 from .clustering import (
+    MAX_ITERS,
+    SWEEP_RESTARTS,
     Assignment,
     ClusterSettings,
     elbow_grid,
@@ -122,10 +124,13 @@ class PipelineConfig:
 
     def fingerprint(self) -> str:
         """Hash of the settings that shape the run's files. ``rounds`` is out,
-        so raising it extends a finished run."""
+        so raising it extends a finished run. The k-means constants
+        ``SWEEP_RESTARTS`` and ``MAX_ITERS`` are in, under the keys they had
+        as settings, so a change to either rejects the old run directories."""
         payload = asdict(self)
         payload.pop("output_dir")
         payload.pop("rounds")
+        payload["cluster"].update(sweep_restarts=SWEEP_RESTARTS, max_iters=MAX_ITERS)
         payload["artifact_format"] = ARTIFACT_FORMAT
         payload["corpus_path"] = (
             str(self.corpus_path) if self.corpus_path is not None else None
@@ -397,7 +402,6 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
 
 def run_stage1(config: PipelineConfig) -> RoundArtifacts:
     """Contrastive pretraining plus the initial clustering round (round 0)."""
-    cl = config.cluster
 
     def train(corpus):
         logger.info("round 0: contrastive pretraining (%d epochs)", config.contrastive.epochs)
@@ -413,22 +417,12 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
             k = config.fixed_k
         else:
             logger.info("round 0: sweeping K over %s", list(config.k_grid))
-            curve = sweep_k(
-                z["audio"],
-                config.k_grid,
-                restarts=cl.sweep_restarts,
-                seed=[config.seed, 0, 2],
-                max_iters=cl.max_iters,
-            )
+            curve = sweep_k(z["audio"], config.k_grid, seed=[config.seed, 0, 2])
             write_wss_curve(tmp / "wss_curve.tsv", curve)
             k, _ = select_k_elbow(curve)
         logger.info("round 0: clustering audio embeddings at K=%d", k)
         _, assign_audio, _ = kmeans(
-            z["audio"],
-            k,
-            restarts=cl.restarts,
-            max_iters=cl.max_iters,
-            seed=[config.seed, 0, 3],
+            z["audio"], k, restarts=config.cluster.restarts, seed=[config.seed, 0, 3]
         )
         write_assignment(tmp / "assign_audio.tsv", corpus.sample_ids, assign_audio)
         return k
@@ -443,7 +437,6 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
         raise ConfigError("round_index must be >= 1")
     label_name = "audio" if previous.index == 0 else "fused"
     k = previous.k
-    cl = config.cluster
 
     def train(corpus):
         labels = previous.assignment(label_name, corpus.sample_ids)
@@ -470,8 +463,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
             z["audio"],
             z["visual"],
             k,
-            restarts=cl.restarts,
-            max_iters=cl.max_iters,
+            restarts=config.cluster.restarts,
             seed=[config.seed, round_index, 6],
         )
         ensemble.write_fusion(tmp, corpus.sample_ids, fused_set)

@@ -258,8 +258,7 @@ def read_meta(path) -> tuple[list[str], list[str], np.ndarray]:
 
 def read_corpus(path) -> MultiModalCorpus:
     """Read a corpus directory written by :func:`write_corpus`; any other
-    file in it (such as the ``config.json`` that older versions wrote) is
-    ignored."""
+    file in it is ignored."""
     path = Path(path)
     sample_ids, group_ids, identity_gt = read_meta(path / "meta.tsv")
     return MultiModalCorpus(

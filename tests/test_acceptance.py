@@ -406,7 +406,7 @@ def _small_pipeline(out, seed=61, rounds=2, corpus_path=None, synth_seed=None):
             learning_rate=0.5, epochs=6, batch_size=25,
             aug_low=0.5, aug_high=1.2,
         ),
-        cluster=ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50),
+        cluster=ClusterSettings(restarts=3),
         eval=EvalSettings(cohort_size=10, top_n=8, target_trials=30, nontarget_trials=30),
     )
 

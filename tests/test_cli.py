@@ -2,14 +2,15 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from selflabel import ensemble
+from selflabel import configio, ensemble
 from selflabel.cli import main
-from selflabel.clustering import kmeans, write_assignment
+from selflabel.clustering import kmeans, sweep_k, write_assignment, write_wss_curve
 from selflabel.configio import build_pipeline_config, parse_kv_text
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams, verification_metrics
@@ -68,7 +69,6 @@ classifier.learning_rate = 0.5
 classifier.aug_low = 0.4
 classifier.aug_high = 1.0
 cluster.restarts = 2
-cluster.sweep_restarts = 2
 eval.cohort_size = 8
 eval.top_n = 6
 eval.target_trials = 20
@@ -115,6 +115,34 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
             build_pipeline_config({"not_a_key": 1}, tmp_path)
+
+    def test_config_surface_is_pinned(self, tmp_path):
+        # a change that adds or removes a setting edits this list
+        surface = [
+            "seed", "rounds", "corpus", "k_grid", "fixed_k",
+            "synth.num_identities", "synth.groups_per_identity", "synth.segments_per_group",
+            "synth.audio_dim", "synth.visual_dim", "synth.within_identity_spread",
+            "synth.observation_noise", "synth.seed",
+            "contrastive.batch_size", "contrastive.learning_rate", "contrastive.epochs",
+            "contrastive.hidden_dim", "contrastive.embed_dim", "contrastive.aug_low",
+            "contrastive.aug_high", "contrastive.temperature",
+            "classifier.batch_size", "classifier.learning_rate", "classifier.epochs",
+            "classifier.hidden_dim", "classifier.embed_dim", "classifier.aug_low",
+            "classifier.aug_high", "classifier.epsilon_smooth", "classifier.aug_prob",
+            "cluster.restarts",
+            "eval.cohort_size", "eval.top_n", "eval.target_trials", "eval.nontarget_trials",
+            "dcf.p_target", "dcf.c_miss", "dcf.c_fa",
+        ]
+        accepted = list(configio._TOP_LEVEL_KEYS) + [
+            f"{section}.{field.name}"
+            for section, cls in configio._SECTIONS.items()
+            for field in dataclasses.fields(cls)
+        ]
+        assert accepted == surface
+        # an empty value keeps the default, so each key is accepted as a key
+        default = build_pipeline_config({}, tmp_path)
+        for key in surface:
+            assert build_pipeline_config({key: None}, tmp_path) == default, key
 
     def test_pipeline_config_from_mapping(self, tmp_path):
         mapping = parse_kv_text(TINY_PIPELINE)
@@ -200,7 +228,8 @@ class TestConfigValueErrors:
     )
     def test_every_field_is_a_key(self, tmp_path, capsys, section):
         """``section.field = <default>`` builds the default config, and a
-        numeric field takes no word, nor an integer field a fraction."""
+        numeric field takes no word, nor an integer field a fraction, nor a
+        number field a non-finite value, which every range check lets by."""
         run = tmp_path / "run"
         default = build_pipeline_config({}, run)
         settings = getattr(default, section)
@@ -212,7 +241,7 @@ class TestConfigValueErrors:
             assert build_pipeline_config(parse_kv_text(text), run) == default, text
             if isinstance(value, str):
                 continue
-            bad_values = ["abc", "2.5"] if isinstance(value, int) else ["abc"]
+            bad_values = ["abc", "2.5"] if isinstance(value, int) else ["abc", "nan", "inf"]
             for key in keys:
                 for bad in bad_values:
                     cfg = tmp_path / "bad.cfg"
@@ -318,7 +347,13 @@ class TestClusterAndMetrics:
             "--out", str(tmp_path / "assign.tsv"),
         ])
         assert code == 0
-        assert (tmp_path / "wss.tsv").is_file()
+        # the sweep runs stage 1's restart count, not cluster.restarts
+        x = read_corpus(corpus_dir).audio.astype(np.float64)
+        write_wss_curve(tmp_path / "want.tsv", sweep_k(x, [4, 8, 12, 16], seed=0))
+        write_wss_curve(tmp_path / "best_of_2.tsv", sweep_k(x, [4, 8, 12, 16], 2, seed=0))
+        curve = (tmp_path / "wss.tsv").read_bytes()
+        assert curve == (tmp_path / "want.tsv").read_bytes()
+        assert curve != (tmp_path / "best_of_2.tsv").read_bytes()
 
         # a stored curve can drive the elbow directly
         code = main([
@@ -353,6 +388,11 @@ class TestClusterAndMetrics:
             # being ignored
             pytest.param(["--k", "4"], "cluster.workers = 2\n",
                          "unknown config key 'cluster.workers'", id="flags1-workers"),
+            # the sweep's restart count and the iteration cap are constants
+            pytest.param(["--k", "4"], "cluster.sweep_restarts = 2\n",
+                         "unknown config key 'cluster.sweep_restarts'", id="sweep_restarts"),
+            pytest.param(["--k", "4"], "cluster.max_iters = 50\n",
+                         "unknown config key 'cluster.max_iters'", id="max_iters"),
         ],
     )
     def test_bad_flag_value_exits_2(self, corpus_dir, tmp_path, capsys, flags, config, named):
@@ -772,7 +812,7 @@ class TestStageCommandsReadTheConfig:
         ("cluster", ["--embeddings", "x.emb", "--meta", "meta.tsv", "--k", "4", "--out"],
          "cluster.restarts = abc"),
         ("fuse", ["--audio-emb", "a.emb", "--visual-emb", "v.emb", "--meta", "meta.tsv",
-                  "--k", "4", "--out-dir"], "cluster.max_iters = 2.5"),
+                  "--k", "4", "--out-dir"], "cluster.restarts = 2.5"),
         ("score", ["--trials", "trials.txt", "--embeddings", "x.emb", "--meta", "meta.tsv",
                    "--out"], "eval.top_n = abc"),
         ("metrics", ["--meta", "meta.tsv", "--trials", "trials.txt", "--scores", "s.txt",
@@ -788,6 +828,23 @@ class TestStageCommandsReadTheConfig:
         assert code == 2
         assert repr(line.split(" = ")[0]) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, args", [
+        ("cluster", ["--embeddings", "audio.emb", "--meta", "meta.tsv", "--k", "4",
+                     "--out", "assign.out"]),
+        ("cluster", ["--embeddings", "audio.emb", "--meta", "meta.tsv", "--k-grid", "4,8,12",
+                     "--curve-out", "curve.out", "--out", "assign.out"]),
+        ("fuse", ["--audio-emb", "audio.emb", "--visual-emb", "visual.emb", "--meta", "meta.tsv",
+                  "--k", "4", "--out-dir", "fused.out"]),
+    ])
+    def test_negative_seed_exits_2(self, corpus_dir, tmp_path, capsys, command, args):
+        # as in the training loops; numpy would raise a ValueError (exit 1)
+        before = sorted(tmp_path.rglob("*"))
+        home = {".emb": corpus_dir, ".tsv": corpus_dir, ".out": tmp_path}
+        argv = [str(home[Path(a).suffix] / a) if Path(a).suffix in home else a for a in args]
+        assert main([command, *argv, "--seed", "-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command, flag", [
         ("cluster", "--restarts"), ("cluster", "--max-iters"), ("cluster", "--workers"),

@@ -220,7 +220,7 @@ class TestKmeansProperties:
     @example(data=(np.tile([0, 0, 1.6720408417777435, 609.9014010058743], (9, 1)), 2), seed=0)
     def test_labels_wss_and_worker_invariance(self, data, seed):
         x, k = data
-        c, a, w = kmeans(x, k, restarts=2, max_iters=20, seed=seed)
+        c, a, w = kmeans(x, k, restarts=2, seed=seed)
         assert a.labels.min() >= 0 and a.labels.max() < k
         assert w == float(sq_residuals(x, c, a.labels).sum())
         assert w >= 0.0
@@ -230,20 +230,45 @@ class TestKmeansProperties:
             mp.setattr(clustering, "_CHUNK_ROWS", 4)
             mp.setattr(_parallel, "FORK_MIN_ROWS", 0)
             mp.setattr(_parallel, "CPUS", 1)
-            chunked = kmeans(x, k, restarts=2, max_iters=20, seed=seed)
+            chunked = kmeans(x, k, restarts=2, seed=seed)
             mp.setattr(_parallel, "CPUS", 2)
-            pooled = kmeans(x, k, restarts=2, max_iters=20, seed=seed)
+            pooled = kmeans(x, k, restarts=2, seed=seed)
         for got in (chunked, pooled):
             assert got[0].tobytes() == c.tobytes()
             np.testing.assert_array_equal(got[1].labels, a.labels)
             assert got[2] == w
 
 
+def test_capped_lloyd_returns_the_assignment_of_its_centroids(monkeypatch):
+    # at a cap of one iteration no restart converges, so each ends in the
+    # for-else branch, which assigns the points to the updated centroids
+    x, _ = blobs(6, 40, 5, 2.5, seed=3)
+    _, _, converged_w = kmeans(x, 6, restarts=3, seed=4)
+    monkeypatch.setattr(clustering, "MAX_ITERS", 1)
+    monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "CPUS", cpus)
+        runs.append(kmeans(x, 6, restarts=3, seed=4))
+    c, a, w = runs[0]
+    nearest = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    np.testing.assert_array_equal(a.labels, nearest)
+    assert w == float(sq_residuals(x, c, a.labels).sum())
+    assert w > converged_w
+    pooled_c, pooled_a, pooled_w = runs[1]
+    assert pooled_c.tobytes() == c.tobytes()
+    np.testing.assert_array_equal(pooled_a.labels, a.labels)
+    assert pooled_w == w
+
+
 def test_library_defaults_come_from_cluster_settings():
+    # kmeans and fusion default to the setting, the sweep to its constant;
+    # neither the sweep's count nor the iteration cap is a parameter
+    for fn in (kmeans, fuse_pseudo_labels):
+        assert inspect.signature(fn).parameters["restarts"].default == ClusterSettings().restarts
+    assert inspect.signature(sweep_k).parameters["restarts"].default == clustering.SWEEP_RESTARTS
     for fn in (kmeans, sweep_k, fuse_pseudo_labels):
-        params = inspect.signature(fn).parameters
-        for name in ("restarts", "max_iters"):
-            assert params[name].default == getattr(ClusterSettings(), name), (fn, name)
+        assert "max_iters" not in inspect.signature(fn).parameters, fn
 
 
 class TestWss:

@@ -70,7 +70,7 @@ def tiny_config(out, seed=31, rounds=2, **overrides):
             learning_rate=0.5, epochs=8, batch_size=32,
             aug_low=0.5, aug_high=1.2,
         ),
-        cluster=ClusterSettings(restarts=3, sweep_restarts=2, max_iters=50),
+        cluster=ClusterSettings(restarts=3),
         eval=EvalSettings(cohort_size=10, top_n=8, target_trials=40, nontarget_trials=40),
         dcf=DcfParams(),
     )
