@@ -7,11 +7,13 @@ For each seed, each checkout writes the workload's run tree with its own
 ``scripts/workload_tree.py``: a fresh process that imports that checkout's
 ``src/``, with one BLAS thread. The two runs of a seed go back to back,
 and the side that goes first alternates from seed to seed. Per seed it prints
-each side's wall time and their ratio (change over parent), the per-round
-``nmi_audio``, ``nmi_fused`` and ``eer_audio``, the final fusion
-``eer_norm`` and ``min_dcf_norm`` (each as parent/change), and the run-tree
-files whose bytes differ. The summary gives the median ratio, the count of
-pairs the change ran faster, and each side's range of every quality figure.
+each side's wall time and their ratio (change over parent), each side's
+chosen K, the per-round ``nmi_audio``, ``nmi_fused`` and ``eer_audio``, the
+final fusion ``eer_norm`` and ``min_dcf_norm`` (each as parent/change), and
+the run-tree files whose bytes differ. The summary gives the median ratio,
+the count of pairs the change ran faster, the count of seeds whose K
+matched (a pair with different K compares two workloads) and each side's
+range of every quality figure.
 
 A wall time is that of the whole process, so it includes interpreter
 start-up and imports (a few tenths of a second) on both sides. The trees are
@@ -57,10 +59,12 @@ def run_side(checkout: Path, workload: str, seed: int, out: Path) -> float:
 
 
 def quality(run_dir: Path) -> dict:
-    """Per-round figures and the final fusion figures of one run's report."""
+    """The chosen K, the per-round figures and the final fusion figures of
+    one run's report."""
     report = json.loads((run_dir / "report.json").read_text())
     fusion = report["final_scoring"]["systems"].get("fusion", {})
-    return {"rounds": [{key: r.get(key) for key in ROUND_KEYS} for r in report["rounds"]],
+    return {"k": report["k"],
+            "rounds": [{key: r.get(key) for key in ROUND_KEYS} for r in report["rounds"]],
             "final": {key: fusion.get(key) for key in FINAL_KEYS}}
 
 
@@ -98,6 +102,7 @@ def print_pair(pair: dict) -> None:
     print(f"seed {pair['seed']} ({pair['first']} first): parent {wall['parent']:.2f} s, "
           f"change {wall['change']:.2f} s, ratio {wall['change'] / wall['parent']:.3f}")
     parent, change = (pair["quality"][side] for side in SIDES)
+    print(f"  k: {parent['k']}/{change['k']}")
     for r, (a, b) in enumerate(zip(parent["rounds"], change["rounds"])):
         print(f"  round {r}: " + "  ".join(f"{key} {_fmt(a[key])}/{_fmt(b[key])}"
                                            for key in ROUND_KEYS))
@@ -111,8 +116,9 @@ def print_pair(pair: dict) -> None:
 def print_summary(pairs: list) -> None:
     ratios = [p["wall"]["change"] / p["wall"]["parent"] for p in pairs]
     faster = sum(r < 1 for r in ratios)
+    same_k = sum(p["quality"]["parent"]["k"] == p["quality"]["change"]["k"] for p in pairs)
     print(f"summary: median ratio {statistics.median(ratios):.3f}, "
-          f"change faster in {faster}/{len(pairs)} pairs")
+          f"change faster in {faster}/{len(pairs)} pairs, same K in {same_k}/{len(pairs)} seeds")
     for side in SIDES:
         figures = {}
         for pair in pairs:

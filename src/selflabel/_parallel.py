@@ -27,6 +27,8 @@ def ordered_map(fn, calls: list, rows: int) -> list:
     failure in call order is raised once every child is reaped. BLAS runs one
     thread per process meanwhile: two processes of two BLAS threads on two
     cores made k-means slower than serial (2.9 against 1.8 s, 6000 rows).
+    A call may itself call ``ordered_map``, as each fusion view's ``kmeans``
+    does with its restarts, so a child can have children of its own.
     """
     n = min(CPUS, len(calls)) if rows >= FORK_MIN_ROWS else 1
     if n <= 1:

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._kernels import hungarian_min_cost
+from ._parallel import ordered_map
 from ._textio import json_text
 from .clustering import Assignment, ClusterSettings, _seed_list, kmeans, write_assignment
 from .errors import ConfigError, NumericError
@@ -149,16 +150,20 @@ def fuse_pseudo_labels(
     each with ``kmeans`` at ``restarts`` restarts, align audio and visual to
     the joint reference, and vote.
 
-    Returns all four assignments (audio and visual already relabeled into the
-    joint label space) so per-round quality can be reported for each.
+    The three ``kmeans`` calls, and then the two Hungarian ``correspond``
+    calls, run side by side through ``_parallel.ordered_map``, which changes
+    no result. Returns all four assignments (audio and visual already
+    relabeled into the joint label space) so per-round quality can be
+    reported for each.
     """
     prefix = _seed_list(seed)
     zj = joint_embeddings(za, zv)
-    _, assign_audio, _ = kmeans(za, k, restarts, prefix + [1])
-    _, assign_visual, _ = kmeans(zv, k, restarts, prefix + [2])
-    _, assign_joint, _ = kmeans(zj, k, restarts, prefix + [3])
-
-    audio_aligned = relabel(assign_audio, correspond(contingency(assign_joint, assign_audio)))
-    visual_aligned = relabel(assign_visual, correspond(contingency(assign_joint, assign_visual)))
-    fused = majority_vote(assign_joint, audio_aligned, visual_aligned)
-    return FusedLabels(fused=fused, audio=audio_aligned, visual=visual_aligned, joint=assign_joint)
+    views = [(z, k, restarts, prefix + [i]) for i, z in enumerate((za, zv, zj), start=1)]
+    # rebuilt, since labels unpickled from a child are writable
+    audio, visual, joint = (Assignment(labels=run[1].labels, k=k)
+                            for run in ordered_map(kmeans, views, rows=zj.shape[0]))
+    pairs = [(contingency(joint, audio),), (contingency(joint, visual),)]
+    to_audio, to_visual = ordered_map(correspond, pairs, rows=zj.shape[0])
+    audio_aligned, visual_aligned = relabel(audio, to_audio), relabel(visual, to_visual)
+    fused = majority_vote(joint, audio_aligned, visual_aligned)
+    return FusedLabels(fused=fused, audio=audio_aligned, visual=visual_aligned, joint=joint)

@@ -10,7 +10,7 @@ import numpy as np
 
 from selflabel import configio, ensemble
 from selflabel.cli import main
-from selflabel.clustering import kmeans, sweep_k, write_assignment, write_wss_curve
+from selflabel.clustering import ClusterSettings, kmeans, sweep_k, write_assignment, write_wss_curve
 from selflabel.configio import build_pipeline_config, parse_kv_text
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams, verification_metrics
@@ -784,7 +784,8 @@ class TestStageCommandsReadTheConfig:
         assert code == 0
         corpus = read_corpus(corpus_dir)
         x = corpus.audio.astype(np.float64)
-        for restarts, want in ((2, tmp_path / "want.tsv"), (10, tmp_path / "default.tsv")):
+        default = ClusterSettings().restarts
+        for restarts, want in ((2, tmp_path / "want.tsv"), (default, tmp_path / "default.tsv")):
             write_assignment(want, corpus.sample_ids, kmeans(x, 8, restarts=restarts, seed=0)[1])
         assert out.read_bytes() == (tmp_path / "want.tsv").read_bytes()
         assert out.read_bytes() != (tmp_path / "default.tsv").read_bytes()

@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from selflabel import _parallel
 from selflabel.clustering import Assignment
 from selflabel.ensemble import (
     Correspondence,
+    FusedLabels,
     contingency,
     correspond,
     fuse_pseudo_labels,
@@ -213,3 +215,19 @@ class TestFusePseudoLabels:
         r2 = fuse_pseudo_labels(za, zv, 4, restarts=5, seed=11)
         np.testing.assert_array_equal(r1.fused.labels, r2.fused.labels)
         np.testing.assert_array_equal(r1.joint.labels, r2.joint.labels)
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_views_side_by_side_equal_serial(self, monkeypatch, restarts):
+        # at 3 restarts a view's kmeans forks again inside its ordered_map share
+        monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
+        za, _ = separated_embeddings(6, 20, 4, seed=12)
+        zv, _ = separated_embeddings(6, 20, 3, seed=13)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_parallel, "CPUS", cpus)
+            results.append(fuse_pseudo_labels(za, zv, 6, restarts=restarts, seed=14))
+        serial, forked = results
+        for name in FusedLabels._fields:
+            a, b = getattr(serial, name), getattr(forked, name)
+            assert a.k == b.k and a.labels.tobytes() == b.labels.tobytes(), name
+            assert not b.labels.flags.writeable, name

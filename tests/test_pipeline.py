@@ -292,7 +292,7 @@ class TestDeterminismAndResume:
         # a run directory resumes only under its fingerprint, so these
         # values are those of the run directories already written
         assert PipelineConfig(output_dir="run").fingerprint() == (
-            "3ce092e56c7aa3bb7938caa0272e15dc0be6e8810172bab71708a9a48734f909"
+            "c033fe2e88cd31c4d4b021598303f1b8dba089b873c3efc8e7ab9d591a300ab6"
         )
         config = build_pipeline_config({"fixed_k": 200, "cluster.restarts": 1}, "run")
         assert config.fingerprint() == (
@@ -348,8 +348,10 @@ class TestDeterminismAndResume:
                 assert not forks
         # in each of the three round routines, one for the trial list beside
         # the training; one in round 0's k-means; per supervised round, one
-        # for the classifier pair and one for each of the three k-means calls
-        assert len(forks) == 3 + 1 + 2 * 4
+        # for the classifier pair, one for the three fusion views, one in each
+        # of the audio and joint k-means calls this process runs, and one for
+        # the two Hungarian calls (the visual k-means forks in its own child)
+        assert len(forks) == 3 + 1 + 2 * 5
         assert tree_bytes(tmp_path / "w2") == tree_bytes(tmp_path / "w1")
 
     def test_small_inputs_run_in_process(self, tmp_path, monkeypatch, forks):
