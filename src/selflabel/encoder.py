@@ -20,11 +20,14 @@ features, embeddings and checkpoints are stored in: its initialization and
 input noise are drawn in float64 and rounded once. The step functions and
 loss cores work in the dtype of the buffers they are given. The losses
 :func:`classifier_loss` and :func:`contrastive_loss` validate their
-arguments and call the same cores the loops call, in float64. Every random
-draw and every elementwise operation has the operands it had when each step
-built fresh arrays, so the trained weights and logs are bitwise those of
-that formulation run in the loop's dtype (``tests/test_encoder_reference.py``
-keeps it as the oracle).
+arguments and call the same cores the loops call, in float64. Classifier
+training draws each epoch's permutation, and the noise of the samples it
+perturbs, at once and takes its batches as slices of the permuted epoch;
+its loss works on class-major (K, B) logits with one ``exp``. Every random draw and every elementwise
+operation has the operands it has when each step builds fresh arrays, so
+the trained weights and logs are bitwise those of that formulation run in
+the loop's dtype (``tests/test_encoder_reference.py`` keeps it as the
+oracle).
 The contrastive loss computes only the cross-view half of its score matrix
 elementwise and still matches that formulation's loss and gradient bit for
 bit on every call.
@@ -351,27 +354,39 @@ def contrastive_loss(z: np.ndarray, tau: float):
     return loss, grad
 
 
-def _smoothed_ce(logits, labels, epsilon, target, col, grad) -> float:
-    """Core of :func:`classifier_loss`: the mean loss of ``logits`` against
-    ``labels``, with d loss / d logits written into ``grad``. Leaves the
-    log-posteriors in ``logits``; ``target`` (the shape of ``logits``) and
-    ``col`` (rows, 1) are scratch."""
-    n, k = logits.shape
-    target.fill(epsilon / k)
-    target[np.arange(n), labels] += 1.0 - epsilon
-    # row-wise log-softmax in place, with grad as scratch
-    np.max(logits, axis=-1, keepdims=True, out=col)
-    logits -= col
-    np.exp(logits, out=grad)
-    np.sum(grad, axis=-1, keepdims=True, out=col)
-    np.log(col, out=col)
-    logits -= col
-    np.multiply(target, logits, out=grad)
-    loss = float(-grad.sum() / n)
-    np.exp(logits, out=grad)
-    grad -= target
-    grad /= n
-    return loss
+def _smoothed_ce(p, labels, epsilon, cols, ones) -> tuple[float, int]:
+    """Core of :func:`classifier_loss` over class-major logits ``p`` (K, B):
+    column b holds sample b's logits. Returns the batch's mean loss and its
+    count of samples whose label logit equals their highest, and overwrites
+    ``p`` with d loss / d logits. ``cols`` (4, B) is scratch and ``ones``
+    holds at least K ones.
+
+    With z the logits shifted by their column max, the loss of sample b is
+    log sum exp z - (1 - eps) z_y - (eps / K) sum z, and its gradient is
+    (softmax - eps / K) / B with (1 - eps) / B subtracted at the label, so
+    one ``exp`` serves both.
+    """
+    k, n = p.shape
+    lse, z_y, sum_z, sum_exp = cols
+    label_at = labels * n + np.arange(n)  # flat index of each label logit
+    np.max(p, axis=0, out=lse)
+    p -= lse
+    p.take(label_at, out=z_y)
+    hits = int(np.count_nonzero(z_y == 0))
+    np.matmul(ones[:k], p, out=sum_z)
+    np.exp(p, out=p)
+    np.matmul(ones[:k], p, out=sum_exp)
+    np.log(sum_exp, out=lse)
+    z_y *= 1.0 - epsilon
+    lse -= z_y
+    sum_z *= epsilon / k
+    lse -= sum_z
+    loss = float(np.mean(lse))
+    sum_exp *= n
+    p /= sum_exp
+    p -= epsilon / (k * n)
+    p.put(label_at, p.take(label_at) - (1.0 - epsilon) / n)
+    return loss, hits
 
 
 def classifier_loss(logits: np.ndarray, labels: np.ndarray, epsilon: float):
@@ -383,7 +398,7 @@ def classifier_loss(logits: np.ndarray, labels: np.ndarray, epsilon: float):
     produces a NaN. Returns ``(loss, grad)``: the mean loss over the batch
     and its gradient with respect to ``logits``, (posterior - target) / B.
     """
-    logits = np.array(logits, dtype=np.float64, order="C")  # the core overwrites it
+    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],) or labels.size == 0:
         raise ConfigError("need a nonempty (batch, classes) logit matrix and one label per row")
@@ -392,9 +407,9 @@ def classifier_loss(logits: np.ndarray, labels: np.ndarray, epsilon: float):
         raise ConfigError(f"label out of range [0, {k})")
     if not 0 <= epsilon < 1:
         raise ConfigError("epsilon must lie in [0, 1)")
-    grad = np.empty_like(logits)
-    loss = _smoothed_ce(logits, labels, epsilon, np.empty_like(logits), np.empty((n, 1)), grad)
-    return loss, grad
+    p = logits.T.copy()  # class-major, and the core overwrites it
+    loss, _ = _smoothed_ce(p, labels, epsilon, np.empty((4, n)), np.ones(k))
+    return loss, p.T
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +442,18 @@ def _flat(params: EncoderParams, head: ClassifierHead | None, rows: int, dtype=n
     """The flat parameter vector of ``params`` (and ``head``) in pack_params
     order, rounded to ``dtype``, a gradient vector of its length, one view
     per array of each, and the buffers of the matching step function for up
-    to ``rows`` rows, all of ``dtype``."""
+    to ``rows`` rows, all of ``dtype``: the encoder's four (rows, ·)
+    activation buffers and, with a head of K classes, the K * rows logit
+    buffer, :func:`_smoothed_ce`'s (4, rows) scratch and max(K, rows) ones."""
     k = head.num_classes if head is not None else None
     h, e = params.hidden_dim, params.embed_dim
     shapes = _shapes(params.in_dim, h, e, k)
     theta = pack_params(params, head).astype(dtype, copy=False)
     grad = np.empty_like(theta)
-    widths = (h, h, e, e) + ((k, k, k, 1) if k is not None else ())
-    bufs = [np.empty((rows, w), dtype) for w in widths]
+    bufs = [np.empty((rows, w), dtype) for w in (h, h, e, e)]
+    if k is not None:
+        bufs += [np.empty(k * rows, dtype), np.empty((4, rows), dtype)]
+        bufs.append(np.ones(max(k, rows), dtype))
     return theta, grad, _views(theta, shapes), _views(grad, shapes), bufs
 
 
@@ -442,21 +461,22 @@ def _classifier_step(arrays, grads, bufs, xb, yb, epsilon) -> tuple[float, int]:
     """One forward and backward pass of encoder + head over the batch ``xb``.
 
     ``arrays``, ``grads`` and ``bufs`` are from :func:`_flat`, with buffers
-    of at least ``len(xb)`` rows. Writes the gradient into ``grads`` and
-    returns the batch's mean loss and its count of rows whose highest logit
-    is the label.
+    of at least ``len(xb)`` rows. The logits are kept class-major, (K, B).
+    Writes the gradient into ``grads`` and returns the batch's mean loss and
+    its count of rows whose label logit is their highest.
     """
     m = xb.shape[0]
-    hidden, dhidden, z, dz, logits, dlogits, target, col = (b[:m] for b in bufs)
+    hidden, dhidden, z, dz = (b[:m] for b in bufs[:4])
+    flat_logits, cols, ones = bufs[4:]
     w1, b1, w2, b2, hw, hb = arrays
+    p = flat_logits[: hw.shape[0] * m].reshape(-1, m)
     _forward(w1, b1, w2, b2, xb, hidden, z)
-    np.matmul(z, hw.T, out=logits)
-    logits += hb
-    hits = int(np.count_nonzero(np.argmax(logits, axis=1) == yb))
-    loss = _smoothed_ce(logits, yb, epsilon, target, col, dlogits)
-    np.matmul(dlogits.T, z, out=grads[4])
-    np.sum(dlogits, axis=0, out=grads[5])
-    np.matmul(dlogits, hw, out=dz)
+    np.matmul(hw, z.T, out=p)
+    p += hb[:, None]
+    loss, hits = _smoothed_ce(p, yb, epsilon, cols[:, :m], ones)
+    np.matmul(p, z, out=grads[4])
+    np.matmul(p, ones[:m], out=grads[5])
+    np.matmul(p.T, hw, out=dz)
     _backward(w2, xb, hidden, dz, dhidden, grads[:4])
     return loss, hits
 
@@ -566,17 +586,21 @@ def train_classifier(
     """Supervised training of encoder + linear head on pseudo-labels,
     deterministic given ``seed`` (nonnegative).
 
-    Targets are label-smoothed with ``config.epsilon_smooth``. In each step,
+    Targets are label-smoothed with ``config.epsilon_smooth``. In each epoch,
     each sample is perturbed at probability ``config.aug_prob`` with
     Gaussian noise whose magnitude is drawn from [``aug_low``, ``aug_high``];
     combined with the smoothing this is what keeps the network from
-    memorizing label noise. At ``aug_prob`` 0 nothing is drawn for it.
-    Returns the trained encoder, the head, and a per-epoch (epoch,
-    mean_loss, accuracy) log where accuracy is the training accuracy against
-    the pseudo-labels.
+    memorizing label noise. Each epoch draws, in its permuted order, which
+    samples are perturbed, then their magnitudes, then their noise, and its
+    batches are consecutive slices of that order. At ``aug_prob`` 0 nothing
+    is drawn for it. Returns the
+    trained encoder, the head, and a per-epoch (epoch, mean_loss, accuracy)
+    log where accuracy is the training accuracy against the pseudo-labels: a
+    sample counts as a hit when its label's logit is its highest, ties
+    included.
 
     Training runs in float32: the features, the float64 initialization and
-    each batch's float64 noise are rounded to float32 once, and parameters,
+    each epoch's float64 noise are rounded to float32 once, and parameters,
     gradients and buffers stay float32. At zero epochs the float64
     initialization is returned as drawn.
     """
@@ -607,33 +631,33 @@ def train_classifier(
     theta, grad, arrays, grads, bufs = _flat(params, head, size, np.float32)
     step = np.empty_like(theta)
     x = x.astype(np.float32)
-    x_buf = np.empty((size, x.shape[1]), np.float32)
-    noise_buf = np.empty(x_buf.shape)
+    x_epoch = np.empty_like(x)
+    y_epoch = np.empty_like(labels)
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        np.take(x, order, axis=0, out=x_epoch)
+        np.take(labels, order, out=y_epoch)
+        if config.aug_prob > 0:
+            rows = np.flatnonzero(rng.random(n) < config.aug_prob)
+            mag = rng.uniform(config.aug_low, config.aug_high, size=(rows.size, 1))
+            noise = rng.standard_normal((rows.size, x.shape[1]))
+            noise *= mag
+            noise += x_epoch[rows]
+            x_epoch[rows] = noise  # summed in float64, rounded once
         last_third = epoch >= (2 * config.epochs) // 3
         lr = config.learning_rate * 0.1 if last_third else config.learning_rate
         loss_sum = 0.0
         hits = 0
         for start in range(0, n, size):
-            idx = order[start : start + size]
-            m = len(idx)
-            xb = np.take(x, idx, axis=0, out=x_buf[:m])
-            if config.aug_prob > 0:
-                hit = rng.random(m) < config.aug_prob
-                mag = rng.uniform(config.aug_low, config.aug_high, size=(m, 1))
-                mag *= hit[:, None]
-                noise = rng.standard_normal(out=noise_buf[:m])
-                noise *= mag
-                xb += noise  # summed in float64, rounded once
+            xb, yb = x_epoch[start : start + size], y_epoch[start : start + size]
             batch_loss, batch_hits = _classifier_step(
-                arrays, grads, bufs, xb, labels[idx], config.epsilon_smooth
+                arrays, grads, bufs, xb, yb, config.epsilon_smooth
             )
             if not (np.isfinite(batch_loss) and np.isfinite(grad).all()):
                 raise TrainingError(f"classifier training diverged at epoch {epoch}", epoch)
             theta -= np.multiply(grad, lr, out=step)
-            loss_sum += batch_loss * m
+            loss_sum += batch_loss * len(yb)
             hits += batch_hits
         log.append((epoch, loss_sum / n, hits / n))
     return EncoderParams(*arrays[:4]), ClassifierHead(*arrays[4:]), log

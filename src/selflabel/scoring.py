@@ -15,6 +15,7 @@ largest cosine scores of that side against the cohort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -73,6 +74,13 @@ class Trials:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("enroll", "test", "is_target")
         )
+
+    @cached_property
+    def _pair_names(self) -> tuple[list[str], list[str]]:
+        """The enroll and test id of every trial, as two lists in trial
+        order; computed once per trial list, and not to be modified."""
+        ids = self.ids
+        return [ids[i] for i in self.enroll.tolist()], [ids[i] for i in self.test.tolist()]
 
     def reindex(self, ids: Sequence[str]) -> Trials:
         """The same trials as row indices into ``ids``."""
@@ -265,13 +273,8 @@ def fuse_scores(score_sets: Sequence[ScoreSet], weights: Sequence[float]) -> Sco
 # ---------------------------------------------------------------------------
 
 
-def _pair_names(trials: Trials) -> tuple[list[str], list[str]]:
-    ids = trials.ids
-    return [ids[i] for i in trials.enroll.tolist()], [ids[i] for i in trials.test.tolist()]
-
-
 def write_trials(path, trials: Trials) -> None:
-    enroll, test = _pair_names(trials)
+    enroll, test = trials._pair_names
     flags = trials.is_target.tolist()
     lines = [f"{e} {t} {1 if k else 0}" for e, t, k in zip(enroll, test, flags)]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -297,16 +300,46 @@ def read_trials(path) -> Trials:
 
 
 def write_scores(path, score_set: ScoreSet) -> None:
-    enroll, test = _pair_names(score_set.trials)
+    enroll, test = score_set.trials._pair_names
     scores = score_set.scores.tolist()
     lines = [f"{e} {t} {s:.6f}" for e, t, s in zip(enroll, test, scores)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_scores(path, trials: Trials) -> ScoreSet:
-    """Read a score file and bind it to a trial list: row i must name the
-    enroll and test ids of trial i."""
-    enroll, test = _pair_names(trials)
+def _score_blocks(path, enroll: list[str], test: list[str]) -> np.ndarray | None:
+    """The scores of a score file whose every line is exactly the three
+    fields ``enroll[i] test[i] score``, one line per trial, read in blocks of
+    whole lines; None for any other file, for the row path to read or to
+    word the error."""
+    parts, done = [], 0
+    try:
+        with open(path) as fh:
+            while lines := fh.readlines(1 << 16):  # about 64 KiB of whole lines
+                text = "".join(lines)
+                if "\0" in text:
+                    return None
+                if not text.endswith("\n"):
+                    text += "\n"
+                # a "\0" field closes each line, so the fields fall four to a
+                # line, in step with the trial list, only if every line has three
+                fields = text.replace("\n", " \0 ").split()
+                end = done + len(lines)
+                if (len(fields) != 4 * len(lines) or fields[3::4] != ["\0"] * len(lines)
+                        or fields[0::4] != enroll[done:end] or fields[1::4] != test[done:end]):
+                    return None
+                try:
+                    parts.append(np.array(list(map(float, fields[2::4]))))
+                except ValueError:
+                    return None
+                done = end
+    except (OSError, UnicodeDecodeError):
+        return None
+    return np.concatenate(parts) if parts and done == len(enroll) else None
+
+
+def _score_rows(path, enroll: list[str], test: list[str]) -> np.ndarray:
+    """The scores of a score file read line by line, binding row i to trial
+    i; DataError names the first row that does not fit."""
     rows = read_rows(path, "score", (str, str, float))
     scores = []
     # the rows come last, so that zip draws no row past the trial list
@@ -318,9 +351,20 @@ def read_scores(path, trials: Trials) -> ScoreSet:
             )
         scores.append(score)
     count = len(scores) + sum(1 for _ in rows)
-    if count != len(trials):
-        raise DataError(f"score file {path} has {count} rows but trial list has {len(trials)}")
-    scores = np.asarray(scores)
+    if count != len(enroll):
+        raise DataError(f"score file {path} has {count} rows but trial list has {len(enroll)}")
+    return np.asarray(scores)
+
+
+def read_scores(path, trials: Trials) -> ScoreSet:
+    """Read a score file and bind it to a trial list: row i must name the
+    enroll and test ids of trial i. A file of three fields on every line, one
+    line per trial, is read in blocks; any other goes through the row path,
+    which also reads blank lines and words every error."""
+    enroll, test = trials._pair_names
+    scores = _score_blocks(path, enroll, test)
+    if scores is None:
+        scores = _score_rows(path, enroll, test)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise DataError(f"score row {bad[0]} of {path} is not finite: {scores[bad[0]]}")

@@ -15,6 +15,7 @@ from selflabel.encoder import (
     _contrastive_step,
     _flat,
     _NtXent,
+    _smoothed_ce,
     classifier_loss,
     contrastive_loss,
     embed,
@@ -257,6 +258,22 @@ class TestCrossEntropy:
         loss, grad = classifier_loss(logits, np.array([0]), 0.0)
         assert np.isfinite(loss) and loss > 0
         assert np.all(np.isfinite(grad))
+
+    def test_hits_count_rows_whose_label_logit_is_the_max(self):
+        def hits(logits, labels):
+            n, k = logits.shape
+            return _smoothed_ce(logits.T.copy(), labels, 0.1, np.empty((4, n)), np.ones(k))[1]
+
+        rng = np.random.default_rng(18)
+        logits = rng.standard_normal((40, 6))
+        labels = rng.integers(0, 6, size=40)
+        labels[:12] = np.argmax(logits[:12], axis=1)
+        assert hits(logits, labels) == np.count_nonzero(np.argmax(logits, axis=1) == labels)
+        # row 0's label ties an earlier class at the max, which argmax picks
+        tied = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        labels = np.array([2, 0, 0])
+        assert np.count_nonzero(np.argmax(tied, axis=1) == labels) == 1
+        assert hits(tied, labels) == 2
 
 
 class TestGradCheckHarness:

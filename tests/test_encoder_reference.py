@@ -1,15 +1,16 @@
 """The training loops against a reference copy of the per-array formulation.
 
-The reference below is the training code as it stood before the loops moved
-onto flat parameter/gradient vectors and preallocated buffers: each step
-builds fresh arrays, `_backward` returns a list of gradients and the
-optimizers loop over the arrays one by one. It runs in each loop's dtype:
-float64 for contrastive training, float32 for classifier training, whose
-initialization and noise are drawn in float64 and rounded once. The
-production loops must reproduce its parameters, head and per-epoch logs bit
-for bit, and the contrastive loss, which works on the cross-view blocks
-only, must reproduce the reference's full-matrix loss and gradient bit for
-bit on every call.
+The reference below builds fresh arrays in each step: `_backward` returns a
+list of gradients and the optimizers loop over the arrays one by one. It
+runs in each loop's dtype: float64 for contrastive training, float32 for
+classifier training, whose initialization and noise are drawn in float64
+and rounded once. The classifier reference draws each epoch's permutation,
+then which rows are perturbed, their magnitudes and their noise, and takes
+batches as slices of the permuted epoch; its loss works on class-major
+(K, B) logits with one exp. The production loops must reproduce its
+parameters, head and per-epoch logs bit for bit, and the contrastive loss,
+which works on the cross-view blocks only, must reproduce the reference's
+full-matrix loss and gradient bit for bit on every call.
 """
 
 from types import SimpleNamespace
@@ -86,18 +87,23 @@ def ref_contrastive_loss(z, tau):
     return loss, grad
 
 
-def ref_log_softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def ref_classifier_loss(logits, labels, epsilon):
-    n, k = logits.shape
-    target = np.full((n, k), epsilon / k, dtype=logits.dtype)
-    target[np.arange(n), labels] += 1.0 - epsilon
-    logp = ref_log_softmax(logits)
-    loss = float(-(target * logp).sum() / n)
-    return loss, (np.exp(logp) - target) / n
+    """Loss, hit count and gradient of class-major ``logits`` (K, B): the
+    column sums are products with a ones vector, and one exp serves both the
+    loss and the gradient."""
+    k, n = logits.shape
+    cols = np.arange(n)
+    ones = np.ones(k, dtype=logits.dtype)
+    shifted = logits - logits.max(axis=0)
+    z_y = shifted[labels, cols]
+    hits = int((z_y == 0).sum())
+    sum_z = ones @ shifted
+    expo = np.exp(shifted)
+    sum_exp = ones @ expo
+    loss = float(np.mean(np.log(sum_exp) - (1.0 - epsilon) * z_y - (epsilon / k) * sum_z))
+    grad = expo / (n * sum_exp) - epsilon / (k * n)
+    grad[labels, cols] -= (1.0 - epsilon) / n
+    return loss, hits, grad
 
 
 class RefSgd:
@@ -173,27 +179,29 @@ def ref_train_classifier(x, labels, num_classes, config, seed):
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        xe, ye = x[order], labels[order]
+        if config.aug_prob > 0:
+            rows = np.flatnonzero(rng.random(n) < config.aug_prob)
+            mag = rng.uniform(config.aug_low, config.aug_high, size=(len(rows), 1))
+            noise = rng.standard_normal((len(rows), x.shape[1]))
+            xe[rows] = (xe[rows] + mag * noise).astype(np.float32)
         lr = ref_lr_at(config, epoch)
         loss_sum = 0.0
         hits = 0
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = x[idx], labels[idx]
-            if config.aug_prob > 0:
-                hit = rng.random(len(idx)) < config.aug_prob
-                mag = rng.uniform(config.aug_low, config.aug_high, size=(len(idx), 1))
-                mag = mag * hit[:, None]
-                xb = (xb + mag * rng.standard_normal(xb.shape)).astype(np.float32)
+            xb, yb = xe[start : start + config.batch_size], ye[start : start + config.batch_size]
             hidden, z = ref_forward(params, xb)
-            logits = z @ hw.T + hb
-            batch_loss, dlogits = ref_classifier_loss(logits, yb, config.epsilon_smooth)
-            dhead_w = dlogits.T @ z
-            dhead_b = dlogits.sum(axis=0)
-            dz = dlogits @ hw
+            logits = hw @ z.T + hb[:, None]
+            batch_loss, batch_hits, dlogits = ref_classifier_loss(
+                logits, yb, config.epsilon_smooth
+            )
+            dhead_w = dlogits @ z
+            dhead_b = dlogits @ np.ones(len(yb), dtype=np.float32)
+            dz = dlogits.T @ hw
             enc_grads = ref_backward(params, xb, hidden, dz)
             opt.step(enc_grads + [dhead_w, dhead_b], lr)
-            loss_sum += batch_loss * len(idx)
-            hits += int((np.argmax(logits, axis=1) == yb).sum())
+            loss_sum += batch_loss * len(yb)
+            hits += batch_hits
         log.append((epoch, loss_sum / n, hits / n))
     return EncoderParams(w1, b1, w2, b2), ClassifierHead(hw, hb), log
 
@@ -231,6 +239,7 @@ CLASSIFIER_CASES = [
     pytest.param(192, 6, 5, 32, 2, (0.5, 1.2), id="sgd-aug-exact-lrdrop"),
     pytest.param(150, 6, 4, 40, 2, None, id="sgd-noaug-partial-batch40"),
     pytest.param(600, 20, 200, 128, 3, (1.0, 2.4), id="pipeline-shapes"),
+    pytest.param(600, 20, 400, 128, 3, (1.0, 2.4), id="pipeline-shapes-k400"),
 ]
 
 

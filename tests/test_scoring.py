@@ -8,6 +8,7 @@ from selflabel.scoring import (
     Cohort,
     ScoreSet,
     Trials,
+    _score_rows,
     as_norm,
     as_norm_scores,
     cosine_score,
@@ -263,6 +264,101 @@ class TestScoreFiles:
         (tmp_path / "t.txt").write_bytes(bytes(range(128, 256)))
         with pytest.raises(DataError, match="cannot read trial file"):
             read_trials(tmp_path / "t.txt")
+
+
+def long_score_file(path, n):
+    """A score file as write_scores writes it, of ``n`` trials over 500 ids
+    (enroll and test differ in every trial), and its trial list."""
+    rng = np.random.default_rng(30)
+    enroll = rng.integers(0, 500, n)
+    test = (enroll + rng.integers(1, 500, n)) % 500
+    trials = Trials(tuple(f"s{i:03d}" for i in range(500)), enroll, test, rng.random(n) < 0.5)
+    write_scores(path, ScoreSet(trials=trials, scores=rng.uniform(-1, 1, n)))
+    return trials
+
+
+def _four_fields(lines, row):
+    lines[row] += " 1"
+
+
+def _two_fields(lines, row):
+    lines[row] = " ".join(lines[row].split()[:2])
+
+
+def _line_break_moved(lines, row):
+    # a 4-field row, then a 2-field row: in sequence, the canonical fields
+    first, *rest = lines[row + 1].split()
+    lines[row] += " " + first
+    lines[row + 1] = " ".join(rest)
+
+
+def _swapped_ids(lines, row):
+    e, t, s = lines[row].split()
+    lines[row] = f"{t} {e} {s}"
+
+
+def _score(value):
+    def edit(lines, row):
+        e, t, _ = lines[row].split()
+        lines[row] = f"{e} {t} {value}"
+    return edit
+
+
+class TestScoreFileBlocks:
+    """read_scores reads a file as write_scores writes it in blocks of whole
+    lines and sends every other file through the row path. Each edit below
+    sits in the second block, after one the block path accepted, and the
+    error names it as the row path words it."""
+
+    N = 6000  # about 115 KiB: two blocks
+    ROW = 5000
+
+    @pytest.fixture
+    def canonical(self, tmp_path):
+        path = tmp_path / "s.txt"
+        return path, long_score_file(path, self.N)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(_four_fields, "malformed score row in {path}: {line!r}", id="four-fields"),
+        pytest.param(_two_fields, "malformed score row in {path}: {line!r}", id="two-fields"),
+        pytest.param(_line_break_moved, "malformed score row in {path}: {line!r}",
+                     id="line-break-moved"),
+        pytest.param(_swapped_ids, "score row {row} of {path} names trial ({e}, {t}) but "
+                     "the trial list has ({t}, {e})", id="swapped-ids"),
+        pytest.param(_score("nan"), "score row {row} of {path} is not finite: nan", id="nan"),
+        pytest.param(_score("inf"), "score row {row} of {path} is not finite: inf", id="inf"),
+        pytest.param(lambda lines, row: lines.append(lines[row]),
+                     "score file {path} has 6001 rows but trial list has 6000", id="row-too-many"),
+        pytest.param(lambda lines, row: lines.pop(),
+                     "score file {path} has 5999 rows but trial list has 6000", id="row-too-few"),
+    ])
+    def test_error_text_is_the_row_paths(self, canonical, edit, message):
+        path, trials = canonical
+        lines = path.read_text().splitlines()
+        edit(lines, self.ROW)
+        path.write_text("\n".join(lines) + "\n")
+        e, t = lines[self.ROW].split()[:2]
+        with pytest.raises(DataError) as excinfo:
+            read_scores(path, trials)
+        assert str(excinfo.value) == message.format(
+            path=path, line=lines[self.ROW], row=self.ROW, e=e, t=t
+        )
+
+    def test_canonical_file_gives_the_row_paths_floats(self, canonical):
+        path, trials = canonical
+        scores = read_scores(path, trials).scores
+        assert scores.tobytes() == _score_rows(path, *trials._pair_names).tobytes()
+
+    @pytest.mark.parametrize("rewrite", [
+        pytest.param(lambda text: "\n" + text.replace("\n", "\n\n", 3) + "\n", id="blank-lines"),
+        pytest.param(lambda text: text.replace(" ", "\t"), id="tabs"),
+        pytest.param(lambda text: text.rstrip("\n"), id="no-final-newline"),
+    ])
+    def test_other_layouts_still_parse(self, canonical, rewrite):
+        path, trials = canonical
+        expected = read_scores(path, trials).scores
+        path.write_text(rewrite(path.read_text()))
+        assert read_scores(path, trials).scores.tobytes() == expected.tobytes()
 
 
 class TestTrials:
