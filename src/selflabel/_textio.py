@@ -1,45 +1,102 @@
-"""The one reader of the package's line-oriented text files, and the one
-formatter of its JSON files."""
+"""The one reader and the one writer of the package's text files: line
+files are read and written in blocks of rows, and every text file, JSON
+included, is written by :func:`write_text`."""
 
 from __future__ import annotations
 
 import json
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 
+_BLOCK_BYTES = 1 << 16  # text read at a time, in whole lines
+_BLOCK_ROWS = 2048  # rows formatted at a time
 
-def read_rows(path, what: str, types: tuple, sep: str | None = None) -> Iterator[list]:
-    """Yield the fields of each nonblank line of ``path``, one line at a time.
 
-    A line is split on ``sep`` (whitespace when None) into one nonempty
-    field per entry of ``types``, and each field is converted by its type
-    (``str`` fields pass through). A file that cannot be read or decoded,
-    another field count, an empty field or a field its type rejects with
-    ValueError raises DataError naming ``what``.
-    """
-    width = len(types)
-    convert = [(i, t) for i, t in enumerate(types) if t is not str]
+def _columns(lines: list[str], types: tuple, sep: str | None) -> list[list] | None:
+    """The columns of ``lines``; None when a line is blank or not one row."""
+    text = "".join(lines)
+    if "\0" in text:
+        return None
+    if text and text[-1] != "\n":
+        text += "\n"
+    # a "\0" field closes each line, so the fields fall len(types) + 1 to a
+    # line, in step, only if every line holds one row
+    width, gap = len(types) + 1, sep or " "
+    fields = text.replace("\n", f"{gap}\0{gap}")[:-1].split(sep)
+    if ((sep is not None and "" in fields) or len(fields) != width * len(lines)
+            or fields[width - 1::width] != ["\0"] * len(lines)):
+        return None
+    try:
+        return [fields[i::width] if kind is str else list(map(kind, fields[i::width]))
+                for i, kind in enumerate(types)]
+    except ValueError:
+        return None
+
+
+def read_blocks(path, what: str, types: tuple, sep: str | None = None) -> Iterator[list[list]]:
+    """Yield the rows of ``path``, about 64 KiB of whole lines at a time, as
+    one list per entry of ``types``. Blank lines are skipped; every other
+    line splits on ``sep`` (whitespace when None) into one nonempty field per
+    type, which converts it (``str`` passes it through). An unreadable file,
+    or a line with another field count, an empty field, a NUL or a field its
+    type rejects with ValueError, is a DataError naming ``what``; a block is
+    walked line by line only to name its first bad line."""
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                row = line.split(sep)
-                try:
-                    if len(row) != width or "" in row:
-                        raise ValueError(f"{len(row)} fields, or an empty one")
-                    for i, t in convert:
-                        row[i] = t(row[i])
-                except ValueError:
-                    raise DataError(f"malformed {what} row in {path}: {line!r}") from None
-                yield row
+            while lines := fh.readlines(_BLOCK_BYTES):
+                block = _columns(lines, types, sep)
+                if block is None:  # blank lines fail too: drop them, then look again
+                    lines = [line for line in lines if line != "\n"]
+                    if not lines:
+                        continue
+                    block = _columns(lines, types, sep)
+                if block is None:
+                    bad = next(line for line in lines if _columns([line], types, sep) is None)
+                    bad = bad.rstrip("\n")
+                    raise DataError(f"malformed {what} row in {path}: {bad!r}")
+                yield block
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_columns(path, what: str, types: tuple, sep: str | None = None) -> list[list]:
+    """Every row of ``path`` as one list per entry of ``types``."""
+    columns = [[] for _ in types]
+    for block in read_blocks(path, what, types, sep):
+        for column, part in zip(columns, block):
+            column += part
+    return columns
+
+
+def write_text(path, blocks: Iterable[str]) -> None:
+    """Write the text ``blocks`` to ``path``, in order."""
+    with open(path, "w") as fh:
+        fh.writelines(blocks)
+
+
+def write_rows(path, fmt: str, columns: Sequence[Sequence], header: str | None = None) -> None:
+    """Write ``header`` (when given), then a line ``fmt % row`` per row of
+    the equal-length ``columns``."""
+
+    def blocks():
+        if header is not None:
+            yield header + "\n"
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            part = [column[start:start + _BLOCK_ROWS] for column in columns]
+            flat = [None] * (len(columns) * len(part[0]))
+            for i, column in enumerate(part):
+                flat[i::len(columns)] = column
+            yield (fmt + "\n") * len(part[0]) % tuple(flat)
+
+    write_text(path, blocks())
 
 
 def json_text(data: dict) -> str:
     """``data`` as indented JSON with sorted keys and a final newline; NaN
     or an infinity raises ValueError, as JSON has neither."""
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(path, data: dict) -> None:
+    write_text(path, [json_text(data)])

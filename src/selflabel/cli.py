@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, ensemble, pipeline, scoring, synthdata
-from ._textio import json_text, read_rows
+from ._textio import json_text, read_columns, write_json
 from .configio import build_pipeline_config, parse_kv_file
 from .encoder import (
     train_classifier,
@@ -40,16 +40,10 @@ def _stage_settings(args) -> pipeline.PipelineConfig:
     return build_pipeline_config(_load_mapping(args), output_dir=".")
 
 
-def _read_corpus_features(corpus_dir, modality):
-    corpus = synthdata.read_corpus(corpus_dir)
-    return corpus, corpus.features(modality).astype(np.float64)
-
-
 def _emit(report: dict, out_path) -> None:
-    text = json_text(report)
     if out_path:
-        Path(out_path).write_text(text)
-    print(text, end="")
+        write_json(out_path, report)
+    print(json_text(report), end="")
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +63,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     config = _stage_settings(args).contrastive
-    _, features = _read_corpus_features(args.corpus, args.modality)
+    features = synthdata.read_corpus(args.corpus).features(args.modality)
     params, log = train_contrastive(features, config, args.seed)
     write_checkpoint(args.out, params)
     if args.log_out:
@@ -110,10 +104,10 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _stage_settings(args).classifier
-    corpus, features = _read_corpus_features(args.corpus, args.modality)
+    corpus = synthdata.read_corpus(args.corpus)
     assignment = clustering.read_assignment(args.labels, corpus.sample_ids, k=args.num_classes)
     params, head, log = train_classifier(
-        features, assignment.labels, assignment.k, config, args.seed
+        corpus.features(args.modality), assignment.labels, assignment.k, config, args.seed
     )
     write_checkpoint(args.out, params, head)
     if args.log_out:
@@ -156,7 +150,7 @@ def _cmd_score(args) -> int:
         sample_ids, _, _ = synthdata.read_meta(args.meta)
         trials = trials.reindex(sample_ids)
         if args.cohort:
-            cohort_ids = [cid for cid, in read_rows(args.cohort, "cohort", (str,))]
+            cohort_ids, = read_columns(args.cohort, "cohort", (str,))
             cohort_rows = scoring.rows_of(cohort_ids, sample_ids, "cohort")
             if len(cohort_ids) < top_n:
                 raise ConfigError(f"'eval.top_n' is {top_n}, more than the {len(cohort_ids)} "

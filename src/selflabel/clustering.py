@@ -19,14 +19,13 @@ one restart by default (see ``ClusterSettings``); the K sweep runs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from ._kernels import assign_points, sq_residuals
 from ._parallel import ordered_map
-from ._textio import read_rows
+from ._textio import read_columns, write_rows
 from .errors import ConfigError, DataError
 
 # Assignment runs over row chunks of this height; see _chunk_slices.
@@ -344,8 +343,7 @@ def select_k_elbow(curve: WssCurve) -> tuple[int, np.ndarray]:
 def write_assignment(path, sample_ids: Sequence[str], assignment: Assignment) -> None:
     if len(sample_ids) != len(assignment):
         raise ConfigError("sample id list and assignment differ in length")
-    lines = [f"{sid}\t{int(lab)}" for sid, lab in zip(sample_ids, assignment.labels)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(path, "%s\t%d", (sample_ids, assignment.labels.tolist()))
 
 
 def read_assignment(path, sample_ids: list[str], k: int | None = None) -> Assignment:
@@ -353,10 +351,7 @@ def read_assignment(path, sample_ids: list[str], k: int | None = None) -> Assign
     order and whose labels lie in [0, k); ``k`` defaults to max label + 1."""
     if k is not None and k < 1:
         raise ConfigError(f"assignment needs k >= 1, got {k}")
-    ids, labels = [], []
-    for sample_id, label in read_rows(path, "assignment", (str, int), "\t"):
-        ids.append(sample_id)
-        labels.append(label)
+    ids, labels = read_columns(path, "assignment", (str, int), "\t")
     if not labels:
         raise DataError(f"assignment file {path} is empty")
     if ids != sample_ids:
@@ -371,15 +366,11 @@ def read_assignment(path, sample_ids: list[str], k: int | None = None) -> Assign
 
 
 def write_wss_curve(path, curve: WssCurve) -> None:
-    lines = [f"{int(k)}\t{float(w)!r}" for k, w in zip(curve.ks, curve.wss)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(path, "%d\t%r", (curve.ks.tolist(), curve.wss.tolist()))
 
 
 def read_wss_curve(path) -> WssCurve:
-    ks, ws = [], []
-    for k, w in read_rows(path, "curve", (int, float), "\t"):
-        ks.append(k)
-        ws.append(w)
+    ks, ws = read_columns(path, "curve", (int, float), "\t")
     try:
         return WssCurve(ks=np.asarray(ks), wss=np.asarray(ws))
     except ConfigError as exc:

@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._textio import write_rows
 from .errors import ConfigError, DataError, NumericError, TrainingError
 from .synthdata import perturb_two_views
 
@@ -604,7 +605,7 @@ def train_classifier(
     gradients and buffers stay float32. At zero epochs the float64
     initialization is returned as drawn.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ConfigError("features must be a nonempty 2-d matrix")
@@ -630,7 +631,7 @@ def train_classifier(
     size = config.batch_size
     theta, grad, arrays, grads, bufs = _flat(params, head, size, np.float32)
     step = np.empty_like(theta)
-    x = x.astype(np.float32)
+    x = np.asarray(x, dtype=np.float32)
     x_epoch = np.empty_like(x)
     y_epoch = np.empty_like(labels)
     log = []
@@ -738,7 +739,5 @@ def read_checkpoint(path) -> tuple[EncoderParams, ClassifierHead | None]:
 
 
 def write_train_log(path, rows) -> None:
-    lines = ["epoch\tmean_loss\taccuracy"]
-    for epoch, loss, acc in rows:
-        lines.append(f"{int(epoch)}\t{float(loss)!r}\t{float(acc)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [[kind(row[i]) for row in rows] for i, kind in enumerate((int, float, float))]
+    write_rows(path, "%d\t%r\t%r", columns, header="epoch\tmean_loss\taccuracy")

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import hungarian_min_cost
 from ._parallel import ordered_map
-from ._textio import json_text
+from ._textio import write_json
 from .clustering import Assignment, ClusterSettings, _seed_list, kmeans, write_assignment
 from .errors import ConfigError, NumericError
 
@@ -43,7 +43,7 @@ def write_fusion(out_dir: Path, sample_ids: Sequence[str], fused_set: FusedLabel
     for name, assign in fused_set._asdict().items():
         write_assignment(out_dir / f"assign_{name}.tsv", sample_ids, assign)
     breakdown = vote_breakdown(fused_set.joint, fused_set.audio, fused_set.visual)
-    (out_dir / "fusion_report.json").write_text(json_text(breakdown))
+    write_json(out_dir / "fusion_report.json", breakdown)
     return breakdown
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import ensemble, scoring, synthdata
 from ._parallel import ordered_map
-from ._textio import json_text, read_rows
+from ._textio import read_columns, write_json, write_rows
 from .clustering import (
     MAX_ITERS,
     SWEEP_RESTARTS,
@@ -232,7 +232,7 @@ def _prepare_run(config: PipelineConfig) -> None:
             )
     else:
         with _staged(marker) as tmp:
-            tmp.write_text(json_text(payload))
+            write_json(tmp, payload)
 
 
 def _ensure_corpus(config: PipelineConfig) -> MultiModalCorpus:
@@ -314,9 +314,9 @@ def _ensure_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
         with _staged(trials_path) as tmp:
             scoring.write_trials(tmp, trials)
         with _staged(cohort_path) as tmp:
-            tmp.write_text("\n".join(cohort_ids) + "\n")
+            write_rows(tmp, "%s", (cohort_ids,))
     trials = scoring.read_trials(trials_path).reindex(corpus.sample_ids)
-    cohort_ids = [cid for cid, in read_rows(cohort_path, "cohort", (str,))]
+    cohort_ids, = read_columns(cohort_path, "cohort", (str,))
     return trials, cohort_ids
 
 
@@ -380,7 +380,7 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
         for modality, (params, head, log) in trained.items():
             write_checkpoint(tmp / f"encoder_{modality}.enc", params, head)
             write_train_log(tmp / f"train_log_{modality}.tsv", log)
-            emb = embed(params, corpus.features(modality).astype(np.float64))
+            emb = embed(params, corpus.features(modality))
             emb_path = tmp / f"{modality}.emb"
             synthdata.write_embeddings(emb_path, emb)
             # read back: all downstream math runs on the stored float32 values
@@ -389,7 +389,7 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
         for modality in z:
             scoring.write_scores(tmp / f"scores_{modality}.tsv", cosine_score(trials, z[modality]))
         report = compute_round_metrics(tmp, corpus, trials, k, index)
-        (tmp / "metrics.json").write_text(json_text(report))
+        write_json(tmp / "metrics.json", report)
     art = _load_round(config, index)
     logger.info("round %d done: %s", index, _metrics_brief(art.metrics))
     return art
@@ -406,7 +406,7 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
     def train(corpus):
         logger.info("round 0: contrastive pretraining (%d epochs)", config.contrastive.epochs)
         params, log = train_contrastive(
-            corpus.features("audio").astype(np.float64),
+            corpus.features("audio"),
             config.contrastive,
             _derive_seed(config.seed, 0, 1),
         )
@@ -447,7 +447,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
         # separate seed streams, so the two can train in separate processes
         calls = [
             (
-                corpus.features(modality).astype(np.float64),
+                corpus.features(modality),
                 labels.labels,
                 k,
                 config.classifier,
@@ -532,8 +532,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "systems": _final_scoring(config, corpus, trials, cohort_ids, rounds[-1]),
         },
     }
+    kept = {r.path.name for r in rounds}  # a lower ``rounds`` leaves no later round
+    for path in config.output_dir.glob("round_*"):
+        if path.name[6:].isdigit() and path.name not in kept:
+            _remove(path)
     report_path = config.output_dir / "report.json"
     with _staged(report_path) as tmp:
-        tmp.write_text(json_text(report))
+        write_json(tmp, report)
     logger.info("pipeline finished; report at %s", report_path)
     return report

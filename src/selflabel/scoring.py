@@ -9,19 +9,20 @@ side's top-N cohort scores and averages the two normalized values:
     s' = 0.5 * [ (s - mu_e) / sigma_e + (s - mu_t) / sigma_t ]
 
 where mu/sigma are the mean and population standard deviation of the top-N
-largest cosine scores of that side against the cohort.
+largest cosine scores of that side against the cohort. Trial and score files
+go through ``_textio``, in blocks of rows; row i of a score file is trial i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from ._textio import read_rows
+from ._textio import read_blocks, read_columns, write_rows
 from .errors import ConfigError, DataError, NumericError
 
 
@@ -30,7 +31,7 @@ def rows_of(names: Sequence[str], ids: Sequence[str], what: str) -> np.ndarray:
     raises DataError naming ``what``."""
     row = {sid: i for i, sid in enumerate(ids)}
     try:
-        return np.fromiter((row[name] for name in names), np.int64, len(names))
+        return np.fromiter(map(row.__getitem__, names), np.int64, len(names))
     except KeyError as exc:
         raise DataError(f"unknown id in {what}: {exc.args[0]!r}") from None
 
@@ -275,96 +276,48 @@ def fuse_scores(score_sets: Sequence[ScoreSet], weights: Sequence[float]) -> Sco
 
 def write_trials(path, trials: Trials) -> None:
     enroll, test = trials._pair_names
-    flags = trials.is_target.tolist()
-    lines = [f"{e} {t} {1 if k else 0}" for e, t, k in zip(enroll, test, flags)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _target_flag(field: str) -> bool:
-    if field not in ("0", "1"):
-        raise ValueError(f"target flag {field!r}")
-    return field == "1"
+    write_rows(path, "%s %s %d", (enroll, test, trials.is_target.astype(int).tolist()))
 
 
 def read_trials(path) -> Trials:
     """Read a trial file; its ids are numbered in the order they first appear."""
-    rows: dict[str, int] = {}
-    enroll, test, is_target = [], [], []
-    for enroll_id, test_id, flag in read_rows(path, "trial", (str, str, _target_flag)):
-        enroll.append(rows.setdefault(enroll_id, len(rows)))
-        test.append(rows.setdefault(test_id, len(rows)))
-        is_target.append(flag)
+    # ("0", "1").index reads a target flag, and raises ValueError for any other
+    enroll, test, is_target = read_columns(path, "trial", (str, str, ("0", "1").index))
     if not enroll:
         raise DataError(f"trial file {path} is empty")
-    return Trials(tuple(rows), enroll, test, is_target)
+    ids = tuple(dict.fromkeys(chain.from_iterable(zip(enroll, test))))
+    enroll, test = (rows_of(names, ids, "trial list") for names in (enroll, test))
+    return Trials(ids, enroll, test, is_target)
 
 
 def write_scores(path, score_set: ScoreSet) -> None:
     enroll, test = score_set.trials._pair_names
-    scores = score_set.scores.tolist()
-    lines = [f"{e} {t} {s:.6f}" for e, t, s in zip(enroll, test, scores)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _score_blocks(path, enroll: list[str], test: list[str]) -> np.ndarray | None:
-    """The scores of a score file whose every line is exactly the three
-    fields ``enroll[i] test[i] score``, one line per trial, read in blocks of
-    whole lines; None for any other file, for the row path to read or to
-    word the error."""
-    parts, done = [], 0
-    try:
-        with open(path) as fh:
-            while lines := fh.readlines(1 << 16):  # about 64 KiB of whole lines
-                text = "".join(lines)
-                if "\0" in text:
-                    return None
-                if not text.endswith("\n"):
-                    text += "\n"
-                # a "\0" field closes each line, so the fields fall four to a
-                # line, in step with the trial list, only if every line has three
-                fields = text.replace("\n", " \0 ").split()
-                end = done + len(lines)
-                if (len(fields) != 4 * len(lines) or fields[3::4] != ["\0"] * len(lines)
-                        or fields[0::4] != enroll[done:end] or fields[1::4] != test[done:end]):
-                    return None
-                try:
-                    parts.append(np.array(list(map(float, fields[2::4]))))
-                except ValueError:
-                    return None
-                done = end
-    except (OSError, UnicodeDecodeError):
-        return None
-    return np.concatenate(parts) if parts and done == len(enroll) else None
-
-
-def _score_rows(path, enroll: list[str], test: list[str]) -> np.ndarray:
-    """The scores of a score file read line by line, binding row i to trial
-    i; DataError names the first row that does not fit."""
-    rows = read_rows(path, "score", (str, str, float))
-    scores = []
-    # the rows come last, so that zip draws no row past the trial list
-    for want_enroll, want_test, (enroll_id, test_id, score) in zip(enroll, test, rows):
-        if enroll_id != want_enroll or test_id != want_test:
-            raise DataError(
-                f"score row {len(scores)} of {path} names trial ({enroll_id}, {test_id}) but "
-                f"the trial list has ({want_enroll}, {want_test})"
-            )
-        scores.append(score)
-    count = len(scores) + sum(1 for _ in rows)
-    if count != len(enroll):
-        raise DataError(f"score file {path} has {count} rows but trial list has {len(enroll)}")
-    return np.asarray(scores)
+    write_rows(path, "%s %s %.6f", (enroll, test, score_set.scores.tolist()))
 
 
 def read_scores(path, trials: Trials) -> ScoreSet:
     """Read a score file and bind it to a trial list: row i must name the
-    enroll and test ids of trial i. A file of three fields on every line, one
-    line per trial, is read in blocks; any other goes through the row path,
-    which also reads blank lines and words every error."""
+    enroll and test ids of trial i. Each block of rows is checked against
+    its slice of the trial list, and only its scores are kept; in a block
+    with both, a malformed line is named before a mismatched one."""
     enroll, test = trials._pair_names
-    scores = _score_blocks(path, enroll, test)
-    if scores is None:
-        scores = _score_rows(path, enroll, test)
+    parts, done = [np.empty(0)], 0
+    for enroll_ids, test_ids, scores in read_blocks(path, "score", (str, str, float)):
+        end = done + len(scores)
+        want_enroll, want_test = enroll[done:end], test[done:end]
+        if enroll_ids != want_enroll or test_ids != want_test:
+            # the first row that names another trial; past the end of the
+            # trial list there is none, and the row count fails below
+            rows = zip(enroll_ids, test_ids, want_enroll, want_test)
+            for i, (e, t, want_e, want_t) in enumerate(rows):
+                if (e, t) != (want_e, want_t):
+                    raise DataError(f"score row {done + i} of {path} names trial ({e}, {t}) "
+                                    f"but the trial list has ({want_e}, {want_t})")
+        parts.append(np.array(scores))
+        done = end
+    if done != len(enroll):
+        raise DataError(f"score file {path} has {done} rows but trial list has {len(enroll)}")
+    scores = np.concatenate(parts)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise DataError(f"score row {bad[0]} of {path} is not finite: {scores[bad[0]]}")

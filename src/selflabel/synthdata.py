@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._textio import read_rows
+from ._textio import read_columns, write_rows
 from .errors import ConfigError, DataError
 
 _EMB_MAGIC = b"EMB1"
@@ -232,28 +232,25 @@ def write_corpus(corpus: MultiModalCorpus, path) -> None:
     """Write a corpus directory: meta.tsv, audio.emb, visual.emb."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    lines = ["\t".join(_META_COLUMNS)]
-    for sid, gid, ident in zip(corpus.sample_ids, corpus.group_ids, corpus.identity_gt):
-        lines.append(f"{sid}\t{gid}\t{int(ident)}")
-    (path / "meta.tsv").write_text("\n".join(lines) + "\n")
+    columns = (corpus.sample_ids, corpus.group_ids, corpus.identity_gt.tolist())
+    write_rows(path / "meta.tsv", "%s\t%s\t%d", columns, header="\t".join(_META_COLUMNS))
     write_embeddings(path / "audio.emb", corpus.audio)
     write_embeddings(path / "visual.emb", corpus.visual)
 
 
 def read_meta(path) -> tuple[list[str], list[str], np.ndarray]:
     """Parse a meta.tsv file into (sample_ids, group_ids, identity_gt)."""
-    rows = read_rows(path, "metadata", (str, str, str), "\t")
-    if tuple(next(rows, ())) != _META_COLUMNS:
+    columns = read_columns(path, "metadata", (str, str, str), "\t")
+    if tuple(column[0] for column in columns if column) != _META_COLUMNS:
         raise DataError(f"malformed header in {path}")
-    sample_ids, group_ids, idents = [], [], []
-    for sid, gid, ident in rows:
+    sample_ids, group_ids, idents = (column[1:] for column in columns)
+    identity_gt = []
+    for ident in idents:
         try:
-            idents.append(int(ident))
+            identity_gt.append(int(ident))
         except ValueError as exc:
             raise DataError(f"non-integer identity in {path}: {ident!r}") from exc
-        sample_ids.append(sid)
-        group_ids.append(gid)
-    return sample_ids, group_ids, np.asarray(idents, dtype=np.int64)
+    return sample_ids, group_ids, np.asarray(identity_gt, dtype=np.int64)
 
 
 def read_corpus(path) -> MultiModalCorpus:

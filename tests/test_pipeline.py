@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selflabel import _parallel, cli, pipeline
+from selflabel import _parallel, _textio, cli, pipeline
 from selflabel.configio import build_pipeline_config
 from selflabel.encoder import ClassifierConfig, ContrastiveConfig
 from selflabel.errors import ConfigError
@@ -329,6 +329,14 @@ class TestDeterminismAndResume:
         final = tree_bytes(tmp_path / "lowered" / "final")
         assert final == tree_bytes(tmp_path / "fresh" / "final")
 
+    def test_lowering_rounds_leaves_the_tree_of_a_fresh_run(self, tmp_path):
+        # the later round directories go too, not only final/'s files
+        run_pipeline(tiny_config(tmp_path / "fresh", rounds=1))
+        run_pipeline(tiny_config(tmp_path / "lowered", rounds=2))
+        run_pipeline(tiny_config(tmp_path / "lowered", rounds=1))
+        assert not (tmp_path / "lowered" / "round_002").exists()
+        assert tree_bytes(tmp_path / "lowered") == tree_bytes(tmp_path / "fresh")
+
     def test_resume_with_another_worker_count_equals_uninterrupted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
         run_pipeline(tiny_config(tmp_path / "full", rounds=1))
@@ -368,6 +376,29 @@ def tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def test_every_text_file_is_written_through_one_primitive(tmp_path, monkeypatch):
+    monkeypatch.setattr(_parallel, "CPUS", 1)  # every write in this process
+    written = []
+    real_write_text = _textio.write_text
+
+    def record(path, blocks):
+        written.append(Path(path))
+        real_write_text(path, blocks)
+
+    monkeypatch.setattr(_textio, "write_text", record)
+    out = tmp_path / "run"
+    run_pipeline(tiny_config(out, rounds=1))
+    # a staged file or directory is renamed into place without its prefix
+    through = {
+        "/".join(part.removeprefix(".tmp_") for part in path.relative_to(out).parts)
+        for path in written
+    }
+    tree = tree_bytes(out)
+    text = {name for name, data in tree.items() if data[:4] not in (b"EMB1", b"ENC1")}
+    assert {"report.json", "corpus/meta.tsv", "round_001/scores_audio.tsv"} <= text
+    assert through == text
+
+
 class TestCrashSafeRunFiles:
     @pytest.mark.parametrize("torn", ["cohort_ids", "trials", "run_config", "meta.tsv"])
     def test_write_failing_part_way_then_resume_equals_uninterrupted(
@@ -376,16 +407,17 @@ class TestCrashSafeRunFiles:
         run_pipeline(tiny_config(tmp_path / "full", rounds=1))
 
         crashed = tiny_config(tmp_path / "crashed", rounds=1)
-        real_write_text = Path.write_text
+        real_write_text = _textio.write_text
 
-        def write_half_then_fail(self, data, *args, **kwargs):
-            if torn in self.name:
-                real_write_text(self, data[: len(data) // 2], *args, **kwargs)
-                raise OSError(f"simulated crash while writing {self.name}")
-            return real_write_text(self, data, *args, **kwargs)
+        def write_half_then_fail(path, blocks):
+            if torn in Path(path).name:
+                text = "".join(blocks)
+                real_write_text(path, [text[: len(text) // 2]])
+                raise OSError(f"simulated crash while writing {Path(path).name}")
+            return real_write_text(path, blocks)
 
         with monkeypatch.context() as patch:
-            patch.setattr(Path, "write_text", write_half_then_fail)
+            patch.setattr(_textio, "write_text", write_half_then_fail)
             with pytest.raises(OSError, match="simulated crash"):
                 run_pipeline(crashed)
         run_pipeline(crashed)

@@ -8,7 +8,6 @@ from selflabel.scoring import (
     Cohort,
     ScoreSet,
     Trials,
-    _score_rows,
     as_norm,
     as_norm_scores,
     cosine_score,
@@ -305,10 +304,10 @@ def _score(value):
 
 
 class TestScoreFileBlocks:
-    """read_scores reads a file as write_scores writes it in blocks of whole
-    lines and sends every other file through the row path. Each edit below
-    sits in the second block, after one the block path accepted, and the
-    error names it as the row path words it."""
+    """read_scores reads every file in blocks of whole lines. Each edit below
+    sits in the second block, after one the reader accepted, and the error
+    names it in the words of the earlier per-line reader (the "row path" of
+    the test names)."""
 
     N = 6000  # about 115 KiB: two blocks
     ROW = 5000
@@ -347,7 +346,10 @@ class TestScoreFileBlocks:
     def test_canonical_file_gives_the_row_paths_floats(self, canonical):
         path, trials = canonical
         scores = read_scores(path, trials).scores
-        assert scores.tobytes() == _score_rows(path, *trials._pair_names).tobytes()
+        # the reference: each line split and its score converted on its own
+        rows = [line.split() for line in path.read_text().splitlines()]
+        assert [row[:2] for row in rows] == [list(pair) for pair in zip(*trials._pair_names)]
+        assert scores.tobytes() == np.array([float(row[2]) for row in rows]).tobytes()
 
     @pytest.mark.parametrize("rewrite", [
         pytest.param(lambda text: "\n" + text.replace("\n", "\n\n", 3) + "\n", id="blank-lines"),
