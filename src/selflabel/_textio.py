@@ -1,11 +1,17 @@
-"""The one reader and the one writer of the package's text files: line
-files are read and written in blocks of rows, and every text file, JSON
-included, is written by :func:`write_text`."""
+"""The package's file formats at the byte level. Every file it writes
+passes through :func:`write_file`. Line files are UTF-8, read and written
+in blocks of rows. EMB1 embeddings and ENC1 checkpoints share one binary
+container (a 4-byte magic, u32-LE header fields, a float32-LE payload whose
+length the header gives); each format defines only its header fields."""
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Sequence
+import struct
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -43,7 +49,7 @@ def read_blocks(path, what: str, types: tuple, sep: str | None = None) -> Iterat
     type rejects with ValueError, is a DataError naming ``what``; a block is
     walked line by line only to name its first bad line."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             while lines := fh.readlines(_BLOCK_BYTES):
                 block = _columns(lines, types, sep)
                 if block is None:  # blank lines fail too: drop them, then look again
@@ -69,10 +75,11 @@ def read_columns(path, what: str, types: tuple, sep: str | None = None) -> list[
     return columns
 
 
-def write_text(path, blocks: Iterable[str]) -> None:
-    """Write the text ``blocks`` to ``path``, in order."""
-    with open(path, "w") as fh:
-        fh.writelines(blocks)
+def write_file(path, blocks: Iterable[str | bytes]) -> None:
+    """Write ``blocks``, text as UTF-8, to ``path``: the package's one file writer."""
+    with open(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block.encode() if isinstance(block, str) else block)
 
 
 def write_rows(path, fmt: str, columns: Sequence[Sequence], header: str | None = None) -> None:
@@ -89,7 +96,7 @@ def write_rows(path, fmt: str, columns: Sequence[Sequence], header: str | None =
                 flat[i::len(columns)] = column
             yield (fmt + "\n") * len(part[0]) % tuple(flat)
 
-    write_text(path, blocks())
+    write_file(path, blocks())
 
 
 def json_text(data: dict) -> str:
@@ -99,4 +106,29 @@ def json_text(data: dict) -> str:
 
 
 def write_json(path, data: dict) -> None:
-    write_text(path, [json_text(data)])
+    write_file(path, [json_text(data)])
+
+
+def write_container(path, magic: bytes, header: Sequence[int], payload) -> None:
+    data = np.ascontiguousarray(payload, dtype="<f4").tobytes()
+    write_file(path, [magic, struct.pack(f"<{len(header)}I", *header), data])
+
+
+def read_container(path, what: str, magic: bytes, fields: int, floats: Callable) -> tuple:
+    """The header fields and the read-only float32 payload of a container
+    whose payload holds ``floats(header)`` floats; an unreadable or
+    malformed file is a DataError."""
+    path = Path(path)
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    start = 4 + 4 * fields
+    if len(blob) < start or blob[:4] != magic:
+        raise DataError(f"malformed header in {path}")
+    header = struct.unpack(f"<{fields}I", blob[4:start])
+    end = start + 4 * floats(header)
+    if len(blob) != end:
+        flaw = "truncated payload" if len(blob) < end else "trailing bytes after payload"
+        raise DataError(f"{flaw} in {path}")
+    return header, np.frombuffer(blob, dtype="<f4", offset=start)

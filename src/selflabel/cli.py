@@ -74,12 +74,14 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    restarts = _stage_settings(args).cluster.restarts
-    sample_ids, _, _ = synthdata.read_meta(args.meta)
-    x = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
     choices = [args.k is not None, args.k_grid is not None, args.from_curve is not None]
     if sum(choices) != 1:
         raise ConfigError("give exactly one of --k, --k-grid or --from-curve")
+    if args.curve_out is not None and args.k_grid is None:
+        raise ConfigError("--curve-out is not read without --k-grid")
+    restarts = _stage_settings(args).cluster.restarts
+    sample_ids, _, _ = synthdata.read_meta(args.meta)
+    x = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
     if args.from_curve is not None:
         curve = clustering.read_wss_curve(args.from_curve)
         k, _ = clustering.select_k_elbow(curve)
@@ -133,22 +135,27 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    top_n = _stage_settings(args).eval.top_n
-    trials = scoring.read_trials(args.trials)
     if args.fuse:
+        unread = [f for f in ("embeddings", "meta", "cohort") if getattr(args, f) is not None]
+        if unread:
+            raise ConfigError(f"--{unread[0]} is not read with --fuse")
         if not args.weights:
             raise ConfigError("--weights is required with --fuse")
         try:
             weights = [float(w) for w in args.weights.split(",")]
         except ValueError:
             raise ConfigError(f"'--weights' must be numbers, got {args.weights!r}") from None
-        sets = [scoring.read_scores(p, trials) for p in args.fuse]
-        result = fuse_scores(sets, weights)
+    elif args.weights is not None:
+        raise ConfigError("--weights is not read without --fuse")
+    elif not args.embeddings or not args.meta:
+        raise ConfigError("--embeddings and --meta are required unless fusing")
+    top_n = _stage_settings(args).eval.top_n
+    if args.fuse:
+        trials = scoring.read_trials(args.trials)
+        result = fuse_scores([scoring.read_scores(p, trials) for p in args.fuse], weights)
     else:
-        if not args.embeddings or not args.meta:
-            raise ConfigError("--embeddings and --meta are required unless fusing")
         sample_ids, _, _ = synthdata.read_meta(args.meta)
-        trials = trials.reindex(sample_ids)
+        trials = scoring.read_trials(args.trials, sample_ids)
         if args.cohort:
             cohort_ids, = read_columns(args.cohort, "cohort", (str,))
             cohort_rows = scoring.rows_of(cohort_ids, sample_ids, "cohort")
@@ -165,6 +172,10 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    if args.scores and not args.trials:
+        raise ConfigError("--trials is required with --scores")
+    if args.trials is not None and not args.scores:
+        raise ConfigError("--trials is not read without --scores")
     dcf = _stage_settings(args).dcf
     sample_ids, _, identity_gt = synthdata.read_meta(args.meta)
     report = {"nmi_audio": None, "nmi_visual": None, "nmi_fused": None,
@@ -174,8 +185,6 @@ def _cmd_metrics(args) -> int:
         if path:
             report[name] = nmi(clustering.read_assignment(path, sample_ids).labels, identity_gt)
     if args.scores:
-        if not args.trials:
-            raise ConfigError("--trials is required with --scores")
         trials = scoring.read_trials(args.trials)
         score_set = scoring.read_scores(args.scores, trials)
         report.update(verification_metrics(score_set, dcf))

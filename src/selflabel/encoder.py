@@ -36,14 +36,12 @@ bit on every call.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._textio import write_rows
-from .errors import ConfigError, DataError, NumericError, TrainingError
+from ._textio import read_container, write_container, write_rows
+from .errors import ConfigError, NumericError, TrainingError
 from .synthdata import perturb_two_views
 
 _ENC_MAGIC = b"ENC1"
@@ -712,29 +710,18 @@ def grad_check(loss_function, theta: np.ndarray, step: float = 1e-5) -> float:
 
 
 def write_checkpoint(path, params: EncoderParams, head: ClassifierHead | None = None) -> None:
-    """ENC1 layout: magic, u32 dims (in, hidden, embed, classes-or-0), f32 weights."""
+    """An ENC1 container (``_textio``): dims (in, hidden, embed, classes or 0),
+    then the float32 weights in :func:`pack_params` order."""
     k = head.num_classes if head is not None else 0
-    with open(Path(path), "wb") as fh:
-        fh.write(_ENC_MAGIC)
-        fh.write(struct.pack("<IIII", params.in_dim, params.hidden_dim, params.embed_dim, k))
-        fh.write(pack_params(params, head).astype("<f4").tobytes())
+    dims = (params.in_dim, params.hidden_dim, params.embed_dim, k)
+    write_container(path, _ENC_MAGIC, dims, pack_params(params, head))
 
 
 def read_checkpoint(path) -> tuple[EncoderParams, ClassifierHead | None]:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < 20 or blob[:4] != _ENC_MAGIC:
-        raise DataError(f"malformed header in {path}")
-    in_dim, hidden, embd, k = struct.unpack("<IIII", blob[4:20])
-    need = 20 + 4 * sum(math.prod(s) for s in _shapes(in_dim, hidden, embd, k or None))
-    if len(blob) < need:
-        raise DataError(f"truncated payload in {path}")
-    if len(blob) > need:
-        raise DataError(f"trailing bytes after payload in {path}")
-    theta = np.frombuffer(blob, dtype="<f4", offset=20).astype(np.float64)
+    def floats(dims):
+        return sum(math.prod(s) for s in _shapes(*dims[:3], dims[3] or None))
+
+    (in_dim, hidden, embd, k), theta = read_container(path, "checkpoint", _ENC_MAGIC, 4, floats)
     return unpack_params(theta, in_dim, hidden, embd, k or None)
 
 

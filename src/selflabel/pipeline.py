@@ -315,7 +315,7 @@ def _ensure_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
             scoring.write_trials(tmp, trials)
         with _staged(cohort_path) as tmp:
             write_rows(tmp, "%s", (cohort_ids,))
-    trials = scoring.read_trials(trials_path).reindex(corpus.sample_ids)
+    trials = scoring.read_trials(trials_path, corpus.sample_ids)
     cohort_ids, = read_columns(cohort_path, "cohort", (str,))
     return trials, cohort_ids
 
@@ -332,19 +332,12 @@ def compute_round_metrics(round_path, corpus: MultiModalCorpus, trials, k: int, 
     report: dict = {"round": round_index, "k": k}
     for name in ("audio", "visual", "joint", "fused"):
         path = round_path / f"assign_{name}.tsv"
-        if path.is_file():
-            assign = read_assignment(path, corpus.sample_ids, k=k)
-            report[f"nmi_{name}"] = nmi(assign.labels, truth)
-        else:
-            report[f"nmi_{name}"] = None
+        report[f"nmi_{name}"] = (nmi(read_assignment(path, corpus.sample_ids, k=k).labels, truth)
+                                 if path.is_file() else None)
     for modality in _MODALITIES:
         path = round_path / f"scores_{modality}.tsv"
-        if path.is_file():
-            ss = scoring.read_scores(path, trials)
-            value, _ = eer(ss)
-            report[f"eer_{modality}"] = value
-        else:
-            report[f"eer_{modality}"] = None
+        report[f"eer_{modality}"] = (eer(scoring.read_scores(path, trials))[0]
+                                     if path.is_file() else None)
     return report
 
 

@@ -83,11 +83,6 @@ class Trials:
         ids = self.ids
         return [ids[i] for i in self.enroll.tolist()], [ids[i] for i in self.test.tolist()]
 
-    def reindex(self, ids: Sequence[str]) -> Trials:
-        """The same trials as row indices into ``ids``."""
-        rows = rows_of(self.ids, ids, "trial list")
-        return Trials(ids, rows[self.enroll], rows[self.test], self.is_target)
-
 
 @dataclass(frozen=True)
 class ScoreSet:
@@ -279,15 +274,19 @@ def write_trials(path, trials: Trials) -> None:
     write_rows(path, "%s %s %d", (enroll, test, trials.is_target.astype(int).tolist()))
 
 
-def read_trials(path) -> Trials:
-    """Read a trial file; its ids are numbered in the order they first appear."""
+def read_trials(path, ids: Sequence[str] | None = None) -> Trials:
+    """Read a trial file as row indices into ``ids`` (a corpus's sample
+    ids, say); without ``ids``, the file's ids are numbered in the order
+    they first appear. An id that ``ids`` lacks is a DataError."""
     # ("0", "1").index reads a target flag, and raises ValueError for any other
     enroll, test, is_target = read_columns(path, "trial", (str, str, ("0", "1").index))
     if not enroll:
         raise DataError(f"trial file {path} is empty")
-    ids = tuple(dict.fromkeys(chain.from_iterable(zip(enroll, test))))
-    enroll, test = (rows_of(names, ids, "trial list") for names in (enroll, test))
-    return Trials(ids, enroll, test, is_target)
+    names = list(chain.from_iterable(zip(enroll, test)))
+    if ids is None:
+        ids = dict.fromkeys(names)
+    rows = rows_of(names, ids, "trial list")
+    return Trials(ids, rows[0::2], rows[1::2], is_target)
 
 
 def write_scores(path, score_set: ScoreSet) -> None:

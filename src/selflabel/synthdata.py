@@ -12,22 +12,21 @@ only; nothing in the training path may read them.
 
 On disk a corpus is a directory with ``meta.tsv`` (sample_id, group_id,
 identity_gt), ``audio.emb`` and ``visual.emb``, and nothing else: how a
-corpus was made, or how a network trains on it, is no part of it. Embedding
-files use the EMB1 layout: magic ``EMB1``, u32-LE row count, u32-LE
-dimension, then float32-LE rows in meta order. Features are float32 in
-memory so file round-trips are bit-exact. The range of the two-view noise
+corpus was made, or how a network trains on it, is no part of it. An
+embedding file is an EMB1 container (``_textio``): row count, dimension,
+then the float32 rows in meta order. Features are float32 in memory so
+file round-trips are bit-exact. The range of the two-view noise
 (:func:`perturb_two_views`) is a setting of contrastive training.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._textio import read_columns, write_rows
+from ._textio import read_columns, read_container, write_container, write_rows
 from .errors import ConfigError, DataError
 
 _EMB_MAGIC = b"EMB1"
@@ -48,14 +47,9 @@ class SynthConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        counts = {
-            "num_identities": self.num_identities,
-            "groups_per_identity": self.groups_per_identity,
-            "segments_per_group": self.segments_per_group,
-            "audio_dim": self.audio_dim,
-            "visual_dim": self.visual_dim,
-        }
-        for name, value in counts.items():
+        for name in ("num_identities", "groups_per_identity", "segments_per_group",
+                     "audio_dim", "visual_dim"):
+            value = getattr(self, name)
             if int(value) != value or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.within_identity_spread < 0:
@@ -195,37 +189,21 @@ def perturb_two_views(
 
 
 def write_embeddings(path, array: np.ndarray) -> None:
-    """Write a float matrix in the EMB1 layout (float32, little-endian)."""
-    arr = np.ascontiguousarray(np.asarray(array), dtype="<f4")
-    if arr.ndim != 2:
+    """Write a float matrix as an EMB1 container, in float32."""
+    array = np.asarray(array)
+    if array.ndim != 2:
         raise ConfigError("embedding array must be 2-dimensional")
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+    write_container(path, _EMB_MAGIC, array.shape, array)
 
 
 def read_embeddings(path, rows: int) -> np.ndarray:
     """Read an EMB1 file back into a float32 matrix of ``rows`` rows, one
     per sample of the corpus it embeds."""
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read embedding file {path}: {exc}") from exc
-    if len(blob) < 12 or blob[:4] != _EMB_MAGIC:
-        raise DataError(f"malformed header in {path}")
-    stored, dim = struct.unpack("<II", blob[4:12])
-    if stored != rows:
-        raise DataError(f"row count mismatch: {path} has {stored} rows, the corpus has {rows}")
-    expected = 12 + rows * dim * 4
-    if len(blob) < expected:
-        raise DataError(f"truncated payload in {path}")
-    if len(blob) > expected:
-        raise DataError(f"trailing bytes after payload in {path}")
-    data = np.frombuffer(blob, dtype="<f4", count=rows * dim, offset=12)
-    return data.reshape(rows, dim).copy()
+    shape, data = read_container(path, "embedding file", _EMB_MAGIC, 2, lambda s: s[0] * s[1])
+    if shape[0] != rows:
+        raise DataError(f"row count mismatch: {Path(path)} has {shape[0]} rows, "
+                        f"the corpus has {rows}")
+    return data.reshape(shape).copy()
 
 
 def write_corpus(corpus: MultiModalCorpus, path) -> None:

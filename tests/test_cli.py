@@ -561,7 +561,7 @@ class TestScore:
         # eval.top_n, not the cohort size, is the normalization's top-N
         z = corpus.audio.astype(np.float64)
         cohort = Cohort(z[rows_of(ids[100:110], ids, "cohort")])
-        raw = cosine_score(read_trials(trials_path).reindex(ids), z)
+        raw = cosine_score(read_trials(trials_path, ids), z)
         write_scores(tmp_path / "want.txt", as_norm(raw, z, cohort, top_n=5))
         assert out.read_bytes() == (tmp_path / "want.txt").read_bytes()
         write_scores(tmp_path / "all.txt", as_norm(raw, z, cohort, top_n=10))
@@ -865,6 +865,31 @@ class TestStageCommandsReadTheConfig:
             main([command, *required[command], flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, args, flag", [
+        ("cluster", ["--embeddings", "x.emb", "--meta", "meta.tsv", "--k", "4"], "--curve-out"),
+        ("cluster", ["--embeddings", "x.emb", "--meta", "meta.tsv", "--from-curve", "c.tsv"],
+         "--curve-out"),
+        ("score", ["--trials", "t.txt", "--fuse", "s1.txt", "s2.txt", "--weights", "0.5,0.5"],
+         "--embeddings"),
+        ("score", ["--trials", "t.txt", "--fuse", "s1.txt", "s2.txt", "--weights", "0.5,0.5"],
+         "--meta"),
+        ("score", ["--trials", "t.txt", "--fuse", "s1.txt", "s2.txt", "--weights", "0.5,0.5"],
+         "--cohort"),
+        ("score", ["--trials", "t.txt", "--embeddings", "x.emb", "--meta", "meta.tsv"],
+         "--weights"),
+        ("metrics", ["--meta", "meta.tsv"], "--trials"),
+    ])
+    def test_flag_the_mode_does_not_read_exits_2_before_any_file_is_read(
+        self, tmp_path, capsys, command, args, flag
+    ):
+        # the inputs do not exist: reading any of them first would exit 3
+        out = tmp_path / "out"
+        argv = [command, *(str(tmp_path / a) if "." in a else a for a in args),
+                flag, str(tmp_path / "unread.txt"), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{flag} is not read" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
 
 
 class TestPipelineCommand:

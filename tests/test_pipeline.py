@@ -376,16 +376,22 @@ def tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_every_text_file_is_written_through_one_primitive(tmp_path, monkeypatch):
-    monkeypatch.setattr(_parallel, "CPUS", 1)  # every write in this process
+def written_files(monkeypatch):
+    """The path of each call to ``_textio.write_file``, in call order."""
     written = []
-    real_write_text = _textio.write_text
+    real_write_file = _textio.write_file
 
     def record(path, blocks):
         written.append(Path(path))
-        real_write_text(path, blocks)
+        real_write_file(path, blocks)
 
-    monkeypatch.setattr(_textio, "write_text", record)
+    monkeypatch.setattr(_textio, "write_file", record)
+    return written
+
+
+def test_every_file_is_written_through_one_primitive(tmp_path, monkeypatch):
+    monkeypatch.setattr(_parallel, "CPUS", 1)  # every write in this process
+    written = written_files(monkeypatch)
     out = tmp_path / "run"
     run_pipeline(tiny_config(out, rounds=1))
     # a staged file or directory is renamed into place without its prefix
@@ -394,9 +400,10 @@ def test_every_text_file_is_written_through_one_primitive(tmp_path, monkeypatch)
         for path in written
     }
     tree = tree_bytes(out)
-    text = {name for name, data in tree.items() if data[:4] not in (b"EMB1", b"ENC1")}
-    assert {"report.json", "corpus/meta.tsv", "round_001/scores_audio.tsv"} <= text
-    assert through == text
+    assert {"report.json", "corpus/meta.tsv", "corpus/audio.emb", "round_001/scores_audio.tsv",
+            "round_001/encoder_visual.enc"} <= set(tree)
+    assert {data[:4] for data in tree.values()} >= {b"EMB1", b"ENC1"}
+    assert through == set(tree)
 
 
 class TestCrashSafeRunFiles:
@@ -407,21 +414,47 @@ class TestCrashSafeRunFiles:
         run_pipeline(tiny_config(tmp_path / "full", rounds=1))
 
         crashed = tiny_config(tmp_path / "crashed", rounds=1)
-        real_write_text = _textio.write_text
+        real_write_file = _textio.write_file
 
         def write_half_then_fail(path, blocks):
             if torn in Path(path).name:
                 text = "".join(blocks)
-                real_write_text(path, [text[: len(text) // 2]])
+                real_write_file(path, [text[: len(text) // 2]])
                 raise OSError(f"simulated crash while writing {Path(path).name}")
-            return real_write_text(path, blocks)
+            return real_write_file(path, blocks)
 
         with monkeypatch.context() as patch:
-            patch.setattr(_textio, "write_text", write_half_then_fail)
+            patch.setattr(_textio, "write_file", write_half_then_fail)
             with pytest.raises(OSError, match="simulated crash"):
                 run_pipeline(crashed)
         run_pipeline(crashed)
         assert tree_bytes(tmp_path / "crashed") == tree_bytes(tmp_path / "full")
+
+    def test_crash_in_every_write_then_resume_equals_uninterrupted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_parallel, "CPUS", 1)  # one process: the N-th write is one file
+        with monkeypatch.context() as patch:
+            written = written_files(patch)
+            run_pipeline(tiny_config(tmp_path / "full", rounds=1))
+        want = tree_bytes(tmp_path / "full")
+        real_write_file = _textio.write_file
+        for n in range(1, len(written) + 1):
+            crashed = tiny_config(tmp_path / f"crash{n}", rounds=1)
+            calls = []
+
+            def write_half_then_fail(path, blocks):
+                calls.append(path)
+                if len(calls) != n:
+                    return real_write_file(path, blocks)
+                data = b"".join(b.encode() if isinstance(b, str) else b for b in blocks)
+                real_write_file(path, [data[: len(data) // 2]])
+                raise OSError(f"simulated crash in write {n}")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(_textio, "write_file", write_half_then_fail)
+                with pytest.raises(OSError, match="simulated crash"):
+                    run_pipeline(crashed)
+            run_pipeline(crashed)
+            assert tree_bytes(crashed.output_dir) == want, f"crash in write {n}: {calls[-1]}"
 
     def test_trial_write_failing_in_worker_then_resume_equals_uninterrupted(
         self, tmp_path, monkeypatch

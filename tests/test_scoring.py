@@ -1,5 +1,8 @@
 """Cosine trial scoring, AS-Norm, and score fusion."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,20 +23,13 @@ from selflabel.scoring import (
 
 
 def trial_list(pairs, ids=None):
-    """Trials from (enroll id, test id, key) triples: over ``ids`` when given
-    (the rows of an embedding matrix), else over the ids in first-seen order,
-    as read_trials numbers them."""
-    rows = {}
-    for e, t, _ in pairs:
-        rows.setdefault(e, len(rows))
-        rows.setdefault(t, len(rows))
-    trials = Trials(
-        tuple(rows),
-        [rows[e] for e, _, _ in pairs],
-        [rows[t] for _, t, _ in pairs],
-        [bool(k) for _, _, k in pairs],
-    )
-    return trials if ids is None else trials.reindex(ids)
+    """Trials from (enroll id, test id, key) triples, read from a trial file
+    by read_trials: over ``ids`` when given (the rows of an embedding
+    matrix), else over the ids in first-seen order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.txt"
+        path.write_text("".join(f"{e} {t} {int(k)}\n" for e, t, k in pairs))
+        return read_trials(path, ids)
 
 
 def score(pairs, emb):
@@ -241,9 +237,9 @@ class TestScoreFiles:
 
     def test_reindex_keeps_every_pair(self, tmp_path):
         trials = trial_list([("b", "a", 1), ("a", "c", 0)])
-        moved = trials.reindex(["c", "x", "a", "b"])
-        assert moved.enroll.tolist() == [3, 2] and moved.test.tolist() == [2, 0]
         write_trials(tmp_path / "a.txt", trials)
+        moved = read_trials(tmp_path / "a.txt", ["c", "x", "a", "b"])
+        assert moved.enroll.tolist() == [3, 2] and moved.test.tolist() == [2, 0]
         write_trials(tmp_path / "b.txt", moved)
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 

@@ -92,7 +92,7 @@ def test_index_path_matches_per_trial_reference(tmp_path, monkeypatch, seed, gat
     by_id = dict(zip(corpus_ids, z))
     path = tmp_path / "trials.txt"
     path.write_text("".join(f"{e} {t} {k}\n" for e, t, k in pairs))
-    trials = read_trials(path).reindex(corpus_ids)
+    trials = read_trials(path, corpus_ids)
     assert len(trials) == len(pairs)
     assert trials.is_target.tolist() == [bool(k) for _, _, k in pairs]
 
