@@ -13,8 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import clustering, ensemble, pipeline, scoring, synthdata
 from ._textio import json_text, read_columns, write_json
 from .configio import build_pipeline_config, parse_kv_file
@@ -81,7 +79,7 @@ def _cmd_cluster(args) -> int:
         raise ConfigError("--curve-out is not read without --k-grid")
     restarts = _stage_settings(args).cluster.restarts
     sample_ids, _, _ = synthdata.read_meta(args.meta)
-    x = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
+    x = synthdata.read_embeddings(args.embeddings, len(sample_ids))
     if args.from_curve is not None:
         curve = clustering.read_wss_curve(args.from_curve)
         k, _ = clustering.select_k_elbow(curve)
@@ -124,8 +122,8 @@ def _cmd_train(args) -> int:
 def _cmd_fuse(args) -> int:
     restarts = _stage_settings(args).cluster.restarts
     sample_ids, _, _ = synthdata.read_meta(args.meta)
-    za = synthdata.read_embeddings(args.audio_emb, len(sample_ids)).astype(np.float64)
-    zv = synthdata.read_embeddings(args.visual_emb, len(sample_ids)).astype(np.float64)
+    za = synthdata.read_embeddings(args.audio_emb, len(sample_ids))
+    zv = synthdata.read_embeddings(args.visual_emb, len(sample_ids))
     fused_set = ensemble.fuse_pseudo_labels(za, zv, args.k, restarts=restarts, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -162,7 +160,7 @@ def _cmd_score(args) -> int:
             if len(cohort_ids) < top_n:
                 raise ConfigError(f"'eval.top_n' is {top_n}, more than the {len(cohort_ids)} "
                                   f"ids of cohort file {args.cohort}")
-        z = synthdata.read_embeddings(args.embeddings, len(sample_ids)).astype(np.float64)
+        z = synthdata.read_embeddings(args.embeddings, len(sample_ids))
         result = cosine_score(trials, z)
         if args.cohort:
             result = as_norm(result, z, Cohort(z[cohort_rows]), top_n)

@@ -77,6 +77,10 @@ class Assignment:
     def __len__(self) -> int:
         return self.labels.size
 
+    def __reduce__(self):
+        # unpickled through __post_init__, so the labels stay read-only
+        return Assignment, (self.labels, self.k)
+
 
 @dataclass(frozen=True)
 class WssCurve:

@@ -11,15 +11,11 @@ other mapping. Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .clustering import ClusterSettings
-from .encoder import ClassifierConfig, ContrastiveConfig
 from .errors import ConfigError
-from .metrics import DcfParams
-from .pipeline import EvalSettings, PipelineConfig
-from .synthdata import SynthConfig
+from .pipeline import PipelineConfig
 
 
 def _parse_scalar(raw: str):
@@ -125,15 +121,10 @@ _TOP_LEVEL_KEYS = {
     "k_grid": ("k_grid", _as_int_tuple),
     "fixed_k": ("fixed_k", _as_int),
 }
-# section -> its settings class, each a PipelineConfig field of that name
-_SECTIONS = {
-    "synth": SynthConfig,
-    "contrastive": ContrastiveConfig,
-    "classifier": ClassifierConfig,
-    "cluster": ClusterSettings,
-    "eval": EvalSettings,
-    "dcf": DcfParams,
-}
+# section -> its settings class: the PipelineConfig fields built by a
+# default factory, in field order
+_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)
+             if f.default_factory is not MISSING}
 
 
 def build_pipeline_config(

@@ -17,17 +17,18 @@ whole vector in one pass, and activations and loss work arrays are
 ``(batch_size, ·)`` buffers allocated once per run. Contrastive training
 runs in float64. Classifier training runs in float32, the precision the
 features, embeddings and checkpoints are stored in: its initialization and
-input noise are drawn in float64 and rounded once. The step functions and
-loss cores work in the dtype of the buffers they are given. The losses
-:func:`classifier_loss` and :func:`contrastive_loss` validate their
-arguments and call the same cores the loops call, in float64. Classifier
-training draws each epoch's permutation, and the noise of the samples it
-perturbs, at once and takes its batches as slices of the permuted epoch;
-its loss works on class-major (K, B) logits with one ``exp``. Every random draw and every elementwise
-operation has the operands it has when each step builds fresh arrays, so
-the trained weights and logs are bitwise those of that formulation run in
-the loop's dtype (``tests/test_encoder_reference.py`` keeps it as the
-oracle).
+input noise are drawn in float64 and rounded once. Both loops draw their
+input noise through :func:`add_noise`, the contrastive loop once per view.
+The step functions and loss cores work in the dtype of the buffers they are
+given. The losses :func:`classifier_loss` and :func:`contrastive_loss`
+validate their arguments and call the same cores the loops call, in float64.
+Classifier training draws each epoch's permutation, and the noise of the
+samples it perturbs, at once and takes its batches as slices of the permuted
+epoch; its loss works on class-major (K, B) logits with one ``exp``. Every
+random draw and every elementwise operation has the operands it has when
+each step builds fresh arrays, so the trained weights and logs are bitwise
+those of that formulation run in the loop's dtype
+(``tests/test_encoder_reference.py`` keeps it as the oracle).
 The contrastive loss computes only the cross-view half of its score matrix
 elementwise and still matches that formulation's loss and gradient bit for
 bit on every call.
@@ -42,7 +43,6 @@ import numpy as np
 
 from ._textio import read_container, write_container, write_rows
 from .errors import ConfigError, NumericError, TrainingError
-from .synthdata import perturb_two_views
 
 _ENC_MAGIC = b"ENC1"
 
@@ -528,6 +528,23 @@ class _Adam:
 # ---------------------------------------------------------------------------
 
 
+def add_noise(x: np.ndarray, low: float, high: float, rng, out: np.ndarray | None = None):
+    """``out = x + m * N(0, I)``, the input noise of both training loops.
+
+    One magnitude ``m`` is drawn uniformly from [low, high] per row of the
+    matrix ``x``, all of them before the noise, so the expectation of each
+    row is the clean row. ``out`` is a float64 array of the shape of ``x``,
+    allocated when not given.
+    """
+    mag = rng.uniform(low, high, size=(x.shape[0], 1))
+    if out is None:
+        out = np.empty(x.shape)
+    rng.standard_normal(out=out)
+    out *= mag
+    out += x
+    return out
+
+
 def train_contrastive(
     features: np.ndarray, config: ContrastiveConfig, seed: int
 ) -> tuple[EncoderParams, list[tuple[int, float, float]]]:
@@ -565,7 +582,8 @@ def train_contrastive(
         losses = []
         for start in range(0, n - size + 1, size):
             np.take(x, order[start : start + size], axis=0, out=xb)
-            perturb_two_views(xb, config.aug_low, config.aug_high, rng, out=batch)
+            for view in (batch[:size], batch[size:]):
+                add_noise(xb, config.aug_low, config.aug_high, rng, out=view)
             loss = _contrastive_step(arrays, grads, bufs, batch, loss_fn)
             if not (np.isfinite(loss) and np.isfinite(grad).all()):
                 raise TrainingError(f"contrastive training diverged at epoch {epoch}", epoch)
@@ -639,11 +657,8 @@ def train_classifier(
         np.take(labels, order, out=y_epoch)
         if config.aug_prob > 0:
             rows = np.flatnonzero(rng.random(n) < config.aug_prob)
-            mag = rng.uniform(config.aug_low, config.aug_high, size=(rows.size, 1))
-            noise = rng.standard_normal((rows.size, x.shape[1]))
-            noise *= mag
-            noise += x_epoch[rows]
-            x_epoch[rows] = noise  # summed in float64, rounded once
+            # summed in float64, rounded once
+            x_epoch[rows] = add_noise(x_epoch[rows], config.aug_low, config.aug_high, rng)
         last_third = epoch >= (2 * config.epochs) // 3
         lr = config.learning_rate * 0.1 if last_third else config.learning_rate
         loss_sum = 0.0

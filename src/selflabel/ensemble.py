@@ -18,7 +18,8 @@ from ._kernels import hungarian_min_cost
 from ._parallel import ordered_map
 from ._textio import write_json
 from .clustering import Assignment, ClusterSettings, _seed_list, kmeans, write_assignment
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
+from .scoring import unit_rows
 
 
 class Correspondence(NamedTuple):
@@ -95,18 +96,10 @@ def joint_embeddings(za: np.ndarray, zv: np.ndarray) -> np.ndarray:
     Each row is length-normalized per modality before concatenation so
     neither modality dominates the joint clustering by scale.
     """
-    za = np.asarray(za, dtype=np.float64)
-    zv = np.asarray(zv, dtype=np.float64)
+    za, zv = np.asarray(za), np.asarray(zv)
     if za.ndim != 2 or zv.ndim != 2 or za.shape[0] != zv.shape[0]:
         raise ConfigError("modality embeddings must be matrices with equal row counts")
-    out = np.empty((za.shape[0], za.shape[1] + zv.shape[1]), dtype=np.float64)
-    for block, offset, dim in ((za, 0, za.shape[1]), (zv, za.shape[1], zv.shape[1])):
-        norms = np.linalg.norm(block, axis=1)
-        zero = np.nonzero(norms == 0)[0]
-        if zero.size:
-            raise NumericError(f"zero-norm embedding row {int(zero[0])}")
-        out[:, offset : offset + dim] = block / norms[:, None]
-    return out
+    return np.hstack([unit_rows(block, lambda i: f"row {i}") for block in (za, zv)])
 
 
 def majority_vote(ref: Assignment, a: Assignment, b: Assignment) -> Assignment:
@@ -159,9 +152,7 @@ def fuse_pseudo_labels(
     prefix = _seed_list(seed)
     zj = joint_embeddings(za, zv)
     views = [(z, k, restarts, prefix + [i]) for i, z in enumerate((za, zv, zj), start=1)]
-    # rebuilt, since labels unpickled from a child are writable
-    audio, visual, joint = (Assignment(labels=run[1].labels, k=k)
-                            for run in ordered_map(kmeans, views, rows=zj.shape[0]))
+    audio, visual, joint = (run[1] for run in ordered_map(kmeans, views, rows=zj.shape[0]))
     pairs = [(contingency(joint, audio),), (contingency(joint, visual),)]
     to_audio, to_visual = ordered_map(correspond, pairs, rows=zj.shape[0])
     audio_aligned, visual_aligned = relabel(audio, to_audio), relabel(visual, to_visual)

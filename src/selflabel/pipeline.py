@@ -377,7 +377,7 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
             emb_path = tmp / f"{modality}.emb"
             synthdata.write_embeddings(emb_path, emb)
             # read back: all downstream math runs on the stored float32 values
-            z[modality] = synthdata.read_embeddings(emb_path, len(corpus)).astype(np.float64)
+            z[modality] = synthdata.read_embeddings(emb_path, len(corpus))
         k = make_labels(tmp, corpus, z)
         for modality in z:
             scoring.write_scores(tmp / f"scores_{modality}.tsv", cosine_score(trials, z[modality]))
@@ -493,7 +493,7 @@ def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: Rou
                     for suffix in ("", "_norm")
                 }
             else:
-                z = last.embeddings(system, len(corpus)).astype(np.float64)
+                z = last.embeddings(system, len(corpus))
                 stored[system] = scoring.read_scores(last.path / f"scores_{system}.tsv", trials)
                 cohort = Cohort(z[cohort_rows])
                 to_write = {f"{system}_norm": as_norm(stored[system], z, cohort, config.eval.top_n)}

@@ -1,10 +1,12 @@
 """Trial scoring: cosine similarity, adaptive symmetric normalization, fusion.
 
 A trial is an (enroll, test) pair; its key says whether the two samples share
-an identity. A trial list (``Trials``) holds the pairs as row indices into
-one id list, and scoring gathers rows of one embedding matrix. Raw scores are
-cosines of the two embeddings. AS-Norm z-normalizes a raw score against each
-side's top-N cohort scores and averages the two normalized values:
+an identity. A trial list (``Trials``) holds the pairs as row indices into one
+id list, and scoring gathers rows of one embedding matrix. Raw scores are
+cosines of the two embeddings, whose rows :func:`unit_rows` scales to unit
+length; the fusion's joint view scales its rows there too. AS-Norm
+z-normalizes a raw score against each side's top-N cohort scores and averages
+the two normalized values:
 
     s' = 0.5 * [ (s - mu_e) / sigma_e + (s - mu_t) / sigma_t ]
 
@@ -123,10 +125,22 @@ class Cohort:
         object.__setattr__(self, "embeddings", emb)
 
 
+def unit_rows(x, where) -> np.ndarray:
+    """The rows of matrix ``x`` scaled to unit L2 norm, in float64. A zero
+    row raises NumericError ``zero-norm embedding <where(i)>``, for the first
+    such row i."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise NumericError(f"zero-norm embedding {where(int(zero[0]))}")
+    return x / norms[:, None]
+
+
 def _unit_rows(trials: Trials, embeddings) -> np.ndarray:
     """The embedding matrix with each row that a trial uses scaled to unit
     norm, once; rows no trial uses are zero."""
-    emb = np.asarray(embeddings, dtype=np.float64)
+    emb = np.asarray(embeddings)
     if emb.ndim != 2 or emb.shape[0] != len(trials.ids):
         raise ConfigError(
             f"need one embedding row per trial id ({len(trials.ids)}), got shape {emb.shape}"
@@ -135,13 +149,8 @@ def _unit_rows(trials: Trials, embeddings) -> np.ndarray:
     used[trials.enroll] = True
     used[trials.test] = True
     rows = np.flatnonzero(used)
-    vectors = emb[rows]
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0):
-        sample_id = trials.ids[rows[np.argmax(norms == 0)]]
-        raise NumericError(f"zero-norm embedding for {sample_id}")
-    units = np.zeros_like(emb)
-    units[rows] = vectors / norms[:, None]
+    units = np.zeros(emb.shape)
+    units[rows] = unit_rows(emb[rows], lambda i: f"for {trials.ids[rows[i]]}")
     return units
 
 
@@ -234,9 +243,7 @@ def as_norm(raw: ScoreSet, embeddings, cohort: Cohort, top_n: int) -> ScoreSet:
     cohort come from one matrix product and are normalized by
     :func:`as_norm_scores`.
     """
-    cohort_units = cohort.embeddings / np.linalg.norm(cohort.embeddings, axis=1)[:, None]
-    if not np.all(np.isfinite(cohort_units)):
-        raise NumericError("zero-norm embedding in cohort")
+    cohort_units = unit_rows(cohort.embeddings, lambda i: "in cohort")
     trials = raw.trials
     cohort_scores = _unit_rows(trials, embeddings) @ cohort_units.T
     out = as_norm_scores(raw.scores, cohort_scores, trials.enroll, trials.test, top_n)

@@ -1,4 +1,4 @@
-"""Synthetic paired-modality corpus: generation, augmentation views, file I/O.
+"""Synthetic paired-modality corpus: generation and file I/O.
 
 A corpus holds N = identities x groups x segments samples. Each sample is a
 pair of feature vectors (audio-like and visual-like modality) generated as
@@ -15,8 +15,8 @@ identity_gt), ``audio.emb`` and ``visual.emb``, and nothing else: how a
 corpus was made, or how a network trains on it, is no part of it. An
 embedding file is an EMB1 container (``_textio``): row count, dimension,
 then the float32 rows in meta order. Features are float32 in memory so
-file round-trips are bit-exact. The range of the two-view noise
-(:func:`perturb_two_views`) is a setting of contrastive training.
+file round-trips are bit-exact. Consumers widen them to float64 where
+their math needs it, which is exact.
 """
 
 from __future__ import annotations
@@ -159,28 +159,6 @@ def generate_corpus(config: SynthConfig) -> MultiModalCorpus:
         audio=audio.reshape(-1, da).astype(np.float32),
         visual=visual.reshape(-1, dv).astype(np.float32),
     )
-
-
-def perturb_two_views(
-    x: np.ndarray, low: float, high: float, rng, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent additive-noise views of each row of ``x``.
-
-    Per view, one magnitude is drawn uniformly from [low, high] per row and
-    scales a standard-normal perturbation, so each view's expectation is the
-    clean row. The views are the two halves of ``out``, a (2 * rows, dim)
-    C-contiguous float64 array, which is allocated when not given.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    m = x.shape[0]
-    if out is None:
-        out = np.empty((2 * m, x.shape[1]))
-    for view in (out[:m], out[m:]):
-        mag = rng.uniform(low, high, size=(m, 1))
-        rng.standard_normal(out=view)
-        view *= mag
-        view += x
-    return out[:m], out[m:]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -297,6 +298,14 @@ class TestWss:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             Assignment(labels=np.array([0, 5]), k=2)
+
+    def test_pickle_round_trip_keeps_labels_read_only(self):
+        # as an assignment comes back from a forked k-means restart
+        a = Assignment(labels=np.array([0, 2, 1, 2]), k=3)
+        back = pickle.loads(pickle.dumps(a))
+        np.testing.assert_array_equal(back.labels, a.labels)
+        assert back.k == 3
+        assert not back.labels.flags.writeable
 
 
 class TestSweepAndElbow:

@@ -16,6 +16,7 @@ from selflabel.encoder import (
     _flat,
     _NtXent,
     _smoothed_ce,
+    add_noise,
     classifier_loss,
     contrastive_loss,
     embed,
@@ -412,6 +413,43 @@ def tiny_corpus():
             seed=5,
         )
     )
+
+
+def two_views(x, low, high, rng):
+    """The two noisy views of the rows of ``x``, built as train_contrastive
+    builds each batch's."""
+    views = np.empty((2 * len(x), x.shape[1]))
+    for view in (views[: len(x)], views[len(x) :]):
+        add_noise(x, low, high, rng, out=view)
+    return views[: len(x)], views[len(x) :]
+
+
+class TestContrastiveViews:
+    def test_zero_noise_returns_clean_vector(self):
+        x = tiny_corpus().features("audio")[3:4]
+        rng = np.random.default_rng(5)
+        v1, v2 = two_views(x, 0.0, 0.0, rng)
+        np.testing.assert_array_equal(v1, x.astype(np.float64))
+        np.testing.assert_array_equal(v2, x.astype(np.float64))
+
+    def test_same_rng_state_reproduces_views(self):
+        x = tiny_corpus().features("visual")[0:1]
+        a = two_views(x, 0.1, 0.4, np.random.default_rng(9))
+        b = two_views(x, 0.1, 0.4, np.random.default_rng(9))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_view_mean_matches_clean_vector(self):
+        # oracle: Monte-Carlo mean over 10^4 draws, 3 sigma / sqrt(n) band
+        x = np.array([[0.5, -1.0, 2.0]])
+        rng = np.random.default_rng(123)
+        n = 10_000
+        acc = np.zeros(3)
+        for _ in range(n):
+            v1, _ = two_views(x, 0.1, 0.1, rng)
+            acc += v1[0]
+        tol = 3.0 * 0.1 / np.sqrt(n)
+        assert np.all(np.abs(acc / n - x[0]) < tol)
 
 
 class TestTrainContrastive:

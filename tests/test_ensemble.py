@@ -137,8 +137,11 @@ class TestJointEmbeddings:
     def test_zero_norm_row_rejected_with_row_index(self):
         za = np.ones((3, 2))
         za[1] = 0.0
-        with pytest.raises(NumericError, match="row 1"):
+        with pytest.raises(NumericError, match="^zero-norm embedding row 1$"):
             joint_embeddings(za, np.ones((3, 2)))
+        # the visual block names its row the same way
+        with pytest.raises(NumericError, match="^zero-norm embedding row 1$"):
+            joint_embeddings(np.ones((3, 2)), za)
 
 
 class TestMajorityVote:

@@ -139,6 +139,13 @@ class TestAsNorm:
         with pytest.raises(NumericError, match="enroll side"):
             as_norm(raw, emb, cohort, top_n=3)
 
+    def test_zero_norm_cohort_member_rejected(self):
+        emb = np.array([[1.0, 0.0], [0.6, 0.8]])
+        cohort = Cohort(np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
+        raw = cosine_score(trial_list([("e", "t", 1)]), emb)
+        with pytest.raises(NumericError, match="^zero-norm embedding in cohort$"):
+            as_norm(raw, emb, cohort, top_n=2)
+
     def test_order_and_count_preserved(self):
         rng = np.random.default_rng(5)
         emb = rng.standard_normal((6, 4))

@@ -1,4 +1,4 @@
-"""Corpus generation, augmentation views, and corpus file round-trips."""
+"""Corpus generation and corpus file round-trips."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from selflabel.synthdata import (
     MultiModalCorpus,
     SynthConfig,
     generate_corpus,
-    perturb_two_views,
     randomize_ground_truth,
     read_corpus,
     read_embeddings,
@@ -108,36 +107,6 @@ class TestGenerateCorpus:
         for group_id, identity in zip(corpus.group_ids, corpus.identity_gt):
             seen.setdefault(group_id, set()).add(int(identity))
         assert all(len(v) == 1 for v in seen.values())
-
-
-class TestContrastiveViews:
-    def test_zero_noise_returns_clean_vector(self):
-        corpus = generate_corpus(small_config())
-        x = corpus.features("audio")[3:4]
-        rng = np.random.default_rng(5)
-        v1, v2 = perturb_two_views(x, 0.0, 0.0, rng)
-        np.testing.assert_array_equal(v1, x.astype(np.float64))
-        np.testing.assert_array_equal(v2, x.astype(np.float64))
-
-    def test_same_rng_state_reproduces_views(self):
-        corpus = generate_corpus(small_config())
-        x = corpus.features("visual")[0:1]
-        a = perturb_two_views(x, 0.1, 0.4, np.random.default_rng(9))
-        b = perturb_two_views(x, 0.1, 0.4, np.random.default_rng(9))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_view_mean_matches_clean_vector(self):
-        # oracle: Monte-Carlo mean over 10^4 draws, 3 sigma / sqrt(n) band
-        x = np.array([[0.5, -1.0, 2.0]])
-        rng = np.random.default_rng(123)
-        n = 10_000
-        acc = np.zeros(3)
-        for _ in range(n):
-            v1, _ = perturb_two_views(x, 0.1, 0.1, rng)
-            acc += v1[0]
-        tol = 3.0 * 0.1 / np.sqrt(n)
-        assert np.all(np.abs(acc / n - x[0]) < tol)
 
     def test_unknown_modality_rejected(self):
         corpus = generate_corpus(small_config())
