@@ -11,8 +11,10 @@ output holds the median of each end-to-end metric over the untraced records
 (one per seed) with the per-seed values, and the median of each per-layer
 metric over the traced records with their seeds: a single traced run of
 unchanged code can read up to 30% off in one layer. ``src_lines`` comes from
-the records' provenance. Each ``--tier1 NAME=SECONDS`` records the wall time
-of that side's tier-1 test suite as ``tier1_s``.
+the records' provenance. A directory whose records name more than one
+``provenance.git_commit`` is refused, so records of an earlier checkout
+never mix into a side's medians. Each ``--tier1 NAME=SECONDS`` records the
+wall time of that side's tier-1 test suite as ``tier1_s``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+from collections import Counter
 from pathlib import Path
 
 
@@ -32,6 +35,11 @@ def summarize(results: Path) -> dict:
     records = [json.loads(p.read_text()) for p in sorted(results.glob("*.json"))]
     if not records:
         raise SystemExit(f"bench_record: no result records in {results}")
+    commits = Counter(r["provenance"].get("git_commit") for r in records)
+    if len(commits) > 1:
+        found = ", ".join(f"{commit} ({count} records)" for commit, count in commits.items())
+        raise SystemExit(f"bench_record: records in {results} come from more than one "
+                         f"commit: {found}")
     provenance = records[0]["provenance"]
     workloads = {}
     for name in sorted({r["workload"] for r in records}):

@@ -13,7 +13,7 @@ The restarts run in forked processes, up to one per usable CPU
 (``_parallel.ordered_map``), and the best is chosen in restart order, so
 every result is bitwise independent of the process count. ``kmeans`` runs
 one restart by default (see ``ClusterSettings``); the K sweep runs
-``SWEEP_RESTARTS``.
+``SWEEP_RESTARTS`` per K, all (K, restart) pairs in one map.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Assignment:
     k: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)  # a copy: the caller's stays writable
         if labels.ndim != 1:
             raise ConfigError("assignment labels must be a 1-d integer vector")
         if self.k < 1:
@@ -219,6 +219,29 @@ def _restart(x, x_sq, x32, x_sq32, k, seed, return_history):
     return c, labels, w, history
 
 
+def _prepared(x: np.ndarray, ks: Sequence[int], restarts: int):
+    """``x`` as contiguous float64 after the checks every k-means call makes
+    (each K in ``ks`` lies in [1, n]), and what every restart reads: the row
+    norms ``x_sq`` and the float32 copies of ``x`` and ``x_sq``."""
+    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ConfigError("kmeans expects a nonempty 2-d matrix")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("kmeans input contains non-finite values")
+    for k in ks:
+        if k < 1 or k > x.shape[0]:
+            raise ConfigError(f"k must be in [1, {x.shape[0]}], got {k}")
+    if restarts < 1:
+        raise ConfigError("restarts must be >= 1")
+    x_sq = (x * x).sum(axis=1)
+    return x, x_sq, x.astype(np.float32), x_sq.astype(np.float32)
+
+
+def _best(runs: list):
+    # min() keeps the first of equal values: first restart wins ties
+    return min(runs, key=lambda run: run[2])
+
+
 def kmeans(
     x: np.ndarray,
     k: int,
@@ -242,26 +265,11 @@ def kmeans(
     no result.
     The assignment passes run in float32; the centroids and W are float64.
     """
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ConfigError("kmeans expects a nonempty 2-d matrix")
-    if not np.all(np.isfinite(x)):
-        raise ConfigError("kmeans input contains non-finite values")
-    if k < 1 or k > x.shape[0]:
-        raise ConfigError(f"k must be in [1, {x.shape[0]}], got {k}")
-    if restarts < 1:
-        raise ConfigError("restarts must be >= 1")
-
+    prepared = _prepared(x, [k], restarts)
     prefix = _seed_list(seed)
-    x_sq = (x * x).sum(axis=1)
-    x32, x_sq32 = x.astype(np.float32), x_sq.astype(np.float32)
-    calls = [
-        (x, x_sq, x32, x_sq32, k, prefix + [r], return_history)
-        for r in range(restarts)
-    ]
-    runs = ordered_map(_restart, calls, rows=x.shape[0])
-    # min() keeps the first of equal values: first restart wins ties
-    centroids, labels, w, _ = min(runs, key=lambda run: run[2])
+    calls = [(*prepared, k, prefix + [r], return_history) for r in range(restarts)]
+    runs = ordered_map(_restart, calls, rows=prepared[0].shape[0])
+    centroids, labels, w, _ = _best(runs)
     assignment = Assignment(labels=labels, k=k)
     if return_history:
         return centroids, assignment, w, [run[3] for run in runs]
@@ -276,17 +284,21 @@ def sweep_k(
 ) -> WssCurve:
     """Best-of-restarts WSS for each candidate K, in ascending K order; the
     pipeline and ``selflabel cluster --k-grid`` both run ``SWEEP_RESTARTS``
-    restarts per K."""
+    restarts per K.
+
+    K's W is that of ``kmeans(x, K, restarts, seed + [K])``: every (K,
+    restart) pair runs through one ``ordered_map``, and each K keeps its
+    best restart in restart order."""
     ks = [int(k) for k in k_grid]
     if not ks:
         raise ConfigError("k_grid must be nonempty")
     if sorted(set(ks)) != ks:
         raise ConfigError("k_grid must be strictly ascending")
     prefix = _seed_list(seed)
-    values = []
-    for k in ks:
-        _, _, w = kmeans(x, k, restarts=restarts, seed=prefix + [k])
-        values.append(w)
+    prepared = _prepared(x, ks, restarts)
+    calls = [(*prepared, k, prefix + [k, r], False) for k in ks for r in range(restarts)]
+    runs = ordered_map(_restart, calls, rows=prepared[0].shape[0])
+    values = [_best(runs[i : i + restarts])[2] for i in range(0, len(runs), restarts)]
     return WssCurve(ks=np.asarray(ks), wss=np.asarray(values))
 
 

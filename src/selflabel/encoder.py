@@ -14,24 +14,22 @@ the parameters and their gradient each in one flat vector in
 :func:`pack_params` order (``w1, b1, w2, b2`` and, for the classifier,
 ``head.w, head.b``); every array is a view into it, each update covers the
 whole vector in one pass, and activations and loss work arrays are
-``(batch_size, ·)`` buffers allocated once per run. Contrastive training
-runs in float64. Classifier training runs in float32, the precision the
-features, embeddings and checkpoints are stored in: its initialization and
-input noise are drawn in float64 and rounded once. Both loops draw their
-input noise through :func:`add_noise`, the contrastive loop once per view.
-The step functions and loss cores work in the dtype of the buffers they are
-given. The losses :func:`classifier_loss` and :func:`contrastive_loss`
-validate their arguments and call the same cores the loops call, in float64.
-Classifier training draws each epoch's permutation, and the noise of the
-samples it perturbs, at once and takes its batches as slices of the permuted
-epoch; its loss works on class-major (K, B) logits with one ``exp``. Every
-random draw and every elementwise operation has the operands it has when
-each step builds fresh arrays, so the trained weights and logs are bitwise
-those of that formulation run in the loop's dtype
+``(batch_size, ·)`` buffers allocated once per run. Both loops run in
+float32, the precision the features, embeddings and checkpoints are stored
+in: their initialization and input noise are drawn in float64 and rounded
+once. Both draw their input noise through :func:`add_noise`, the contrastive
+loop once per view. The step functions and loss cores work in the dtype of
+the buffers they are given. The losses :func:`classifier_loss` and
+:func:`contrastive_loss` validate their arguments and call the same cores
+the loops call, in float64. Classifier training draws each epoch's
+permutation, and the noise of the samples it perturbs, at once and takes its
+batches as slices of the permuted epoch; its loss works on class-major
+(K, B) logits with one ``exp``. The contrastive loss works on the one
+cross-view (M, M) block of its cosine matrix, the only part the loss reads.
+Every random draw and every elementwise operation has the operands it has
+when each step builds fresh arrays, so the trained weights and logs are
+bitwise those of that formulation run in the loop's dtype
 (``tests/test_encoder_reference.py`` keeps it as the oracle).
-The contrastive loss computes only the cross-view half of its score matrix
-elementwise and still matches that formulation's loss and gradient bit for
-bit on every call.
 """
 
 from __future__ import annotations
@@ -254,38 +252,37 @@ def _backward(w2, x2d, hidden, dz, dhidden, grads) -> None:
 
 
 class _NtXent:
-    """Contrastive loss over (2M, d) batches of one shape.
+    """Contrastive loss over (2M, d) batches of one shape and dtype.
 
-    Only the two cross-view blocks of the (2M, 2M) score matrix enter the
-    loss; the masked same-view blocks contribute exactly 0. The elementwise
-    steps run on one (2M, M) stack of the two blocks (first views against
-    second views, then the reverse), so anchor r's positive sits in column
-    r mod M. Three steps stay full-size because smaller ones round
-    differently: the cosines are ``u @ u.T`` (numpy's symmetric product),
-    and both row sums and ``g @ u`` run over a (2M, 2M) buffer whose
-    same-view blocks stay 0 (numpy's pairwise sum groups a row by its
-    length). The buffers are built once; see :func:`contrastive_loss` for
-    the formula.
+    Only the cross-view block ``c = u[:M] @ u[M:].T`` of the (2M, 2M) cosine
+    matrix enters the loss; the masked same-view blocks contribute exactly
+    0, and the other cross-view block is ``c.T``. The softmax runs on one
+    (2M, M) stack of ``c`` and ``c.T`` (anchors of the first views, then of
+    the second), so anchor r's positive sits in column r mod M. The
+    sensitivity ``g = a + a^T`` of the full matrix is one (M, M) block
+    ``a[:M] + a[M:].T`` and its transpose, so the gradient takes
+    ``g @ u[M:]`` and ``g.T @ u[:M]``, and the per-row coefficients are the
+    row and column sums of ``g * c``. The buffers are built once; see
+    :func:`contrastive_loss` for the formula.
     """
 
-    def __init__(self, m: int, d: int, tau: float):
+    def __init__(self, m: int, d: int, tau: float, dtype=np.float64):
         n2 = 2 * m
         self.tau = tau
         self._m = m
         rows = np.arange(n2)
         self._positive = rows * m + rows % m  # flat index of each anchor's positive
         self._norms, self._row_max, self._denom, self._lse, self._s_pos, self._row_coef = (
-            np.empty((6, n2))
+            np.empty((6, n2), dtype)
         )
-        self._u = np.empty((n2, d))
-        self._cosines = np.empty((n2, n2))
-        self._full = np.zeros((n2, n2))  # only its cross-view blocks are ever written
-        self._live = np.empty((n2, m))
+        self._u = np.empty((n2, d), dtype)
+        self._c, self._g = np.empty((2, m, m), dtype)
+        self._live = np.empty((n2, m), dtype)
 
     def __call__(self, z: np.ndarray, grad: np.ndarray) -> float:
         """Mean per-anchor loss of ``z``; writes d loss / d z into ``grad``."""
         tau, m, n2 = self.tau, self._m, z.shape[0]
-        norms, u, cosines, full, s = self._norms, self._u, self._cosines, self._full, self._live
+        norms, u, c, g, s = self._norms, self._u, self._c, self._g, self._live
         # row norms as np.linalg.norm(z, axis=1) computes them
         np.multiply(z, z, out=u)
         np.add.reduce(u, axis=1, out=norms)
@@ -293,17 +290,19 @@ class _NtXent:
         if np.any(norms == 0):
             raise NumericError("zero-norm embedding in contrastive batch")
         np.divide(z, norms[:, None], out=u)
-        np.matmul(u, u.T, out=cosines)
-        top, bottom = full[:m, m:], full[m:, :m]
-        np.divide(cosines[:m, m:], tau, out=s[:m])
-        np.divide(cosines[m:, :m], tau, out=s[m:])
+        np.matmul(u[:m], u[m:].T, out=c)
+        np.divide(c, tau, out=s[:m])
+        np.divide(c.T, tau, out=s[m:])
         s_pos = s.take(self._positive, out=self._s_pos)
         s.put(self._positive, -np.inf)
-        row_max = np.max(s, axis=1, out=self._row_max)
+        # s[M:] is s[:M].T, so each row's max is a column max of the other
+        # half, a faster reduction; a max is exact in any order
+        row_max = self._row_max
+        np.max(s[m:], axis=0, out=row_max[:m])
+        np.max(s[:m], axis=0, out=row_max[m:])
         s -= row_max[:, None]
         np.exp(s, out=s)
-        top[...], bottom[...] = s[:m], s[m:]
-        denom = np.sum(full, axis=1, out=self._denom)
+        denom = np.sum(s, axis=1, out=self._denom)
         lse = np.log(denom, out=self._lse)
         lse += row_max
         lse -= s_pos
@@ -313,12 +312,13 @@ class _NtXent:
         s /= denom[:, None]
         s.put(self._positive, s.take(self._positive) - 1.0)
         s /= tau
-        np.add(s[:m], s[m:].T, out=top)  # g = a + a^T, block by block
-        np.add(s[m:], s[:m].T, out=bottom)
-        np.matmul(full, u, out=grad)
-        top *= cosines[:m, m:]
-        bottom *= cosines[m:, :m]
-        row_coef = np.sum(full, axis=1, out=self._row_coef)
+        np.add(s[:m], s[m:].T, out=g)
+        np.matmul(g, u[m:], out=grad[:m])
+        np.matmul(g.T, u[:m], out=grad[m:])
+        c *= g
+        row_coef = self._row_coef
+        np.sum(c, axis=1, out=row_coef[:m])
+        np.sum(c, axis=0, out=row_coef[m:])
         u *= row_coef[:, None]
         grad -= u
         grad /= norms[:, None]
@@ -556,6 +556,11 @@ def train_contrastive(
     (epoch, mean_loss, accuracy); accuracy is NaN here because there are no
     labels at this stage. Trailing partial batches are dropped so every
     batch has the full size.
+
+    Training runs in float32: the float64 initialization and each batch's
+    float64 views are rounded to float32 once, and parameters, gradients,
+    Adam moments and buffers stay float32. At zero epochs the float64
+    initialization is returned as drawn.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -569,21 +574,25 @@ def train_contrastive(
 
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim,
                           np.random.default_rng([seed, 101]))
+    if config.epochs == 0:
+        return params, []
     rng = np.random.default_rng([seed, 102])
     size = config.batch_size
-    theta, grad, arrays, grads, bufs = _flat(params, None, 2 * size)
-    loss_fn = _NtXent(size, params.embed_dim, config.temperature)
+    theta, grad, arrays, grads, bufs = _flat(params, None, 2 * size, np.float32)
+    loss_fn = _NtXent(size, params.embed_dim, config.temperature, np.float32)
     opt = _Adam(theta)
     xb = np.empty((size, x.shape[1]))
-    batch = np.empty((2 * size, x.shape[1]))
+    noisy = np.empty((2 * size, x.shape[1]))
+    batch = np.empty(noisy.shape, np.float32)
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n - size + 1, size):
             np.take(x, order[start : start + size], axis=0, out=xb)
-            for view in (batch[:size], batch[size:]):
+            for view in (noisy[:size], noisy[size:]):
                 add_noise(xb, config.aug_low, config.aug_high, rng, out=view)
+            batch[...] = noisy  # drawn in float64, rounded once
             loss = _contrastive_step(arrays, grads, bufs, batch, loss_fn)
             if not (np.isfinite(loss) and np.isfinite(grad).all()):
                 raise TrainingError(f"contrastive training diverged at epoch {epoch}", epoch)

@@ -20,7 +20,7 @@ def fake_record(seed, seconds, problems):
     return {
         "workload": "fixed_k", "seed": seed, "trace": 1, "k": 200,
         "failed": 0, "attempted": 2, "problems": problems,
-        "provenance": {"src_lines": 100, "nproc": 2, "blas_threads": 1},
+        "provenance": {"src_lines": 100, "nproc": 2, "blas_threads": 1, "git_commit": "abc"},
         "metrics": {
             "encoder.train_classifier.s": {"unit": "s", "value": seconds},
             "encoder.train_classifier.calls": {"unit": "count", "value": 3},
@@ -58,3 +58,16 @@ def test_tier1_time_goes_to_its_side(tmp_path):
     with pytest.raises(SystemExit):  # no --side names it
         script.main(["--side", f"change={results}", "--tier1", "parent=60",
                      "--out", str(out)])
+
+
+def test_records_of_more_than_one_commit_are_refused(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    for seed, commit in ((7, "abc"), (8, "abc"), (9, "def")):
+        record = fake_record(seed, 3.0, [])
+        record["provenance"]["git_commit"] = commit
+        (results / f"fixed_k-seed{seed}-trace1.json").write_text(json.dumps(record))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match=r"abc \(2 records\), def \(1 records\)"):
+        load_script().main(["--side", f"change={results}", "--out", str(out)])
+    assert not out.exists()

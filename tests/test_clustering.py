@@ -299,6 +299,14 @@ class TestWss:
         with pytest.raises(ConfigError):
             Assignment(labels=np.array([0, 5]), k=2)
 
+    def test_callers_labels_stay_writable(self):
+        caller = np.array([0, 1, 1])
+        a = Assignment(caller, 2)
+        assert caller.flags.writeable
+        assert not a.labels.flags.writeable
+        caller[0] = 1
+        np.testing.assert_array_equal(a.labels, [0, 1, 1])
+
     def test_pickle_round_trip_keeps_labels_read_only(self):
         # as an assignment comes back from a forked k-means restart
         a = Assignment(labels=np.array([0, 2, 1, 2]), k=3)
@@ -325,6 +333,25 @@ class TestSweepAndElbow:
         c1 = sweep_k(x, [2, 4, 6], restarts=3, seed=5)
         c2 = sweep_k(x, [2, 4, 6], restarts=3, seed=5)
         np.testing.assert_array_equal(c1.wss, c2.wss)
+
+    def test_each_k_matches_its_own_kmeans(self, monkeypatch):
+        # the sweep runs every (K, restart) pair in one map; each K's W is
+        # still that of kmeans at the seed the sweep gives that K
+        monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
+        x, _ = blobs(6, 40, 3, 1.0, seed=9)
+        ks = [2, 3, 5, 8]
+        curve = sweep_k(x, ks, restarts=3, seed=[4, 1])
+        for k, w in zip(ks, curve.wss):
+            assert w == kmeans(x, k, 3, seed=[4, 1, k])[2]
+
+    def test_bad_k_rejected_before_any_restart(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a restart ran")
+
+        monkeypatch.setattr(clustering, "_restart", fail)
+        x, _ = blobs(2, 5, 2, 0.5, seed=3)
+        with pytest.raises(ConfigError, match=r"k must be in \[1, 10\], got 11"):
+            sweep_k(x, [2, 11])
 
     def test_elbow_worked_example(self):
         # oracle: hand evaluation of the normalized chord-distance formula

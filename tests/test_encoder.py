@@ -383,6 +383,27 @@ class TestGradCheckHarness:
         scale = np.abs(grad64).max()
         np.testing.assert_allclose(grad32, grad64, rtol=0, atol=scale * 1e-5)
 
+    def test_contrastive_step_in_float32(self):
+        # the step contrastive training runs: float32 buffers stay float32,
+        # and the gradient is the float64 step's to float32 precision
+        rng = np.random.default_rng(17)
+        in_dim, hidden, embed_dim, m = 6, 8, 4, 6
+        x = rng.standard_normal((2 * m, in_dim))
+        params = init_encoder(in_dim, hidden, embed_dim, rng)
+        results = {}
+        for dtype in (np.float64, np.float32):
+            flat, grad, arrays, grads, bufs = _flat(params, None, 2 * m, dtype)
+            loss_fn = _NtXent(m, embed_dim, 0.2, dtype)
+            loss = _contrastive_step(arrays, grads, bufs, x.astype(dtype), loss_fn)
+            for a in [flat, grad] + arrays + grads + bufs:
+                assert a.dtype == dtype
+            results[dtype] = loss, grad
+        loss64, grad64 = results[np.float64]
+        loss32, grad32 = results[np.float32]
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        scale = np.abs(grad64).max()
+        np.testing.assert_allclose(grad32, grad64, rtol=0, atol=scale * 1e-5)
+
     def test_production_contrastive_step(self):
         rng = np.random.default_rng(15)
         in_dim, hidden, embed_dim, m = 4, 5, 3, 3

@@ -1,16 +1,19 @@
 """The training loops against a reference copy of the per-array formulation.
 
 The reference below builds fresh arrays in each step: `_backward` returns a
-list of gradients and the optimizers loop over the arrays one by one. It
-runs in each loop's dtype: float64 for contrastive training, float32 for
-classifier training, whose initialization and noise are drawn in float64
-and rounded once. The classifier reference draws each epoch's permutation,
+list of gradients and the optimizers loop over the arrays one by one. Both
+loops run in float32, their initialization and noise drawn in float64 and
+rounded once. The classifier reference draws each epoch's permutation,
 then which rows are perturbed, their magnitudes and their noise, and takes
 batches as slices of the permuted epoch; its loss works on class-major
-(K, B) logits with one exp. The production loops must reproduce its
-parameters, head and per-epoch logs bit for bit, and the contrastive loss,
-which works on the cross-view blocks only, must reproduce the reference's
-full-matrix loss and gradient bit for bit on every call.
+(K, B) logits with one exp. The contrastive reference loss works on the
+cross-view block of the cosine matrix only: one (M, M) block, its
+transpose, and one (M, M) sensitivity block. The production loops must
+reproduce the references' parameters, head and per-epoch logs bit for bit,
+and `contrastive_loss` must reproduce the reference loss and gradient bit
+for bit on every call of a grid of batch sizes, widths, temperatures and
+row scales, where the textbook (2M, 2M) masked formulation must agree with
+both to 1e-12 relative (the gradient relative to its largest entry).
 """
 
 from types import SimpleNamespace
@@ -61,6 +64,37 @@ def ref_perturb_two_views(x, low, high, rng):
 
 
 def ref_contrastive_loss(z, tau):
+    """The cross-view formulation: one (M, M) cosine block ``c`` and its
+    transpose, a (2M, M) softmax stack and one (M, M) sensitivity block."""
+    n2 = z.shape[0]
+    m = n2 // 2
+    norms = np.linalg.norm(z, axis=1)
+    u = z / norms[:, None]
+    c = u[:m] @ u[m:].T
+    s = np.concatenate([c / tau, c.T / tau])
+    rows = np.arange(n2)
+    pos = rows % m
+    s_pos = s[rows, pos]
+    s_masked = s.copy()
+    s_masked[rows, pos] = -np.inf
+    row_max = s_masked.max(axis=1)
+    expo = np.exp(s_masked - row_max[:, None])
+    denom = expo.sum(axis=1)
+    lse = np.log(denom) + row_max - s_pos
+    loss = float(np.mean(lse))
+    a_mat = expo / denom[:, None]
+    a_mat[rows, pos] -= 1.0
+    a_mat /= tau
+    g = a_mat[:m] + a_mat[m:].T
+    gc = c * g
+    row_coef = np.concatenate([gc.sum(axis=1), gc.sum(axis=0)])
+    gu = np.concatenate([g @ u[m:], g.T @ u[:m]])
+    grad = (gu - u * row_coef[:, None]) / norms[:, None] / n2
+    return loss, grad
+
+
+def textbook_contrastive_loss(z, tau):
+    """The (2M, 2M) masked formulation, the loss as it is usually written."""
     n2 = z.shape[0]
     m = n2 // 2
     norms = np.linalg.norm(z, axis=1)
@@ -145,10 +179,12 @@ def ref_lr_at(config, epoch):
 def ref_train_contrastive(x, config, seed):
     n = x.shape[0]
     low, high = config.aug_low, config.aug_high
-    params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim,
-                          np.random.default_rng([seed, 101]))
+    init = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim,
+                        np.random.default_rng([seed, 101]))
+    w1, b1, w2, b2 = (a.astype(np.float32) for a in init.arrays())
+    params = SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2)
     rng = np.random.default_rng([seed, 102])
-    opt = RefAdam(params.arrays())
+    opt = RefAdam([w1, b1, w2, b2])
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -156,14 +192,14 @@ def ref_train_contrastive(x, config, seed):
         for start in range(0, n - config.batch_size + 1, config.batch_size):
             idx = order[start : start + config.batch_size]
             v1, v2 = ref_perturb_two_views(x[idx], low, high, rng)
-            batch = np.vstack([v1, v2])
+            batch = np.vstack([v1, v2]).astype(np.float32)
             hidden, z = ref_forward(params, batch)
             loss, dz = ref_contrastive_loss(z, config.temperature)
             grads = ref_backward(params, batch, hidden, dz)
             opt.step(grads, config.learning_rate)
             losses.append(loss)
         log.append((epoch, float(np.mean(losses)), float("nan")))
-    return params, log
+    return EncoderParams(w1, b1, w2, b2), log
 
 
 def ref_train_classifier(x, labels, num_classes, config, seed):
@@ -290,3 +326,9 @@ def test_contrastive_loss_matches_reference_per_call(m):
             ref_loss, ref_grad = ref_contrastive_loss(z, tau)
             assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes(), (d, tau)
             assert grad.tobytes() == ref_grad.tobytes(), (d, tau)
+            # the cross-view blocks are the whole loss: the (2M, 2M) masked
+            # formulation agrees to rounding
+            book_loss, book_grad = textbook_contrastive_loss(z, tau)
+            assert loss == pytest.approx(book_loss, rel=1e-12, abs=0), (d, tau)
+            scale = np.abs(book_grad).max()
+            assert np.abs(grad - book_grad).max() <= 1e-12 * scale, (d, tau)
