@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run output directory")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("report", help="re-aggregate the final report of a finished run")
+    p = sub.add_parser("report", help="run or resume the pipeline in RUN and print its report")
     _add_common(p)
     p.add_argument("--run", required=True, help="pipeline output directory")
     p.add_argument("--out", help="also write the JSON report here")

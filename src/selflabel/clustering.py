@@ -90,8 +90,8 @@ class WssCurve:
     wss: np.ndarray
 
     def __post_init__(self):
-        ks = np.asarray(self.ks, dtype=np.int64)
-        wss = np.asarray(self.wss, dtype=np.float64)
+        ks = np.array(self.ks, dtype=np.int64)  # copies: the caller's stay writable
+        wss = np.array(self.wss, dtype=np.float64)
         if ks.ndim != 1 or wss.shape != ks.shape:
             raise ConfigError("curve requires matching 1-d ks and wss vectors")
         if ks.size and np.any(np.diff(ks) <= 0):

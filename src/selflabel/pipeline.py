@@ -11,8 +11,13 @@ indistinguishable from an uninterrupted one. The ``corpus/``, round and
 staging name and renamed into place only when complete, so a crash during
 any of these writes leaves either the whole directory or file or none, and
 a re-run leaves no file of an earlier run's ``final/``. Hence a ``corpus/``
-or ``round_*`` directory exists only when complete: a resume skips it
-without loading anything, and a round damaged by hand is a ``DataError``.
+or ``round_*`` directory exists only when complete: a resume skips a round
+without building anything, and a round damaged by hand is a ``DataError``.
+
+A run is opened once (``open_run``): the fingerprint is checked, the
+corpus, trial list and cohort ids are staged where missing and read back,
+and every stage then takes the opened ``Run``. The calling process writes
+every file of a run.
 
 The reader of each per-sample file checks it against the corpus on every
 path, resume included: ``read_assignment`` takes the corpus ids, which the
@@ -36,6 +41,7 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +51,6 @@ from ._textio import read_columns, write_json, write_rows
 from .clustering import (
     MAX_ITERS,
     SWEEP_RESTARTS,
-    Assignment,
     ClusterSettings,
     elbow_grid,
     kmeans,
@@ -76,6 +81,12 @@ _MODALITIES = ("audio", "visual")
 # Version of the run directory's file formats, part of the fingerprint;
 # raise it whenever a file that a resume reads or keeps changes format.
 ARTIFACT_FORMAT = 3
+
+# Version of the program's results, part of the fingerprint, so a resume
+# never mixes rounds of two programs: raise it in any change after which
+# ``scripts/workload_tree.py`` at ``tiny``, ``fixed_k`` or ``default`` writes
+# a tree that ``diff -rq`` finds changed.
+RESULTS_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -126,12 +137,14 @@ class PipelineConfig:
         """Hash of the settings that shape the run's files. ``rounds`` is out,
         so raising it extends a finished run. The k-means constants
         ``SWEEP_RESTARTS`` and ``MAX_ITERS`` are in, under the keys they had
-        as settings, so a change to either rejects the old run directories."""
+        as settings, and so are ``ARTIFACT_FORMAT`` and ``RESULTS_VERSION``,
+        so a change to any of them rejects the old run directories."""
         payload = asdict(self)
         payload.pop("output_dir")
         payload.pop("rounds")
         payload["cluster"].update(sweep_restarts=SWEEP_RESTARTS, max_iters=MAX_ITERS)
         payload["artifact_format"] = ARTIFACT_FORMAT
+        payload["results_version"] = RESULTS_VERSION
         payload["corpus_path"] = (
             str(self.corpus_path) if self.corpus_path is not None else None
         )
@@ -148,19 +161,9 @@ class RoundArtifacts:
     k: int
     metrics: dict
 
-    def assignment(self, name: str, sample_ids: list[str]) -> Assignment:
-        return read_assignment(self.path / f"assign_{name}.tsv", sample_ids, k=self.k)
-
-    def embeddings(self, modality: str, rows: int) -> np.ndarray:
-        return synthdata.read_embeddings(self.path / f"{modality}.emb", rows)
-
 
 def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
-
-
-def _round_dir(config: PipelineConfig, index: int) -> Path:
-    return config.output_dir / f"round_{index:03d}"
 
 
 def _read_json(path: Path, what: str, key: str, kind):
@@ -173,14 +176,13 @@ def _read_json(path: Path, what: str, key: str, kind):
         raise DataError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _load_round(config: PipelineConfig, index: int) -> RoundArtifacts:
-    path = _round_dir(config, index) / "metrics.json"
-    metrics, k = _read_json(path, "round metrics", "k", int)
-    return RoundArtifacts(index=index, path=path.parent, k=k, metrics=metrics)
+def _load_round(path: Path, index: int) -> RoundArtifacts:
+    metrics, k = _read_json(path / "metrics.json", "round metrics", "k", int)
+    return RoundArtifacts(index=index, path=path, k=k, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
-# run preparation: corpus, trials, cohort
+# opening a run: fingerprint, corpus, trials, cohort
 # ---------------------------------------------------------------------------
 
 
@@ -198,7 +200,7 @@ def _staged(path: Path):
     The block writes a file or a directory there. When it completes, the
     staging path is renamed over ``path``; when it raises, the staging path
     is removed, so a failed write leaves nothing at ``path``. After a hard
-    crash, the next ``_prepare_run`` removes it.
+    crash, the next ``open_run`` removes it.
     """
     tmp = path.with_name(f".tmp_{path.name}")
     _remove(tmp)
@@ -209,44 +211,6 @@ def _staged(path: Path):
         tmp.replace(path)
     finally:
         _remove(tmp)
-
-
-def _prepare_run(config: PipelineConfig) -> None:
-    """Create the output directory and pin the config fingerprint.
-
-    A second run over the same directory must use an identical config;
-    anything else would silently mix artifacts from different experiments.
-    """
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    for stale in out.glob(".tmp_*"):
-        _remove(stale)
-    marker = out / "run_config.json"
-    payload = {"fingerprint": config.fingerprint()}
-    if marker.exists():
-        _, stored = _read_json(marker, "run config", "fingerprint", str)
-        if stored != payload["fingerprint"]:
-            raise ConfigError(
-                f"output directory {out} was produced by a different configuration; "
-                "use a fresh directory or delete the old run"
-            )
-    else:
-        with _staged(marker) as tmp:
-            write_json(tmp, payload)
-
-
-def _ensure_corpus(config: PipelineConfig) -> MultiModalCorpus:
-    stored = config.output_dir / "corpus"
-    if not stored.is_dir():
-        if config.corpus_path is not None:
-            corpus = synthdata.read_corpus(config.corpus_path)
-        else:
-            logger.info("generating synthetic corpus (%d samples)", config.synth.num_samples)
-            corpus = synthdata.generate_corpus(config.synth)
-        with _staged(stored) as tmp:
-            synthdata.write_corpus(corpus, tmp)
-    # always hand back the file-backed copy
-    return synthdata.read_corpus(stored)
 
 
 def _make_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
@@ -301,14 +265,53 @@ def _make_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
     return trials, cohort_ids
 
 
-def _ensure_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
-    """The run's trial list, as rows of the corpus, and its cohort ids.
+class Run(NamedTuple):
+    """An opened run directory: its config, and its corpus, trial list (as
+    rows of the corpus) and cohort ids, each read back from the run's files."""
 
-    Both are drawn once per run directory; every stage reads them back from
-    the stored files.
-    """
-    trials_path = config.output_dir / "trials.txt"
-    cohort_path = config.output_dir / "cohort_ids.txt"
+    config: PipelineConfig
+    corpus: MultiModalCorpus
+    trials: Trials
+    cohort_ids: list[str]
+
+
+def open_run(config: PipelineConfig) -> Run:
+    """Open the run in ``config.output_dir``: pin the config fingerprint,
+    stage the corpus, ``trials.txt`` and ``cohort_ids.txt`` where missing,
+    and read each back once. A directory made under another config or
+    program version is a ConfigError, raised before anything else is read
+    or written, since resuming it would mix two experiments."""
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob(".tmp_*"):
+        _remove(stale)
+    marker = out / "run_config.json"
+    fingerprint = config.fingerprint()
+    if marker.exists():
+        _, stored = _read_json(marker, "run config", "fingerprint", str)
+        if stored != fingerprint:
+            raise ConfigError(
+                f"output directory {out} was produced by a different configuration or "
+                "program version; use a fresh directory or delete the old run"
+            )
+    else:
+        with _staged(marker) as tmp:
+            write_json(tmp, {"fingerprint": fingerprint})
+
+    corpus_dir = out / "corpus"
+    if not corpus_dir.is_dir():
+        if config.corpus_path is not None:
+            corpus = synthdata.read_corpus(config.corpus_path)
+        else:
+            logger.info("generating synthetic corpus (%d samples)", config.synth.num_samples)
+            corpus = synthdata.generate_corpus(config.synth)
+        with _staged(corpus_dir) as tmp:
+            synthdata.write_corpus(corpus, tmp)
+    # always work on the file-backed copies
+    corpus = synthdata.read_corpus(corpus_dir)
+
+    trials_path = out / "trials.txt"
+    cohort_path = out / "cohort_ids.txt"
     if not (trials_path.is_file() and cohort_path.is_file()):
         trials, cohort_ids = _make_eval_material(config, corpus)
         with _staged(trials_path) as tmp:
@@ -317,7 +320,7 @@ def _ensure_eval_material(config: PipelineConfig, corpus: MultiModalCorpus):
             write_rows(tmp, "%s", (cohort_ids,))
     trials = scoring.read_trials(trials_path, corpus.sample_ids)
     cohort_ids, = read_columns(cohort_path, "cohort", (str,))
-    return trials, cohort_ids
+    return Run(config, corpus, trials, cohort_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +344,24 @@ def compute_round_metrics(round_path, corpus: MultiModalCorpus, trials, k: int, 
     return report
 
 
-def _call(fn, *args):
-    """``fn(*args)``: lets one ``ordered_map`` run two different functions."""
-    return fn(*args)
-
-
-def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundArtifacts:
+def _run_round(run: Run, index: int, train, make_labels) -> RoundArtifacts:
     """Build round ``index`` unless its directory exists, and load it.
 
     ``train(corpus)`` returns ``{modality: (params, head, log)}``;
     ``make_labels(tmp, corpus, z)`` writes the round's assignments from the
     read-back embeddings ``z`` and returns K. Everything else a round holds
     (checkpoints, logs, embeddings, scores, metrics) is written here, into
-    a run directory pinned to ``config``. Training runs in this process;
-    the trial list is staged and read back beside it, in a forked worker
-    when the CPU count and the corpus size allow one.
+    the opened run's directory, from the corpus and trial list ``open_run``
+    read. A round whose directory exists returns its stored K and metrics
+    and builds nothing.
     """
-    _prepare_run(config)
-    if _round_dir(config, index).is_dir():
+    corpus, trials = run.corpus, run.trials
+    path = run.config.output_dir / f"round_{index:03d}"
+    if path.is_dir():
         logger.info("round %d already complete, skipping", index)
-        return _load_round(config, index)
-    corpus = _ensure_corpus(config)
-    trained, (trials, _) = ordered_map(
-        _call,
-        [(train, corpus), (_ensure_eval_material, config, corpus)],
-        rows=len(corpus),
-    )
-    with _staged(_round_dir(config, index)) as tmp:
+        return _load_round(path, index)
+    trained = train(corpus)
+    with _staged(path) as tmp:
         tmp.mkdir()
         z = {}
         for modality, (params, head, log) in trained.items():
@@ -383,7 +377,7 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
             scoring.write_scores(tmp / f"scores_{modality}.tsv", cosine_score(trials, z[modality]))
         report = compute_round_metrics(tmp, corpus, trials, k, index)
         write_json(tmp / "metrics.json", report)
-    art = _load_round(config, index)
+    art = _load_round(path, index)
     logger.info("round %d done: %s", index, _metrics_brief(art.metrics))
     return art
 
@@ -393,8 +387,9 @@ def _run_round(config: PipelineConfig, index: int, train, make_labels) -> RoundA
 # ---------------------------------------------------------------------------
 
 
-def run_stage1(config: PipelineConfig) -> RoundArtifacts:
+def run_stage1(run: Run) -> RoundArtifacts:
     """Contrastive pretraining plus the initial clustering round (round 0)."""
+    config = run.config
 
     def train(corpus):
         logger.info("round 0: contrastive pretraining (%d epochs)", config.contrastive.epochs)
@@ -420,19 +415,20 @@ def run_stage1(config: PipelineConfig) -> RoundArtifacts:
         write_assignment(tmp / "assign_audio.tsv", corpus.sample_ids, assign_audio)
         return k
 
-    return _run_round(config, 0, train, make_labels)
+    return _run_round(run, 0, train, make_labels)
 
 
-def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts) -> RoundArtifacts:
+def run_round(run: Run, round_index: int, previous: RoundArtifacts) -> RoundArtifacts:
     """One supervised round: train both encoders on the previous labels,
     re-cluster each modality and the joint space, fuse by voting."""
     if round_index < 1:
         raise ConfigError("round_index must be >= 1")
+    config = run.config
     label_name = "audio" if previous.index == 0 else "fused"
     k = previous.k
 
     def train(corpus):
-        labels = previous.assignment(label_name, corpus.sample_ids)
+        labels = read_assignment(previous.path / f"assign_{label_name}.tsv", corpus.sample_ids, k=k)
         logger.info(
             "round %d: training the audio and visual classifiers on %s labels (K=%d)",
             round_index, label_name, k,
@@ -462,7 +458,7 @@ def run_round(config: PipelineConfig, round_index: int, previous: RoundArtifacts
         ensemble.write_fusion(tmp, corpus.sample_ids, fused_set)
         return k
 
-    return _run_round(config, round_index, train, make_labels)
+    return _run_round(run, round_index, train, make_labels)
 
 
 def _metrics_brief(m: dict) -> str:
@@ -475,11 +471,12 @@ def _metrics_brief(m: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: RoundArtifacts) -> dict:
+def _final_scoring(run: Run, last: RoundArtifacts) -> dict:
     """Per system, EER, minDCF and its threshold on raw scores, plus EER and
     minDCF after AS-Norm. The modalities' raw scores are the last round's
     files; every other score set is written to ``final/`` and read back, and
     the fusion fuses the read-back sets."""
+    config, corpus, trials, cohort_ids = run
     modalities = ["audio"] if last.index == 0 else list(_MODALITIES)
     weights = [1.0 / len(modalities)] * len(modalities)
     cohort_rows = scoring.rows_of(cohort_ids, corpus.sample_ids, "cohort")
@@ -493,7 +490,7 @@ def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: Rou
                     for suffix in ("", "_norm")
                 }
             else:
-                z = last.embeddings(system, len(corpus))
+                z = synthdata.read_embeddings(last.path / f"{system}.emb", len(corpus))
                 stored[system] = scoring.read_scores(last.path / f"scores_{system}.tsv", trials)
                 cohort = Cohort(z[cohort_rows])
                 to_write = {f"{system}_norm": as_norm(stored[system], z, cohort, config.eval.top_n)}
@@ -508,21 +505,20 @@ def _final_scoring(config: PipelineConfig, corpus, trials, cohort_ids, last: Rou
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run (or resume) the full pipeline and return the final report dict."""
-    rounds = [run_stage1(config)]
+    run = open_run(config)
+    rounds = [run_stage1(run)]
     for r in range(1, config.rounds + 1):
-        rounds.append(run_round(config, r, rounds[-1]))
+        rounds.append(run_round(run, r, rounds[-1]))
 
-    corpus = _ensure_corpus(config)
-    trials, cohort_ids = _ensure_eval_material(config, corpus)
     report = {
         "fingerprint": config.fingerprint(),
         "k": rounds[0].k,
         "num_rounds": config.rounds,
         "rounds": [r.metrics for r in rounds],
         "final_scoring": {
-            "cohort_size": len(cohort_ids),
+            "cohort_size": len(run.cohort_ids),
             "top_n": config.eval.top_n,
-            "systems": _final_scoring(config, corpus, trials, cohort_ids, rounds[-1]),
+            "systems": _final_scoring(run, rounds[-1]),
         },
     }
     kept = {r.path.name for r in rounds}  # a lower ``rounds`` leaves no later round

@@ -94,7 +94,7 @@ class ScoreSet:
     scores: np.ndarray
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = np.array(self.scores, dtype=np.float64)  # a copy: the caller's stays writable
         if scores.shape != (len(self.trials),):
             raise ConfigError("scores and trials differ in length")
         if not np.all(np.isfinite(scores)):

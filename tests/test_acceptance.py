@@ -30,6 +30,7 @@ from selflabel.pipeline import (
     ClusterSettings,
     EvalSettings,
     PipelineConfig,
+    open_run,
     run_pipeline,
     run_round,
     run_stage1,
@@ -428,8 +429,9 @@ class TestCriterion10DeterminismAndResume:
         identical = _bytes(tmp_path / "a", label_files) == _bytes(tmp_path / "b", label_files)
 
         resumed_cfg = _small_pipeline(tmp_path / "resumed")
-        art0 = run_stage1(resumed_cfg)
-        run_round(resumed_cfg, 1, art0)  # stop here: simulated interruption
+        run = open_run(resumed_cfg)
+        art0 = run_stage1(run)
+        run_round(run, 1, art0)  # stop here: simulated interruption
         run_pipeline(resumed_cfg)
         resumed = _bytes(tmp_path / "resumed", label_files) == _bytes(tmp_path / "a", label_files)
 

@@ -307,6 +307,15 @@ class TestWss:
         caller[0] = 1
         np.testing.assert_array_equal(a.labels, [0, 1, 1])
 
+    def test_callers_curve_arrays_stay_writable(self):
+        ks, wss = np.array([2, 4, 8]), np.array([9.0, 4.0, 1.0])
+        curve = WssCurve(ks, wss)
+        assert ks.flags.writeable and wss.flags.writeable
+        assert not curve.ks.flags.writeable and not curve.wss.flags.writeable
+        ks[0], wss[0] = 1, 0.0
+        np.testing.assert_array_equal(curve.ks, [2, 4, 8])
+        np.testing.assert_array_equal(curve.wss, [9.0, 4.0, 1.0])
+
     def test_pickle_round_trip_keeps_labels_read_only(self):
         # as an assignment comes back from a forked k-means restart
         a = Assignment(labels=np.array([0, 2, 1, 2]), k=3)

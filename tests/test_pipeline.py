@@ -9,17 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selflabel import _parallel, _textio, cli, pipeline
+from selflabel import _parallel, _textio, cli, pipeline, scoring, synthdata
 from selflabel.configio import build_pipeline_config
 from selflabel.encoder import ClassifierConfig, ContrastiveConfig
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams
 from selflabel.pipeline import (
     ARTIFACT_FORMAT,
+    RESULTS_VERSION,
     ClusterSettings,
     EvalSettings,
     PipelineConfig,
     compute_round_metrics,
+    open_run,
     run_pipeline,
     run_round,
     run_stage1,
@@ -115,7 +117,7 @@ LABEL_FILES_R1 = [
 class TestStage1:
     def test_round0_artifact_contract(self, tmp_path):
         config = tiny_config(tmp_path / "run", rounds=0)
-        art = run_stage1(config)
+        art = run_stage1(open_run(config))
         for name in (
             "encoder_audio.enc",
             "audio.emb",
@@ -133,14 +135,14 @@ class TestStage1:
 
     def test_stage1_resume_skips_recompute(self, tmp_path):
         config = tiny_config(tmp_path / "run", rounds=0)
-        art1 = run_stage1(config)
+        art1 = run_stage1(open_run(config))
         stamp = (art1.path / "assign_audio.tsv").stat().st_mtime_ns
-        art2 = run_stage1(config)
+        art2 = run_stage1(open_run(config))
         assert (art2.path / "assign_audio.tsv").stat().st_mtime_ns == stamp
 
     def test_elbow_path_writes_curve(self, tmp_path):
         config = tiny_config(tmp_path / "run", rounds=0, fixed_k=None, k_grid=(4, 8, 12, 16))
-        art = run_stage1(config)
+        art = run_stage1(open_run(config))
         assert (art.path / "wss_curve.tsv").is_file()
         assert art.k in (4, 8, 12, 16)
 
@@ -165,10 +167,10 @@ class TestRounds:
         assert "audio" in report["final_scoring"]["systems"]
 
     def test_round_requires_positive_index(self, tmp_path):
-        config = tiny_config(tmp_path / "run", rounds=0)
-        art = run_stage1(config)
+        run = open_run(tiny_config(tmp_path / "run", rounds=0))
+        art = run_stage1(run)
         with pytest.raises(ConfigError):
-            run_round(config, 0, art)
+            run_round(run, 0, art)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_round_leaves_no_partial_artifacts(self, tmp_path):
@@ -181,9 +183,10 @@ class TestRounds:
                 aug_low=0.5, aug_high=1.2,
             ),
         )
-        art = run_stage1(config)
+        run = open_run(config)
+        art = run_stage1(run)
         with pytest.raises(TrainingError):
-            run_round(config, 1, art)
+            run_round(run, 1, art)
         assert not (config.output_dir / "round_001").exists()
         assert not list(config.output_dir.glob(".tmp_*"))
 
@@ -252,8 +255,9 @@ class TestDeterminismAndResume:
         run_pipeline(full)
 
         resumed = tiny_config(tmp_path / "resumed", rounds=2)
-        art0 = run_stage1(resumed)  # simulate interruption after round 1
-        run_round(resumed, 1, art0)
+        run = open_run(resumed)
+        art0 = run_stage1(run)  # simulate interruption after round 1
+        run_round(run, 1, art0)
         report = run_pipeline(resumed)
 
         names = LABEL_FILES_R1 + [
@@ -267,16 +271,19 @@ class TestDeterminismAndResume:
             assert a[name] == b[name], f"{name} differs after resume"
         assert report["rounds"][2]["round"] == 2
 
-    def test_finished_round_returns_before_loading_anything(self, tmp_path, monkeypatch):
+    def test_finished_round_builds_nothing(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path / "run", rounds=1)
         run_pipeline(config)
+        run = open_run(config)
 
-        def no_corpus(config):
-            raise AssertionError("a finished round loaded the corpus")
+        def no_build(*args, **kwargs):
+            raise AssertionError("a finished round built something")
 
-        monkeypatch.setattr(pipeline, "_ensure_corpus", no_corpus)
-        art0 = run_stage1(config)
-        art1 = run_round(config, 1, art0)
+        for name in ("train_contrastive", "train_classifier"):
+            monkeypatch.setattr(pipeline, name, no_build)
+        monkeypatch.setattr(_textio, "write_file", no_build)
+        art0 = run_stage1(run)
+        art1 = run_round(run, 1, art0)
         for art in (art0, art1):
             stored = json.loads((art.path / "metrics.json").read_text())
             assert (art.k, art.metrics) == (24, stored)
@@ -292,28 +299,55 @@ class TestDeterminismAndResume:
         # a run directory resumes only under its fingerprint, so these
         # values are those of the run directories already written
         assert PipelineConfig(output_dir="run").fingerprint() == (
-            "c033fe2e88cd31c4d4b021598303f1b8dba089b873c3efc8e7ab9d591a300ab6"
+            "9c7811564f39ecc694f7f926853072883e58de1166956b9ee3de9998766096d4"
         )
         config = build_pipeline_config({"fixed_k": 200, "cluster.restarts": 1}, "run")
         assert config.fingerprint() == (
-            "93b75f0e86bf7be8c7fd5f59ccc41c99c11b2c6669502e51ece1f718526d31df"
+            "807982aa0a428c0eaa6b78b18f0983c73bc06d5554588614391db8511bbaadf7"
         )
 
     def test_round_checks_the_fingerprint(self, tmp_path):
         # a round written under another config would mix two experiments
         config = tiny_config(tmp_path / "run", rounds=1)
         run_pipeline(config)
-        last = pipeline._load_round(config, 1)
         with pytest.raises(ConfigError, match="different configuration"):
-            run_round(replace(config, seed=99), 2, last)
+            open_run(replace(config, seed=99))
         assert not (tmp_path / "run" / "round_002").exists()
 
     def test_artifact_format_change_rejects_resume(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path / "run", rounds=0)
-        run_stage1(config)
+        run_stage1(open_run(config))
         monkeypatch.setattr(pipeline, "ARTIFACT_FORMAT", ARTIFACT_FORMAT + 1)
         with pytest.raises(ConfigError, match="different configuration"):
-            run_stage1(config)
+            open_run(config)
+
+    def test_results_version_change_rejects_resume(self, tmp_path, monkeypatch, capsys):
+        # a run made by another program version exits 2 and is left as it is
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TestDamagedRound.CONFIG.replace("rounds = 1", "rounds = 0"))
+        argv = ["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+        before = tree_bytes(tmp_path / "run")
+        monkeypatch.setattr(pipeline, "RESULTS_VERSION", RESULTS_VERSION + 1)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert "different configuration or program version" in capsys.readouterr().err
+        assert tree_bytes(tmp_path / "run") == before
+
+    def test_a_run_reads_its_corpus_and_trials_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_parallel, "CPUS", 1)  # every call in this process
+        reads = []
+        for module, name in ((synthdata, "read_corpus"), (scoring, "read_trials")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, real=real, name=name: reads.append(name) or real(*args)
+            )
+        config = tiny_config(tmp_path / "run", rounds=2)
+        run_pipeline(config)
+        assert sorted(reads) == ["read_corpus", "read_trials"]
+        reads.clear()
+        run_pipeline(config)  # a report pass over the finished run
+        assert sorted(reads) == ["read_corpus", "read_trials"]
 
     def test_raising_rounds_extends_a_finished_run(self, tmp_path):
         run_pipeline(tiny_config(tmp_path / "fresh", rounds=2))
@@ -342,7 +376,7 @@ class TestDeterminismAndResume:
         run_pipeline(tiny_config(tmp_path / "full", rounds=1))
         resumed = tiny_config(tmp_path / "resumed", rounds=1)
         monkeypatch.setattr(_parallel, "CPUS", 1)
-        run_stage1(resumed)
+        run_stage1(open_run(resumed))
         monkeypatch.setattr(_parallel, "CPUS", 2)
         run_pipeline(resumed)
         assert tree_bytes(tmp_path / "resumed") == tree_bytes(tmp_path / "full")
@@ -354,12 +388,11 @@ class TestDeterminismAndResume:
             run_pipeline(tiny_config(tmp_path / f"w{n}"))
             if n == 1:
                 assert not forks
-        # in each of the three round routines, one for the trial list beside
-        # the training; one in round 0's k-means; per supervised round, one
-        # for the classifier pair, one for the three fusion views, one in each
-        # of the audio and joint k-means calls this process runs, and one for
-        # the two Hungarian calls (the visual k-means forks in its own child)
-        assert len(forks) == 3 + 1 + 2 * 5
+        # one in round 0's k-means; per supervised round, one for the
+        # classifier pair, one for the three fusion views, one in each of the
+        # audio and joint k-means calls this process runs, and one for the
+        # two Hungarian calls (the visual k-means forks in its own child)
+        assert len(forks) == 1 + 2 * 5
         assert tree_bytes(tmp_path / "w2") == tree_bytes(tmp_path / "w1")
 
     def test_small_inputs_run_in_process(self, tmp_path, monkeypatch, forks):
@@ -389,8 +422,12 @@ def written_files(monkeypatch):
     return written
 
 
-def test_every_file_is_written_through_one_primitive(tmp_path, monkeypatch):
-    monkeypatch.setattr(_parallel, "CPUS", 1)  # every write in this process
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_file_is_written_through_one_primitive(tmp_path, monkeypatch, cpus):
+    # a write in a forked worker would not reach the recorder: with forks
+    # allowed, this checks that the calling process writes every file
+    monkeypatch.setattr(_parallel, "CPUS", cpus)
+    monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
     written = written_files(monkeypatch)
     out = tmp_path / "run"
     run_pipeline(tiny_config(out, rounds=1))
@@ -456,10 +493,11 @@ class TestCrashSafeRunFiles:
             run_pipeline(crashed)
             assert tree_bytes(crashed.output_dir) == want, f"crash in write {n}: {calls[-1]}"
 
-    def test_trial_write_failing_in_worker_then_resume_equals_uninterrupted(
+    def test_trial_write_failing_in_forking_run_then_resume_equals_uninterrupted(
         self, tmp_path, monkeypatch
     ):
-        # the trial list is written by a forked worker while round 0 trains
+        # with workers allowed, the caller still writes the trial list, when
+        # the run is opened and before round 0 trains
         monkeypatch.setattr(_parallel, "FORK_MIN_ROWS", 0)
         monkeypatch.setattr(_parallel, "CPUS", 2)
         run_pipeline(tiny_config(tmp_path / "full", rounds=1))
@@ -473,7 +511,7 @@ class TestCrashSafeRunFiles:
 
         with monkeypatch.context() as patch:
             patch.setattr(pipeline.scoring, "write_trials", fail)
-            with pytest.raises(OSError, match="simulated crash in a worker"):
+            with pytest.raises(OSError, match="simulated crash in the caller"):
                 run_pipeline(crashed)
         # no trials.txt, no cohort file, no round_000/, no staging leftovers
         assert sorted(p.name for p in crashed.output_dir.iterdir()) == [
@@ -565,7 +603,7 @@ class TestCorpusHoldsNoTrainingSetting:
     def encoder(self, tmp_path, name, **contrastive):
         config = tiny_config(tmp_path / name, rounds=0, corpus_path=tmp_path / "corpus")
         config = replace(config, contrastive=replace(config.contrastive, **contrastive))
-        run_stage1(config)
+        run_stage1(open_run(config))
         assert not (config.output_dir / "corpus" / "config.json").exists()
         return (config.output_dir / "round_000" / "encoder_audio.enc").read_bytes()
 

@@ -383,3 +383,11 @@ class TestTrials:
         assert trials.is_target.dtype == bool
         with pytest.raises(ValueError):
             trials.test[0] = 0
+
+    def test_callers_scores_stay_writable(self):
+        scores = np.array([0.5, -0.25])
+        score_set = ScoreSet(Trials(("a", "b"), [0, 1], [1, 0], [1, 0]), scores)
+        assert scores.flags.writeable
+        assert not score_set.scores.flags.writeable
+        scores[0] = 0.0
+        np.testing.assert_array_equal(score_set.scores, [0.5, -0.25])
