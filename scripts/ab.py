@@ -15,6 +15,13 @@ the count of pairs the change ran faster, the count of seeds whose K
 matched (a pair with different K compares two workloads) and each side's
 range of every quality figure.
 
+Each ``--change-set KEY=VALUE`` (repeatable) is passed to the change side's
+``workload_tree.py`` as ``--set KEY=VALUE`` and not to the parent's, so one
+checkout against itself probes a setting:
+
+    python3 scripts/ab.py --parent . --change . --workload fixed_k --seeds 11-20 \
+        --change-set classifier.epochs=20
+
 A wall time is that of the whole process, so it includes interpreter
 start-up and imports (a few tenths of a second) on both sides. The trees are
 deleted at exit unless ``--out`` names a new or empty directory to keep them
@@ -46,15 +53,20 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_side(checkout: Path, workload: str, seed: int, out: Path) -> float:
-    """Wall seconds of one run of ``checkout``'s pipeline into ``out``."""
+def run_side(checkout: Path, workload: str, seed: int, out: Path, sets=()) -> float:
+    """Wall seconds of one run of ``checkout``'s pipeline into ``out``, with
+    each ``KEY=VALUE`` of ``sets`` passed on as ``--set``."""
     cmd = [sys.executable, str(checkout / "scripts" / "workload_tree.py"),
            "--workload", workload, "--seed", str(seed), "--out", str(out)]
+    for item in sets:
+        cmd += ["--set", item]
     start = time.perf_counter()
     result = subprocess.run(cmd, capture_output=True, text=True)
     wall = time.perf_counter() - start
     if result.returncode:
-        raise SystemExit(f"ab: {' '.join(cmd)} exited {result.returncode}\n{result.stderr}")
+        # ab exits with the side's code, so a key the side rejects exits 2
+        print(f"ab: {' '.join(cmd)} exited {result.returncode}\n{result.stderr}", file=sys.stderr)
+        raise SystemExit(result.returncode)
     return wall
 
 
@@ -79,15 +91,17 @@ def differing_files(a: Path, b: Path) -> list[str]:
                                    if (a / rel).read_bytes() != (b / rel).read_bytes()})
 
 
-def run_pairs(checkouts: dict, workload: str, seeds: list[int], out: Path):
+def run_pairs(checkouts: dict, workload: str, seeds: list[int], out: Path, change_sets=()):
     """Yield one record per seed: each side's wall time and quality, and the
-    run-tree files that differ. Even-numbered pairs run the parent first."""
+    run-tree files that differ. Even-numbered pairs run the parent first;
+    ``change_sets`` go to the change side only."""
+    sets = {"parent": (), "change": tuple(change_sets)}
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         wall, trees = {}, {}
         for side in order:
             trees[side] = out / side / f"seed_{seed}"
-            wall[side] = run_side(checkouts[side], workload, seed, trees[side])
+            wall[side] = run_side(checkouts[side], workload, seed, trees[side], sets[side])
         yield {"seed": seed, "first": order[0], "wall": wall,
                "quality": {side: quality(trees[side]) for side in SIDES},
                "differ": differing_files(trees["parent"], trees["change"])}
@@ -140,6 +154,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, help="perfbench workload, or tiny")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 11-14")
     parser.add_argument("--out", type=Path, help="keep the run trees in this directory")
+    parser.add_argument("--change-set", action="append", default=[], metavar="KEY=VALUE",
+                        help="config key for the change side only (repeatable)")
     args = parser.parse_args(argv)
     if args.out is not None and args.out.exists() and any(args.out.iterdir()):
         parser.error(f"--out {args.out} is not empty")
@@ -147,7 +163,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         out = args.out if args.out is not None else Path(scratch)
         pairs = []
-        for pair in run_pairs(checkouts, args.workload, args.seeds, out):
+        for pair in run_pairs(checkouts, args.workload, args.seeds, out, args.change_set):
             print_pair(pair)
             pairs.append(pair)
     print_summary(pairs)

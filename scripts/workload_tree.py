@@ -10,6 +10,15 @@ mapping. Run it in two checkouts and compare the trees with ``diff -r``: a
 change that claims to leave every output byte alone leaves them equal. The
 program is imported from this checkout's ``src/``, with one BLAS thread as
 in perfbench.
+
+Each ``--set KEY=VALUE`` (repeatable) sets one config key over the
+workload's mapping, parsed as a line of a config file, so one checkout can
+probe a setting without a source change:
+
+    python3 scripts/workload_tree.py --workload fixed_k --seed 7 --out /tmp/e20 \\
+        --set classifier.epochs=20
+
+A key that names no setting exits with code 2 before anything is written.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.workloads import TINY, WORKLOADS, config_mapping
     from selflabel import pipeline
-    from selflabel.configio import build_pipeline_config
+    from selflabel.configio import build_pipeline_config, parse_kv_text
+    from selflabel.errors import ConfigError
 
     overrides = {name: w.overrides for name, w in WORKLOADS.items()}
     overrides["tiny"] = TINY
@@ -37,10 +47,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(overrides))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True, help="run directory to write")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="set one config key over the workload's mapping (repeatable)")
     args = parser.parse_args(argv)
 
     mapping = config_mapping(overrides[args.workload], args.seed)
-    pipeline.run_pipeline(build_pipeline_config(mapping, args.out))
+    try:
+        mapping.update(parse_kv_text("\n".join(args.set)))
+        config = build_pipeline_config(mapping, args.out)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    pipeline.run_pipeline(config)
     return 0
 
 

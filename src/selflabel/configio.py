@@ -1,7 +1,7 @@
 """Key-value config files and construction of typed configs from them.
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
-dotted keys for sections (``classifier.epochs = 40``). Comma-separated
+dotted keys for sections (``classifier.epochs = 15``). Comma-separated
 values parse to tuples. A section key sets the field of the same name in
 that section's settings class, converted by the type of the field's
 default, and a top-level key sets one ``PipelineConfig`` field; there is no

@@ -35,3 +35,9 @@ class TrainingError(NumericError):
     def __reduce__(self):
         # pickle rebuilds an exception from its args, which hold no epoch
         return type(self), (self.args[0], self.epoch)
+
+
+class RunLockedError(SelfLabelError):
+    """The run directory is open in another process."""
+
+    exit_code = 5

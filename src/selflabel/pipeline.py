@@ -14,10 +14,10 @@ a re-run leaves no file of an earlier run's ``final/``. Hence a ``corpus/``
 or ``round_*`` directory exists only when complete: a resume skips a round
 without building anything, and a round damaged by hand is a ``DataError``.
 
-A run is opened once (``open_run``): the fingerprint is checked, the
-corpus, trial list and cohort ids are staged where missing and read back,
-and every stage then takes the opened ``Run``. The calling process writes
-every file of a run.
+A run is opened once (``open_run``): the run directory is locked against
+other processes, the fingerprint is checked, the corpus, trial list and
+cohort ids are staged where missing and read back, and every stage then
+takes the opened ``Run``. The calling process writes every file of a run.
 
 The reader of each per-sample file checks it against the corpus on every
 path, resume included: ``read_assignment`` takes the corpus ids, which the
@@ -34,9 +34,11 @@ only.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
+import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -69,7 +71,7 @@ from .encoder import (
     write_checkpoint,
     write_train_log,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, RunLockedError
 from .metrics import DcfParams, eer, nmi, verification_metrics
 from .scoring import Cohort, Trials, as_norm, cosine_score, fuse_scores
 from .synthdata import MultiModalCorpus, SynthConfig
@@ -86,7 +88,7 @@ ARTIFACT_FORMAT = 3
 # never mixes rounds of two programs: raise it in any change after which
 # ``scripts/workload_tree.py`` at ``tiny``, ``fixed_k`` or ``default`` writes
 # a tree that ``diff -rq`` finds changed.
-RESULTS_VERSION = 1
+RESULTS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,31 @@ def _load_round(path: Path, index: int) -> RoundArtifacts:
 # ---------------------------------------------------------------------------
 
 
+# (pid, run directory) -> the read-only fd of the directory whose flock
+# holds it; a forked child finds none of its own
+_locks: dict[tuple[int, Path], int] = {}
+
+
+def _lock(out: Path) -> None:
+    """Lock the run directory for this process, unless it holds the lock."""
+    key = (os.getpid(), out.resolve())
+    if key in _locks:
+        return
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise RunLockedError(f"run directory {out} is in use by another process") from None
+    _locks[key] = fd
+
+
+def _unlock(out: Path) -> None:
+    fd = _locks.pop((os.getpid(), out.resolve()), None)
+    if fd is not None:
+        os.close(fd)
+
+
 def _remove(path: Path) -> None:
     if path.is_dir():
         shutil.rmtree(path, ignore_errors=True)
@@ -276,13 +303,20 @@ class Run(NamedTuple):
 
 
 def open_run(config: PipelineConfig) -> Run:
-    """Open the run in ``config.output_dir``: pin the config fingerprint,
-    stage the corpus, ``trials.txt`` and ``cohort_ids.txt`` where missing,
-    and read each back once. A directory made under another config or
-    program version is a ConfigError, raised before anything else is read
-    or written, since resuming it would mix two experiments."""
+    """Open the run in ``config.output_dir``: lock it, pin the config
+    fingerprint, stage the corpus, ``trials.txt`` and ``cohort_ids.txt``
+    where missing, and read each back once.
+
+    The lock is an exclusive ``flock`` on the directory itself, taken before
+    any staging leftover is removed; a directory another process holds is a
+    RunLockedError (exit 5). This process keeps the lock until
+    ``run_pipeline`` returns or the process ends, and opening the run again
+    meanwhile reuses it. A directory made under another config or program
+    version is a ConfigError, raised before anything else is read or
+    written, since resuming it would mix two experiments."""
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    _lock(out)
     for stale in out.glob(".tmp_*"):
         _remove(stale)
     marker = out / "run_config.json"
@@ -504,29 +538,34 @@ def _final_scoring(run: Run, last: RoundArtifacts) -> dict:
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run (or resume) the full pipeline and return the final report dict."""
-    run = open_run(config)
-    rounds = [run_stage1(run)]
-    for r in range(1, config.rounds + 1):
-        rounds.append(run_round(run, r, rounds[-1]))
+    """Run (or resume) the full pipeline and return the final report dict.
+    The run directory stays locked until it returns, so the removal of
+    later rounds runs under the lock too."""
+    try:
+        run = open_run(config)
+        rounds = [run_stage1(run)]
+        for r in range(1, config.rounds + 1):
+            rounds.append(run_round(run, r, rounds[-1]))
 
-    report = {
-        "fingerprint": config.fingerprint(),
-        "k": rounds[0].k,
-        "num_rounds": config.rounds,
-        "rounds": [r.metrics for r in rounds],
-        "final_scoring": {
-            "cohort_size": len(run.cohort_ids),
-            "top_n": config.eval.top_n,
-            "systems": _final_scoring(run, rounds[-1]),
-        },
-    }
-    kept = {r.path.name for r in rounds}  # a lower ``rounds`` leaves no later round
-    for path in config.output_dir.glob("round_*"):
-        if path.name[6:].isdigit() and path.name not in kept:
-            _remove(path)
-    report_path = config.output_dir / "report.json"
-    with _staged(report_path) as tmp:
-        write_json(tmp, report)
-    logger.info("pipeline finished; report at %s", report_path)
-    return report
+        report = {
+            "fingerprint": config.fingerprint(),
+            "k": rounds[0].k,
+            "num_rounds": config.rounds,
+            "rounds": [r.metrics for r in rounds],
+            "final_scoring": {
+                "cohort_size": len(run.cohort_ids),
+                "top_n": config.eval.top_n,
+                "systems": _final_scoring(run, rounds[-1]),
+            },
+        }
+        kept = {r.path.name for r in rounds}  # a lower ``rounds`` leaves no later round
+        for path in config.output_dir.glob("round_*"):
+            if path.name[6:].isdigit() and path.name not in kept:
+                _remove(path)
+        report_path = config.output_dir / "report.json"
+        with _staged(report_path) as tmp:
+            write_json(tmp, report)
+        logger.info("pipeline finished; report at %s", report_path)
+        return report
+    finally:
+        _unlock(config.output_dir)

@@ -74,9 +74,10 @@ class MultiModalCorpus:
     def __init__(self, sample_ids, group_ids, identity_gt, audio, visual):
         self.sample_ids = list(sample_ids)
         self.group_ids = list(group_ids)
-        self.identity_gt = np.asarray(identity_gt, dtype=np.int64)
-        self.audio = np.asarray(audio, dtype=np.float32)
-        self.visual = np.asarray(visual, dtype=np.float32)
+        # copies, so the caller's arrays stay writable when these are frozen
+        self.identity_gt = np.array(identity_gt, dtype=np.int64)
+        self.audio = np.array(audio, dtype=np.float32)
+        self.visual = np.array(visual, dtype=np.float32)
         n = len(self.sample_ids)
         if len(set(self.sample_ids)) != n:
             raise DataError("sample ids are not unique")

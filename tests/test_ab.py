@@ -48,3 +48,23 @@ def test_summary_counts_the_seeds_whose_k_matched(capsys):
               "quality": {"parent": side(200), "change": side(k)}} for k in (200, 250, 200)]
     ab.print_summary(pairs)
     assert "change faster in 3/3 pairs, same K in 2/3 seeds" in capsys.readouterr().out
+
+
+def test_change_set_goes_to_the_change_side_only(tmp_path, capsys):
+    ab = load_script()
+    assert ab.main(["--parent", str(ROOT), "--change", str(ROOT), "--workload", "tiny",
+                    "--seeds", "3", "--out", str(tmp_path),
+                    "--change-set", "classifier.epochs=1"]) == 0
+    out = capsys.readouterr().out
+    assert "files differing: 0" not in out
+    assert "    round_001/encoder_audio.enc" in out
+    assert "    round_000/encoder_audio.enc" not in out
+
+
+def test_unknown_change_set_key_exits_2(tmp_path, capsys):
+    ab = load_script()
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["--parent", str(ROOT), "--change", str(ROOT), "--workload", "tiny",
+                 "--seeds", "3", "--out", str(tmp_path), "--change-set", "classifier.epoch=1"])
+    assert exc.value.code == 2
+    assert "unknown config key 'classifier.epoch'" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from selflabel import _parallel, _textio, cli, pipeline, scoring, synthdata
-from selflabel.configio import build_pipeline_config
+from selflabel.configio import build_pipeline_config, parse_kv_file
 from selflabel.encoder import ClassifierConfig, ContrastiveConfig
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams
@@ -299,11 +300,11 @@ class TestDeterminismAndResume:
         # a run directory resumes only under its fingerprint, so these
         # values are those of the run directories already written
         assert PipelineConfig(output_dir="run").fingerprint() == (
-            "9c7811564f39ecc694f7f926853072883e58de1166956b9ee3de9998766096d4"
+            "3f774ac4a9921992c81b73823025fed3c99b48a26b57d0cb28e9c01d5147c878"
         )
         config = build_pipeline_config({"fixed_k": 200, "cluster.restarts": 1}, "run")
         assert config.fingerprint() == (
-            "807982aa0a428c0eaa6b78b18f0983c73bc06d5554588614391db8511bbaadf7"
+            "1d23286b8f2e22bb54f9061b95dcb0272be427a3956ca40a4110f640945edfe4"
         )
 
     def test_round_checks_the_fingerprint(self, tmp_path):
@@ -519,6 +520,60 @@ class TestCrashSafeRunFiles:
         ]
         run_pipeline(crashed)
         assert tree_bytes(tmp_path / "crashed") == tree_bytes(tmp_path / "full")
+
+
+class TestRunLock:
+    """One process at a time opens a run directory; a second one exits 5
+    before it touches anything."""
+
+    @staticmethod
+    def in_child(call) -> int:
+        """Exit code of a forked process that exits with ``call()``."""
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = call()
+            finally:
+                sys.stderr.flush()
+                os._exit(code)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def test_second_process_exits_5_while_the_run_is_open(self, tmp_path, capfd):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TestDamagedRound.CONFIG)
+        out = tmp_path / "run"
+        argv = ["pipeline", "--config", str(cfg), "--out", str(out)]
+        config = build_pipeline_config(parse_kv_file(cfg), out)
+        open_run(config)  # this process holds the lock from here on
+        # a staging leftover, as the first process's write in progress
+        (out / ".tmp_round_000").mkdir()
+        before = tree_bytes(out)
+        capfd.readouterr()
+        assert self.in_child(lambda: cli.main(argv)) == 5
+        assert f"error: run directory {out} is in use by another process" in capfd.readouterr().err
+        assert (out / ".tmp_round_000").is_dir() and tree_bytes(out) == before
+
+        # the holder finishes its run, which releases the lock
+        run_pipeline(config)
+        assert self.in_child(lambda: cli.main(argv)) == 0
+
+    def test_a_failed_run_releases_the_lock(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path / "run", rounds=0)
+
+        def crash(*args):
+            raise OSError("simulated crash")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "run_stage1", crash)
+            with pytest.raises(OSError, match="simulated crash"):
+                run_pipeline(config)
+
+        def open_elsewhere():
+            open_run(config)
+            return 0
+
+        assert self.in_child(open_elsewhere) == 0
 
 
 class TestDamagedRound:

@@ -113,6 +113,18 @@ class TestGenerateCorpus:
         with pytest.raises(ConfigError):
             corpus.features("haptic")
 
+    def test_callers_arrays_stay_writable(self):
+        # already of the stored dtypes, so a view would share their memory
+        identity = np.array([0, 1], dtype=np.int64)
+        audio, visual = np.zeros((2, 2), np.float32), np.ones((2, 3), np.float32)
+        corpus = MultiModalCorpus(["x", "y"], ["g", "h"], identity, audio, visual)
+        for caller, stored in ((identity, corpus.identity_gt), (audio, corpus.audio),
+                               (visual, corpus.visual)):
+            assert caller.flags.writeable
+            assert not stored.flags.writeable
+            caller[0] = 7
+            assert not np.any(stored[0] == 7)
+
 
 class TestCorpusFiles:
     def test_round_trip_field_by_field(self, tmp_path):
