@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _BLOCK_BYTES = 1 << 16  # text read at a time, in whole lines
 _BLOCK_ROWS = 2048  # rows formatted at a time
@@ -73,6 +73,18 @@ def read_columns(path, what: str, types: tuple, sep: str | None = None) -> list[
         for column, part in zip(columns, block):
             column += part
     return columns
+
+
+def make_dir(path) -> Path:
+    """Make the directory ``path`` and its missing parents. A path that is a
+    file, or lies under one, is a ConfigError naming it; any other failure
+    stays an OSError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make directory {path}: {exc.strerror}") from None
+    return path
 
 
 def write_file(path, blocks: Iterable[str | bytes]) -> None:

@@ -11,10 +11,9 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import clustering, ensemble, pipeline, scoring, synthdata
-from ._textio import json_text, read_columns, write_json
+from ._textio import json_text, make_dir, read_columns, write_json
 from .configio import build_pipeline_config, parse_kv_file
 from .encoder import (
     train_classifier,
@@ -125,8 +124,7 @@ def _cmd_fuse(args) -> int:
     za = synthdata.read_embeddings(args.audio_emb, len(sample_ids))
     zv = synthdata.read_embeddings(args.visual_emb, len(sample_ids))
     fused_set = ensemble.fuse_pseudo_labels(za, zv, args.k, restarts=restarts, seed=args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out_dir)
     breakdown = ensemble.write_fusion(out_dir, sample_ids, fused_set)
     print(f"wrote fused assignments to {out_dir} ({breakdown})")
     return 0

@@ -338,12 +338,9 @@ def select_k_elbow(curve: WssCurve) -> tuple[int, np.ndarray]:
     v = _minmax(ws)
     sx, sy = u[0], v[0]
     ex, ey = u[-1], v[-1]
+    # ascending K puts the ends at u = 0 and u = 1: the chord is at least 1 long
     chord = np.hypot(ex - sx, ey - sy)
-    if chord == 0:
-        scores = np.zeros_like(u)
-    else:
-        cross = (ex - sx) * (sy - v) - (sx - u) * (ey - sy)
-        scores = np.abs(cross) / chord
+    scores = np.abs((ex - sx) * (sy - v) - (sx - u) * (ey - sy)) / chord
     # scores within rounding noise of the maximum count as tied; the
     # smallest K among them wins (an exactly linear curve ties everywhere)
     tied = scores >= scores.max() - 1e-12

@@ -1,11 +1,12 @@
 """Key-value config files and construction of typed configs from them.
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
-dotted keys for sections (``classifier.epochs = 15``). Comma-separated
-values parse to tuples. A section key sets the field of the same name in
-that section's settings class, converted by the type of the field's
-default, and a top-level key sets one ``PipelineConfig`` field; there is no
-other mapping. Unknown keys are rejected so typos fail loudly.
+dotted keys for sections (``classifier.epochs = 15``). A value parses to
+an int, a float or a string, and comma-separated values to tuples. A
+section key sets the field of the same name in that section's settings
+class, converted by the type of the field's default, and a top-level key
+sets one ``PipelineConfig`` field; there is no other mapping. Unknown keys
+are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ from .pipeline import PipelineConfig
 
 def _parse_scalar(raw: str):
     text = raw.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "null", ""):
+    if text.lower() in ("none", "null", ""):
         return None
     try:
         return int(text)

@@ -218,20 +218,17 @@ def _require_finite_rows(x: np.ndarray, what: str) -> None:
 
 
 def embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Encode one vector or a matrix of row vectors."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    x2d = np.atleast_2d(arr)
-    _require_finite_rows(x2d, "encoder input")
-    if x2d.shape[1] != params.in_dim:
+    """Encode a matrix of row vectors, one embedding row per row."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ConfigError(
-            f"input dimension {x2d.shape[1]} does not match encoder ({params.in_dim})"
+            f"input of shape {x.shape} is not a matrix of {params.in_dim}-dim rows"
         )
-    n = x2d.shape[0]
-    hidden = np.empty((n, params.hidden_dim))
-    z = np.empty((n, params.embed_dim))
-    _forward(*params.arrays(), x2d, hidden, z)
-    return z[0] if single else z
+    _require_finite_rows(x, "encoder input")
+    hidden = np.empty((x.shape[0], params.hidden_dim))
+    z = np.empty((x.shape[0], params.embed_dim))
+    _forward(*params.arrays(), x, hidden, z)
+    return z
 
 
 def _backward(w2, x2d, hidden, dz, dhidden, grads) -> None:
@@ -562,8 +559,8 @@ def train_contrastive(
 
     Training runs in float32: the float64 initialization and each batch's
     float64 views are rounded to float32 once, and parameters, gradients,
-    Adam moments and buffers stay float32. At zero epochs the float64
-    initialization is returned as drawn.
+    Adam moments and buffers stay float32. The returned parameters hold
+    those float32 values at every epoch count, zero included.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -577,8 +574,6 @@ def train_contrastive(
 
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim,
                           np.random.default_rng([seed, 101]))
-    if config.epochs == 0:
-        return params, []
     rng = np.random.default_rng([seed, 102])
     size = config.batch_size
     theta, grad, arrays, grads, bufs = _flat(params, None, 2 * size, np.float32)
@@ -630,8 +625,8 @@ def train_classifier(
 
     Training runs in float32: the features, the float64 initialization and
     each epoch's float64 noise are rounded to float32 once, and parameters,
-    gradients and buffers stay float32. At zero epochs the float64
-    initialization is returned as drawn.
+    gradients and buffers stay float32. The returned parameters hold those
+    float32 values at every epoch count, zero included.
     """
     x = np.asarray(features)
     labels = np.asarray(pseudo_labels, dtype=np.int64)
@@ -653,8 +648,6 @@ def train_classifier(
     init_rng = np.random.default_rng([seed, 201])
     params = init_encoder(x.shape[1], config.hidden_dim, config.embed_dim, init_rng)
     head = init_head(num_classes, config.embed_dim, init_rng)
-    if config.epochs == 0:
-        return params, head, []
     rng = np.random.default_rng([seed, 202])
     size = config.batch_size
     theta, grad, arrays, grads, bufs = _flat(params, head, size, np.float32)

@@ -49,10 +49,8 @@ import numpy as np
 
 from . import ensemble, scoring, synthdata
 from ._parallel import ordered_map
-from ._textio import read_columns, write_json, write_rows
+from ._textio import make_dir, read_columns, write_json, write_rows
 from .clustering import (
-    MAX_ITERS,
-    SWEEP_RESTARTS,
     ClusterSettings,
     elbow_grid,
     kmeans,
@@ -80,15 +78,13 @@ logger = logging.getLogger(__name__)
 
 _MODALITIES = ("audio", "visual")
 
-# Version of the run directory's file formats, part of the fingerprint;
-# raise it whenever a file that a resume reads or keeps changes format.
-ARTIFACT_FORMAT = 3
-
 # Version of the program's results, part of the fingerprint, so a resume
 # never mixes rounds of two programs: raise it in any change after which
 # ``scripts/workload_tree.py`` at ``tiny``, ``fixed_k`` or ``default`` writes
-# a tree that ``diff -rq`` finds changed.
-RESULTS_VERSION = 2
+# a tree that ``diff -rq`` finds changed. A new file format changes that
+# tree, and so does a change to a constant such as ``clustering.MAX_ITERS``
+# that alters results, so this one version covers both.
+RESULTS_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -136,20 +132,14 @@ class PipelineConfig:
             raise ConfigError("fixed_k must be >= 1")
 
     def fingerprint(self) -> str:
-        """Hash of the settings that shape the run's files. ``rounds`` is out,
-        so raising it extends a finished run. The k-means constants
-        ``SWEEP_RESTARTS`` and ``MAX_ITERS`` are in, under the keys they had
-        as settings, and so are ``ARTIFACT_FORMAT`` and ``RESULTS_VERSION``,
-        so a change to any of them rejects the old run directories."""
+        """Hash of the settings that shape the run's files and of
+        ``RESULTS_VERSION``, so a run directory resumes only under the
+        settings and the program version that made it. ``rounds`` is out, so
+        raising it extends a finished run."""
         payload = asdict(self)
         payload.pop("output_dir")
         payload.pop("rounds")
-        payload["cluster"].update(sweep_restarts=SWEEP_RESTARTS, max_iters=MAX_ITERS)
-        payload["artifact_format"] = ARTIFACT_FORMAT
         payload["results_version"] = RESULTS_VERSION
-        payload["corpus_path"] = (
-            str(self.corpus_path) if self.corpus_path is not None else None
-        )
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -314,8 +304,7 @@ def open_run(config: PipelineConfig) -> Run:
     meanwhile reuses it. A directory made under another config or program
     version is a ConfigError, raised before anything else is read or
     written, since resuming it would mix two experiments."""
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(config.output_dir)
     _lock(out)
     for stale in out.glob(".tmp_*"):
         _remove(stale)

@@ -68,10 +68,6 @@ class Trials:
     def __len__(self) -> int:
         return self.enroll.size
 
-    def __reduce__(self):
-        # unpickled through __post_init__, so the arrays stay read-only
-        return Trials, (self.ids, self.enroll, self.test, self.is_target)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Trials) and self.ids == other.ids and all(
             np.array_equal(getattr(self, name), getattr(other, name))

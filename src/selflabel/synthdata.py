@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._textio import read_columns, read_container, write_container, write_rows
+from ._textio import make_dir, read_columns, read_container, write_container, write_rows
 from .errors import ConfigError, DataError
 
 _EMB_MAGIC = b"EMB1"
@@ -187,8 +187,7 @@ def read_embeddings(path, rows: int) -> np.ndarray:
 
 def write_corpus(corpus: MultiModalCorpus, path) -> None:
     """Write a corpus directory: meta.tsv, audio.emb, visual.emb."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    path = make_dir(path)
     columns = (corpus.sample_ids, corpus.group_ids, corpus.identity_gt.tolist())
     write_rows(path / "meta.tsv", "%s\t%s\t%d", columns, header="\t".join(_META_COLUMNS))
     write_embeddings(path / "audio.emb", corpus.audio)

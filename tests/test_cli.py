@@ -106,7 +106,7 @@ def corpus_dir(tmp_path):
 class TestConfigParsing:
     def test_scalars_lists_comments(self):
         parsed = parse_kv_text("a = 3\nb = 0.5\nc = true\nd = x,y\n# note\ne = text\n")
-        assert parsed == {"a": 3, "b": 0.5, "c": True, "d": ("x", "y"), "e": "text"}
+        assert parsed == {"a": 3, "b": 0.5, "c": "true", "d": ("x", "y"), "e": "text"}
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -171,6 +171,7 @@ class TestConfigValueErrors:
             ("classifier.denominator = simclr", "classifier.denominator"),
             ("contrastive.epsilon_smooth = 0.2", "contrastive.epsilon_smooth"),
             ("classifier.aug_prob = abc", "classifier.aug_prob"),
+            ("classifier.epochs = true", "classifier.epochs"),
             ("classifier.aug_low = abc\nclassifier.aug_high = 1.0", "classifier.aug_low"),
             # removed keys: the noise range is a contrastive setting, the
             # pipeline derives each loop's seed from ``seed``, and each loop
@@ -766,6 +767,40 @@ class TestFuseCommand:
         ensemble.write_fusion(tmp_path / "want", corpus.sample_ids, fused)
         for path in (tmp_path / "want").iterdir():
             assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize(
+    "command, out_flag, under",
+    [
+        ("pipeline", "--out", ""),
+        ("pipeline", "--out", "sub"),
+        ("generate", "--out", ""),
+        ("fuse", "--out-dir", ""),
+    ],
+)
+def test_output_path_that_is_a_file_exits_2(corpus_dir, tmp_path, capsys, command, out_flag, under):
+    # a user-named output directory that is a file, or lies under one, is a
+    # configuration error naming it, and nothing is written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / under if under else blocker
+    args = {
+        "pipeline": ["--config", config_file(tmp_path, TINY_PIPELINE)],
+        "generate": ["--config", config_file(tmp_path, TINY_SYNTH)],
+        "fuse": ["--audio-emb", str(corpus_dir / "audio.emb"),
+                 "--visual-emb", str(corpus_dir / "visual.emb"),
+                 "--meta", str(corpus_dir / "meta.tsv"), "--k", "8",
+                 "--config", config_file(tmp_path, "cluster.restarts = 2\n")],
+    }[command]
+
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+    before = tree()
+    capsys.readouterr()
+    assert main([command, *args, out_flag, str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert tree() == before
 
 
 class TestStageCommandsReadTheConfig:

@@ -12,11 +12,10 @@ import pytest
 
 from selflabel import _parallel, _textio, cli, pipeline, scoring, synthdata
 from selflabel.configio import build_pipeline_config, parse_kv_file
-from selflabel.encoder import ClassifierConfig, ContrastiveConfig
+from selflabel.encoder import ClassifierConfig, ContrastiveConfig, embed, read_checkpoint
 from selflabel.errors import ConfigError
 from selflabel.metrics import DcfParams
 from selflabel.pipeline import (
-    ARTIFACT_FORMAT,
     RESULTS_VERSION,
     ClusterSettings,
     EvalSettings,
@@ -140,6 +139,17 @@ class TestStage1:
         stamp = (art1.path / "assign_audio.tsv").stat().st_mtime_ns
         art2 = run_stage1(open_run(config))
         assert (art2.path / "assign_audio.tsv").stat().st_mtime_ns == stamp
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_stored_encoder_re_embeds_to_stored_embeddings(self, tmp_path, epochs):
+        # the checkpoint holds the network that made the embedding file, at
+        # zero epochs too
+        config = tiny_config(tmp_path / "run", rounds=0)
+        run = open_run(replace(config, contrastive=replace(config.contrastive, epochs=epochs)))
+        art = run_stage1(run)
+        params, _ = read_checkpoint(art.path / "encoder_audio.enc")
+        stored = read_embeddings(art.path / "audio.emb", len(run.corpus))
+        np.testing.assert_array_equal(embed(params, run.corpus.audio).astype(np.float32), stored)
 
     def test_elbow_path_writes_curve(self, tmp_path):
         config = tiny_config(tmp_path / "run", rounds=0, fixed_k=None, k_grid=(4, 8, 12, 16))
@@ -300,11 +310,11 @@ class TestDeterminismAndResume:
         # a run directory resumes only under its fingerprint, so these
         # values are those of the run directories already written
         assert PipelineConfig(output_dir="run").fingerprint() == (
-            "3f774ac4a9921992c81b73823025fed3c99b48a26b57d0cb28e9c01d5147c878"
+            "aee66ee591e44095e7cb69866535102699a2aa9b88b1a06fe6409bd27e87d707"
         )
         config = build_pipeline_config({"fixed_k": 200, "cluster.restarts": 1}, "run")
         assert config.fingerprint() == (
-            "1d23286b8f2e22bb54f9061b95dcb0272be427a3956ca40a4110f640945edfe4"
+            "017437b76fb30508f3bdc1883de8c3ce09e314a4a76ffacb8b5a5b13f55c1832"
         )
 
     def test_round_checks_the_fingerprint(self, tmp_path):
@@ -314,13 +324,6 @@ class TestDeterminismAndResume:
         with pytest.raises(ConfigError, match="different configuration"):
             open_run(replace(config, seed=99))
         assert not (tmp_path / "run" / "round_002").exists()
-
-    def test_artifact_format_change_rejects_resume(self, tmp_path, monkeypatch):
-        config = tiny_config(tmp_path / "run", rounds=0)
-        run_stage1(open_run(config))
-        monkeypatch.setattr(pipeline, "ARTIFACT_FORMAT", ARTIFACT_FORMAT + 1)
-        with pytest.raises(ConfigError, match="different configuration"):
-            open_run(config)
 
     def test_results_version_change_rejects_resume(self, tmp_path, monkeypatch, capsys):
         # a run made by another program version exits 2 and is left as it is
